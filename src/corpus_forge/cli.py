@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 usage (bad flags), 3 configuration, 4 transport,
 documented file formats, so each is independently rerunnable.
 """
 
+import csv
 import functools
 import json
 import logging
@@ -194,25 +195,42 @@ def _assert_disjoint(train_corpora, eval_corpora):
             )
 
 
+def _write_csv(path, header, rows):
+    """Write a CSV file, quoting fields that hold commas or quotes."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_analysis(corpora_by_label, out_dir):
     ttr_path = out_dir / "ttr.csv"
     zipf_path = out_dir / "zipf.csv"
-    with open(ttr_path, "w", encoding="utf-8", newline="\n") as ttr_fh, \
-            open(zipf_path, "w", encoding="utf-8", newline="\n") as zipf_fh:
-        ttr_fh.write("corpus,side,type_count,token_count,ttr\n")
-        zipf_fh.write("corpus,side,rank,word,frequency\n")
-        for label, corpus in corpora_by_label.items():
-            for side, lines in (
-                ("source", corpus.source_lines()),
-                ("target", corpus.target_lines()),
-            ):
-                profile = metrics.frequency_profile(lines)
-                ttr_fh.write(
-                    f"{label},{side},{profile.type_count},"
-                    f"{profile.token_count},{profile.ttr:.6f}\n"
-                )
-                for rank, word, freq in profile.rank_frequency:
-                    zipf_fh.write(f"{label},{side},{rank},{word},{freq}\n")
+    profiles = [
+        (label, side, metrics.frequency_profile(lines))
+        for label, corpus in corpora_by_label.items()
+        for side, lines in (
+            ("source", corpus.source_lines()),
+            ("target", corpus.target_lines()),
+        )
+    ]
+    _write_csv(
+        ttr_path,
+        ["corpus", "side", "type_count", "token_count", "ttr"],
+        (
+            [label, side, p.type_count, p.token_count, f"{p.ttr:.6f}"]
+            for label, side, p in profiles
+        ),
+    )
+    _write_csv(
+        zipf_path,
+        ["corpus", "side", "rank", "word", "frequency"],
+        (
+            [label, side, rank, word, freq]
+            for label, side, p in profiles
+            for rank, word, freq in p.rank_frequency
+        ),
+    )
     click.echo(f"wrote {ttr_path} and {zipf_path}")
 
 

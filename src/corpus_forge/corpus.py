@@ -30,6 +30,8 @@ class SentencePair:
         if self.origin not in (ORIGIN_NATURAL, ORIGIN_SYNTHETIC):
             raise ValueError(f"bad origin: {self.origin!r}")
         for side in (self.source, self.target):
+            if not isinstance(side, str):
+                raise ValueError(f"source/target must be strings, got {side!r}")
             if not side.strip():
                 raise ValueError("source/target must be non-empty after trimming")
             if "\n" in side or "\r" in side:
@@ -182,6 +184,8 @@ def read_jsonl(path, source_lang: str, target_lang: str) -> ParallelCorpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
             missing = {"id", "src", "tgt", "origin"} - record.keys()
             if missing:
                 raise CorpusFormatError(

@@ -5,8 +5,11 @@ Wire shape is the standard chat-completions JSON: POST with
 read from choices[0].message.content.
 """
 
+import datetime
+import email.utils
 import hashlib
 import logging
+import math
 import os
 import random
 import time
@@ -132,10 +135,9 @@ class HttpBackend:
         if response.status_code in (401, 403):
             raise AuthError(f"authentication rejected ({response.status_code})")
         if response.status_code == 429:
-            retry_after = response.headers.get("Retry-After")
             raise RateLimited(
                 "rate limited",
-                retry_after=float(retry_after) if retry_after else None,
+                retry_after=_retry_after_seconds(response.headers.get("Retry-After")),
             )
         if response.status_code >= 500:
             raise TransportError(f"server error {response.status_code}")
@@ -148,6 +150,27 @@ class HttpBackend:
             return payload["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed response body: {exc}") from exc
+
+
+def _retry_after_seconds(value):
+    """Seconds to wait from a Retry-After header: delay-seconds or an HTTP-date.
+
+    A date in the past gives 0. A missing, unparseable, out-of-range or
+    non-finite value gives None, as if the header were absent.
+    """
+    if not value:
+        return None
+    try:
+        seconds = float(value)
+    except ValueError:
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (ValueError, OverflowError):  # no date, or fields out of range
+            return None
+        if when.tzinfo is None:  # "-0000" dates carry no zone; HTTP-dates are GMT
+            when = when.replace(tzinfo=datetime.timezone.utc)
+        seconds = when.timestamp() - time.time()
+    return max(seconds, 0.0) if math.isfinite(seconds) else None
 
 
 class MockBackend:

@@ -1,6 +1,5 @@
 """Corpus BLEU, cross-evaluation matrices, and lexical diversity profiles."""
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -209,25 +208,6 @@ def render_matrix_markdown(matrix: EvalMatrix) -> str:
         scores = [format_score(matrix.get(row, col)) for col in matrix.columns]
         lines.append("| " + row + " | " + " | ".join(scores) + " |")
     return "\n".join(lines) + "\n"
-
-
-def write_profile_csv(profile: FrequencyProfile, csv_path, sidecar_path=None) -> None:
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rank,word,frequency\n")
-        for rank, word, freq in profile.rank_frequency:
-            fh.write(f"{rank},{word},{freq}\n")
-    if sidecar_path is not None:
-        with open(sidecar_path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(
-                {
-                    "type_count": profile.type_count,
-                    "token_count": profile.token_count,
-                    "ttr": profile.ttr,
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
 
 
 def zipf_points(profile: FrequencyProfile):

@@ -2,8 +2,9 @@ import string
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import reference_bpe
 from conftest import make_corpus
 from corpus_forge import bpe
 from corpus_forge.errors import CorpusFormatError, EmptyCorpus
@@ -112,3 +113,62 @@ class TestSerialization:
         path.write_text("nonsense 42\ne s\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError):
             bpe.load_model(path)
+
+
+ALPHABETS = ("ab", "aab", "lowenstid")
+
+
+@st.composite
+def lines_over_alphabet(draw, max_lines=12):
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    word = st.text(alphabet=alphabet, min_size=1, max_size=8)
+    line = st.lists(word, min_size=1, max_size=6).map(" ".join)
+    return draw(st.lists(line, min_size=1, max_size=max_lines))
+
+
+@st.composite
+def training_corpus(draw):
+    sources = draw(lines_over_alphabet())
+    targets = draw(lines_over_alphabet())
+    return make_corpus(list(zip(sources, targets)))
+
+
+class TestAgainstSeedOracle:
+    """The incremental trainer and indexed encoder against reference_bpe."""
+
+    @settings(deadline=None)
+    @given(training_corpus(), st.integers(min_value=1, max_value=60))
+    def test_same_merges_and_vocab(self, corpus, target):
+        model = bpe.train_bpe([corpus], target)
+        expected = reference_bpe.train_bpe([corpus], target)
+        assert model.merges == expected.merges
+        assert sorted(model.vocab.items()) == sorted(expected.vocab.items())
+
+    @settings(deadline=None)
+    @given(training_corpus(), st.integers(min_value=1, max_value=60),
+           lines_over_alphabet(max_lines=4))
+    def test_same_encoding_of_trained_model(self, corpus, target, lines):
+        model = bpe.train_bpe([corpus], target)
+        for line in lines + lines:  # the second pass reads the word cache
+            assert bpe.encode(model, line) == reference_bpe.encode(model, line)
+
+    @settings(deadline=None)
+    @given(training_corpus(), st.data(), lines_over_alphabet(max_lines=4))
+    def test_same_encoding_with_shuffled_and_repeated_merges(self, corpus, data,
+                                                             lines):
+        trained = bpe.train_bpe([corpus], 60).merges
+        repeats = data.draw(st.lists(st.sampled_from(trained))) if trained else []
+        merges = data.draw(st.permutations(trained + repeats))
+        model = bpe.BpeModel(merges=merges, vocab=Counter(), target_vocab_size=60)
+        for line in lines:
+            assert bpe.encode(model, line) == reference_bpe.encode(model, line)
+
+    def test_recurring_pair_applies_in_list_order(self):
+        # ("a", "bc") recurs once ("b", "c") rebuilds "bc". Lowest rank first
+        # would join "a"+"bc" at rank 0 in "xabcd" instead of "x"+"a" at rank 2
+        merges = [("a", "bc"), ("b", "c"), ("x", "a"), ("a", "bc")]
+        model = bpe.BpeModel(merges=merges, vocab=Counter(), target_vocab_size=9)
+        for word, expected in (("xabcd", ["xa@@", "bc@@", "d"]),
+                               ("abcd", ["abc@@", "d"])):
+            assert reference_bpe.encode(model, word) == expected
+            assert bpe.encode(model, word) == expected

@@ -1,10 +1,11 @@
+import csv
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import make_experiment_fixture
+from conftest import make_corpus, make_experiment_fixture
 from corpus_forge.cli import (
     EXIT_CONFIG,
     EXIT_INSUFFICIENT_DATA,
@@ -215,3 +216,54 @@ class TestAnalyze:
         assert result.exit_code == 0, result.output
         header = (out / "ttr.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "corpus,side,type_count,token_count,ttr"
+
+    def test_tokens_with_commas_and_quotes_read_back_intact(self, runner, tmp_path):
+        path = tmp_path / "punct.jsonl"
+        write_jsonl(make_corpus([('gar, nicht "so"', "not, at all")]), path)
+        out = tmp_path / "analysis"
+        result = runner.invoke(main, [
+            "analyze", "--input", str(path),
+            "--src", "de", "--tgt", "en", "--out-dir", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        with open(out / "zipf.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 5 for row in rows)
+        words = {(row[1], row[3]) for row in rows[1:]}
+        assert {("source", "gar,"), ("source", '"so"'), ("target", "not,")} <= words
+
+
+class TestMalformedInputs:
+    """Malformed files end in a typed error: exit code 1, no traceback."""
+
+    def assert_clean_failure(self, result, where):
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert f"error: {where}" in result.output
+
+    @pytest.mark.parametrize("bad_line", [
+        "[1, 2]",
+        '{"id": "1", "src": 5, "tgt": "b", "origin": "natural"}',
+        '{"id": "1", "src": "a", "tgt": null, "origin": "natural"}',
+    ])
+    def test_jsonl_line_of_wrong_shape(self, runner, tmp_path, bad_line):
+        path = tmp_path / "bad.jsonl"
+        good = '{"id": "0", "src": "a", "tgt": "b", "origin": "natural"}'
+        path.write_text(f"{good}\n{bad_line}\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "analyze", "--input", str(path), "--src", "de", "--tgt", "en",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        self.assert_clean_failure(result, f"{path}:2:")
+
+    def test_bpe_header_with_non_integer_size(self, runner, tmp_path):
+        model_path = tmp_path / "model.bpe"
+        model_path.write_text("bpe-v1 abc\ne s\n", encoding="utf-8")
+        text_in = tmp_path / "in.txt"
+        text_in.write_text("esel\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "bpe-apply", "--model", str(model_path),
+            "--input", str(text_in), "--output", str(tmp_path / "out.txt"),
+        ])
+        self.assert_clean_failure(result, f"{model_path}:")

@@ -1,8 +1,11 @@
+import email.utils
 import json
 import threading
+import time
 
 import pytest
 
+from corpus_forge import gateway as gateway_module
 from corpus_forge.errors import (
     AuthError,
     ConfigError,
@@ -285,6 +288,33 @@ class TestHttpBackend:
             == "hello"
         )
         assert len(session.requests) == 2
+
+    @pytest.mark.parametrize("retry_after", [
+        "Wed, 21 Oct 2015 07:28:00 GMT",  # an HTTP-date in the past
+        "soon",
+        "Mon, 99 Foo 2015 25:61:00 GMT",
+    ])
+    def test_rate_limit_date_or_junk_waits_only_the_backoff(
+            self, api_key_env, monkeypatch, retry_after):
+        delays = []
+        monkeypatch.setattr(gateway_module.time, "sleep", delays.append)
+        backend, session = self.make(
+            [FakeResponse(429, headers={"Retry-After": retry_after}), ok_response()]
+        )
+        request = ChatRequest(messages=(ChatMessage("user", "u"),))
+        assert backend.complete(request) == "hello"
+        assert len(session.requests) == 2
+        assert delays == [backend.config.backoff_base]
+
+    def test_rate_limit_future_http_date_is_honoured(self, api_key_env, monkeypatch):
+        delays = []
+        monkeypatch.setattr(gateway_module.time, "sleep", delays.append)
+        when = email.utils.formatdate(time.time() + 30, usegmt=True)
+        backend, _ = self.make(
+            [FakeResponse(429, headers={"Retry-After": when}), ok_response()]
+        )
+        backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
+        assert len(delays) == 1 and 28 <= delays[0] <= 30
 
     def test_malformed_body_is_protocol_error(self, api_key_env):
         backend, _ = self.make([FakeResponse(200, {"unexpected": True})])
