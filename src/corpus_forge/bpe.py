@@ -30,7 +30,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import normalize
+from .corpus import normalize, open_text
 from .errors import CorpusFormatError, EmptyCorpus
 
 BOUNDARY = "</w>"
@@ -187,7 +187,7 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n").split()
         if len(header) != 2 or header[0] != "bpe-v1":
             raise CorpusFormatError(f"{path}: unknown BPE model header")

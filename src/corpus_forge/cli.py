@@ -19,6 +19,7 @@ from .config import load_config
 from .corpus import (
     SplitSpec,
     make_splits,
+    open_text,
     read_jsonl,
     write_jsonl,
     write_plain_pair,
@@ -177,7 +178,7 @@ def bpe_train(input_paths, source_lang, target_lang, vocab_size, model_path):
 def bpe_apply(model_path, input_path, output_path):
     """Encode a plain-text file line by line with a trained BPE model."""
     model = bpe.load_model(model_path)
-    with open(input_path, encoding="utf-8") as src, \
+    with open_text(input_path) as src, \
             open(output_path, "w", encoding="utf-8", newline="\n") as dst:
         for line in src:
             dst.write(" ".join(bpe.encode(model, line.rstrip("\n"))) + "\n")

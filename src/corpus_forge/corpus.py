@@ -8,6 +8,7 @@ at least the threshold": the sentence that crosses the line is kept.
 import json
 import random
 import unicodedata
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -160,6 +161,28 @@ def make_splits(corpus: ParallelCorpus, spec: SplitSpec, with_test: bool = False
 # ---------------------------------------------------------------------------
 # On-disk formats: (a) line-aligned plain text pair, (b) JSON lines.
 
+@contextmanager
+def open_text(path):
+    """Open a UTF-8 text file for reading.
+
+    Bytes that are not UTF-8 end in CorpusFormatError naming the path and
+    the first line that holds them.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: not valid UTF-8 ({exc.reason})"
+                    ) from None
+        raise
+
+
 def write_jsonl(corpus: ParallelCorpus, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for p in corpus.pairs:
@@ -175,7 +198,7 @@ def write_jsonl(corpus: ParallelCorpus, path) -> None:
 
 def read_jsonl(path, source_lang: str, target_lang: str) -> ParallelCorpus:
     pairs = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -222,8 +245,10 @@ def read_plain_pair(stem, source_lang: str, target_lang: str) -> ParallelCorpus:
     stem = Path(stem)
     src_path = Path(f"{stem}.{source_lang}")
     tgt_path = Path(f"{stem}.{target_lang}")
-    src_lines = src_path.read_text(encoding="utf-8").splitlines()
-    tgt_lines = tgt_path.read_text(encoding="utf-8").splitlines()
+    with open_text(src_path) as fh:
+        src_lines = fh.read().splitlines()
+    with open_text(tgt_path) as fh:
+        tgt_lines = fh.read().splitlines()
     if len(src_lines) != len(tgt_lines):
         raise CorpusFormatError(
             f"{src_path} has {len(src_lines)} lines, {tgt_path} has {len(tgt_lines)}"

@@ -7,9 +7,11 @@ normalization, then renormalization of t. Decoding is positional argmax.
 """
 
 import math
-from collections import Counter, defaultdict
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 
+from .corpus import normalize, open_text
 from .errors import CorpusFormatError, EmptyCorpus
 
 NULL_TOKEN = "<null>"
@@ -24,49 +26,99 @@ class LexiconModel:
     iterations_run: int = 0
     final_log_likelihood: float = float("-inf")
     log_likelihoods: list = field(default_factory=list)  # one per iteration
+    # source word -> best_target's answer, filled as words are decoded
+    _best: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def translate(self, source_lines):
         return translate(self, source_lines)
 
 
 def _tokenized(corpus):
-    return [(p.source.split(), p.target.split()) for p in corpus.pairs]
+    return [
+        (normalize(p.source).split(), normalize(p.target).split())
+        for p in corpus.pairs
+    ]
+
+
+def _cells(bitext):
+    """Give every co-occurring (source word, candidate target) pair a cell id.
+
+    Returns (rows, spans, segments). rows maps each source word to
+    {candidate: cell id}; both levels are in first-seen order. Each row's ids
+    are consecutive, and spans holds its (first, end) ids. segments holds,
+    for every source token in corpus order, the cell ids of its sentence's
+    candidates: the target words, then the null target.
+    """
+    rows = {}
+    for src, tgt in bitext:
+        candidates = tgt + [NULL_TOKEN]
+        for f in src:
+            row = rows.get(f)
+            if row is None:
+                row = rows[f] = {}
+            for e in candidates:
+                row.setdefault(e, len(row))
+    spans = []
+    first = 0
+    for row in rows.values():
+        for e in row:
+            row[e] += first
+        spans.append((first, first + len(row)))
+        first += len(row)
+    segments = []
+    for src, tgt in bitext:
+        candidates = tgt + [NULL_TOKEN]
+        for f in src:
+            row = rows[f]
+            segments.append([row[e] for e in candidates])
+    return rows, spans, segments
 
 
 def train_em(corpus, iterations: int) -> LexiconModel:
-    """Train t(e|f) on a parallel corpus for a fixed number of EM iterations."""
+    """Train t(e|f) on a parallel corpus for a fixed number of EM iterations.
+
+    t and the expected counts are flat tables indexed by cell id. z and each
+    row total come from builtin sum() over values in candidate order and in
+    first-seen order; counts and the log-likelihood grow by += in corpus
+    order. Keep each as it is: Python 3.12 made float sum() compensated, so
+    trading a sum() for a += loop or math.fsum, or the reverse, moves low
+    bits of t and can flip the exact ties that best_target breaks.
+    """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
     bitext = _tokenized(corpus)
-    source_vocab = {f for src, _ in bitext for f in src}
     target_vocab = {e for _, tgt in bitext for e in tgt}
+    rows, spans, segments = _cells(bitext)
+    del bitext  # the token lists are not needed past this point
+    n_cells = spans[-1][1]
 
     uniform = 1.0 / (len(target_vocab) + 1)  # +1 for the null target
-    t = {f: defaultdict(lambda u=uniform: u) for f in source_vocab}
+    t = [uniform] * n_cells
 
     log_likelihoods = []
     for _ in range(iterations):
-        counts = {f: Counter() for f in source_vocab}
+        counts = array("d", [0.0]) * n_cells
         log_likelihood = 0.0
-        for src, tgt in bitext:
-            candidates = tgt + [NULL_TOKEN]
-            for f in src:
-                tf = t[f]
-                z = sum(tf[e] for e in candidates)
-                log_likelihood += math.log(z / len(candidates))
-                for e in candidates:
-                    counts[f][e] += tf[e] / z
-        for f, c in counts.items():
-            total = sum(c.values())
-            t[f] = defaultdict(float, {e: n / total for e, n in c.items()})
+        for cells in segments:
+            z = sum([t[c] for c in cells])
+            log_likelihood += math.log(z / len(cells))
+            for c in cells:
+                counts[c] += t[c] / z
+        for first, end in spans:
+            row_counts = counts[first:end]
+            total = sum(row_counts)
+            t[first:end] = [n / total for n in row_counts]
         log_likelihoods.append(log_likelihood)
 
+    for row in rows.values():  # cell ids become probabilities in place
+        for e, c in row.items():
+            row[e] = t[c]
     return LexiconModel(
-        t={f: dict(d) for f, d in t.items()},
-        source_vocab=source_vocab,
+        t=rows,
+        source_vocab=set(rows),
         target_vocab=target_vocab,
         iterations_run=iterations,
         final_log_likelihood=log_likelihoods[-1],
@@ -79,12 +131,17 @@ def best_target(model: LexiconModel, f: str):
 
     The null target is a candidate in every sentence, so it frequently ends
     up exactly tied with a word's true translation; it only wins the argmax
-    when strictly more probable. Returns None when f is unseen.
+    when strictly more probable. Returns None when f is unseen. The answer
+    is computed once per source word and kept on the model.
     """
-    dist = model.t.get(f)
-    if not dist:
-        return None
-    return min(dist, key=lambda e: (-dist[e], e == model.null_token, e))
+    cache = model._best
+    if f not in cache:
+        dist = model.t.get(f)
+        cache[f] = (
+            min(dist, key=lambda e: (-dist[e], e == model.null_token, e))
+            if dist else None
+        )
+    return cache[f]
 
 
 def translate(model: LexiconModel, source_lines):
@@ -92,7 +149,7 @@ def translate(model: LexiconModel, source_lines):
     out = []
     for line in source_lines:
         words = []
-        for f in line.split():
+        for f in normalize(line).split():
             e = best_target(model, f)
             if e is None:
                 words.append(f)  # out-of-vocabulary: copy through
@@ -150,14 +207,20 @@ def save_model(model: LexiconModel, path) -> None:
 
 def load_model(path) -> LexiconModel:
     t = defaultdict(dict)
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith("lexicon-v1"):
             raise CorpusFormatError(f"{path}: unknown lexicon header")
         iterations = 0
         for part in header.split():
             if part.startswith("iterations="):
-                iterations = int(part.split("=", 1)[1])
+                value = part.split("=", 1)[1]
+                try:
+                    iterations = int(value)
+                except ValueError:
+                    raise CorpusFormatError(
+                        f"{path}:1: iteration count {value!r} is not an integer"
+                    ) from None
         for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")
             if not line:
@@ -166,7 +229,12 @@ def load_model(path) -> LexiconModel:
             if len(parts) != 3:
                 raise CorpusFormatError(f"{path}:{lineno}: bad lexicon line")
             f, e, prob = parts
-            t[f][e] = float(prob)
+            try:
+                t[f][e] = float(prob)
+            except ValueError:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: probability {prob!r} is not a number"
+                ) from None
     target_vocab = {e for d in t.values() for e in d} - {NULL_TOKEN}
     return LexiconModel(
         t=dict(t),

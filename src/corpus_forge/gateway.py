@@ -30,6 +30,10 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
+# A 429 that asks for a longer wait fails the request instead of parking a
+# worker; the bound matches the default request timeout.
+MAX_RETRY_AFTER_S = 60
+
 ROLES = ("system", "user", "assistant")
 
 
@@ -111,6 +115,8 @@ class HttpBackend:
             if attempt:
                 delay = self.config.backoff_base * (2 ** (attempt - 1))
                 if isinstance(last_error, RateLimited) and last_error.retry_after:
+                    if last_error.retry_after > MAX_RETRY_AFTER_S:
+                        raise last_error
                     delay = max(delay, last_error.retry_after)
                 log.debug("retrying after %.1fs (attempt %d)", delay, attempt + 1)
                 time.sleep(delay)

@@ -1,0 +1,86 @@
+"""Reference lexical EM: the original per-iteration dict trainer and decoder.
+
+Kept verbatim as the oracle for the differential tests in test_em.py; the
+package's flat-table trainer and memoized decoder must reproduce these
+probabilities, log-likelihoods, translations and lexicon files exactly.
+Tokens here are raw ``str.split()`` units, so feed it NFC-normalized text.
+"""
+
+import math
+from collections import Counter, defaultdict
+
+from corpus_forge.em import NULL_TOKEN, LexiconModel
+from corpus_forge.errors import EmptyCorpus
+
+
+def _tokenized(corpus):
+    return [(p.source.split(), p.target.split()) for p in corpus.pairs]
+
+
+def train_em(corpus, iterations: int) -> LexiconModel:
+    """Train t(e|f) on a parallel corpus for a fixed number of EM iterations."""
+    if len(corpus) == 0:
+        raise EmptyCorpus("cannot train on an empty corpus")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+
+    bitext = _tokenized(corpus)
+    source_vocab = {f for src, _ in bitext for f in src}
+    target_vocab = {e for _, tgt in bitext for e in tgt}
+
+    uniform = 1.0 / (len(target_vocab) + 1)  # +1 for the null target
+    t = {f: defaultdict(lambda u=uniform: u) for f in source_vocab}
+
+    log_likelihoods = []
+    for _ in range(iterations):
+        counts = {f: Counter() for f in source_vocab}
+        log_likelihood = 0.0
+        for src, tgt in bitext:
+            candidates = tgt + [NULL_TOKEN]
+            for f in src:
+                tf = t[f]
+                z = sum(tf[e] for e in candidates)
+                log_likelihood += math.log(z / len(candidates))
+                for e in candidates:
+                    counts[f][e] += tf[e] / z
+        for f, c in counts.items():
+            total = sum(c.values())
+            t[f] = defaultdict(float, {e: n / total for e, n in c.items()})
+        log_likelihoods.append(log_likelihood)
+
+    return LexiconModel(
+        t={f: dict(d) for f, d in t.items()},
+        source_vocab=source_vocab,
+        target_vocab=target_vocab,
+        iterations_run=iterations,
+        final_log_likelihood=log_likelihoods[-1],
+        log_likelihoods=log_likelihoods,
+    )
+
+
+def best_target(model: LexiconModel, f: str):
+    """Argmax of t(.|f); ties break lexicographically among real words.
+
+    The null target is a candidate in every sentence, so it frequently ends
+    up exactly tied with a word's true translation; it only wins the argmax
+    when strictly more probable. Returns None when f is unseen.
+    """
+    dist = model.t.get(f)
+    if not dist:
+        return None
+    return min(dist, key=lambda e: (-dist[e], e == model.null_token, e))
+
+
+def translate(model: LexiconModel, source_lines):
+    """Map each token to its argmax target; drop null emissions, copy OOV through."""
+    out = []
+    for line in source_lines:
+        words = []
+        for f in line.split():
+            e = best_target(model, f)
+            if e is None:
+                words.append(f)  # out-of-vocabulary: copy through
+            elif e != model.null_token:
+                words.append(e)
+        out.append(" ".join(words))
+    return out

@@ -257,6 +257,29 @@ class TestMalformedInputs:
         ])
         self.assert_clean_failure(result, f"{path}:2:")
 
+    def test_jsonl_not_utf8(self, runner, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = b'{"id": "0", "src": "a", "tgt": "b", "origin": "natural"}\n'
+        path.write_bytes(good + b'{"id": "1", "src": "\xff", "tgt": "b", '
+                         b'"origin": "natural"}\n')
+        result = runner.invoke(main, [
+            "analyze", "--input", str(path), "--src", "de", "--tgt", "en",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        self.assert_clean_failure(result, f"{path}:2: not valid UTF-8")
+
+    @pytest.mark.parametrize("bad_file", ["model", "text"])
+    def test_bpe_apply_not_utf8(self, runner, tmp_path, bad_file):
+        paths = {"model": tmp_path / "model.bpe", "text": tmp_path / "in.txt"}
+        paths["model"].write_text("bpe-v1 10\ne s\n", encoding="utf-8")
+        paths["text"].write_text("esel\n", encoding="utf-8")
+        paths[bad_file].write_bytes(b"\xff" + paths[bad_file].read_bytes())
+        result = runner.invoke(main, [
+            "bpe-apply", "--model", str(paths["model"]),
+            "--input", str(paths["text"]), "--output", str(tmp_path / "out.txt"),
+        ])
+        self.assert_clean_failure(result, f"{paths[bad_file]}:1: not valid UTF-8")
+
     def test_bpe_header_with_non_integer_size(self, runner, tmp_path):
         model_path = tmp_path / "model.bpe"
         model_path.write_text("bpe-v1 abc\ne s\n", encoding="utf-8")

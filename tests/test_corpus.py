@@ -172,6 +172,12 @@ class TestOnDiskFormats:
         assert loaded.source_lines() == corpus.source_lines()
         assert loaded.target_lines() == corpus.target_lines()
 
+    def test_plain_pair_not_utf8_rejected(self, tmp_path):
+        (tmp_path / "c.de").write_text("a\nb\n", encoding="utf-8")
+        (tmp_path / "c.en").write_bytes(b"a\n\xffb\n")
+        with pytest.raises(CorpusFormatError, match=r"c\.en:2: not valid UTF-8"):
+            read_plain_pair(tmp_path / "c", "de", "en")
+
     def test_plain_pair_line_mismatch_rejected(self, tmp_path):
         (tmp_path / "c.de").write_text("a\nb\n", encoding="utf-8")
         (tmp_path / "c.en").write_text("a\n", encoding="utf-8")

@@ -1,10 +1,15 @@
 import random
+import tempfile
+import unicodedata
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_em
 from conftest import make_corpus
 from corpus_forge import em
-from corpus_forge.errors import EmptyCorpus
+from corpus_forge.errors import CorpusFormatError, EmptyCorpus
 from corpus_forge.metrics import corpus_bleu, tokenize_lines
 
 
@@ -79,6 +84,21 @@ class TestTranslate:
         lines = ["das Buch", "ein Haus"]
         assert model.translate(lines) == model.translate(lines)
 
+    def test_nfd_spelling_translates_like_nfc(self):
+        nfc = "Café"
+        nfd = unicodedata.normalize("NFD", nfc)
+        assert nfd != nfc
+        corpus = make_corpus([(f"{nfc} gut", "coffee good"), (nfc, "coffee"),
+                              ("gut", "good")])
+        model = em.train_em(corpus, 10)
+        assert model.translate([nfd, f"{nfd} gut"]) == ["coffee", "coffee good"]
+
+    def test_argmax_cache_left_out_of_comparisons(self):
+        decoded, fresh = em.train_em(toy_corpus(), 5), em.train_em(toy_corpus(), 5)
+        decoded.translate(["das Buch ein Haus"])
+        assert decoded._best and not fresh._best
+        assert decoded == fresh
+
     def test_length_bounded(self):
         model = em.train_em(toy_corpus(), 5)
         for line in ["das Buch ein Haus", "das das das"]:
@@ -96,6 +116,73 @@ class TestSerialization:
             assert em.best_target(loaded, f) == em.best_target(model, f)
             for e in model.t[f]:
                 assert loaded.t[f][e] == pytest.approx(model.t[f][e], rel=1e-10)
+
+    def write_lexicon(self, tmp_path, text):
+        path = tmp_path / "model.lexicon"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_non_integer_iterations_rejected(self, tmp_path):
+        path = self.write_lexicon(tmp_path, "lexicon-v1 iterations=x\na\tb\t1\n")
+        with pytest.raises(CorpusFormatError, match=r"model\.lexicon:1: "):
+            em.load_model(path)
+
+    def test_non_numeric_probability_rejected(self, tmp_path):
+        path = self.write_lexicon(
+            tmp_path, "lexicon-v1 iterations=2\na\tb\t0.5\na\tc\thalf\n"
+        )
+        with pytest.raises(CorpusFormatError, match=r"model\.lexicon:3: "):
+            em.load_model(path)
+
+    def test_not_utf8_rejected(self, tmp_path):
+        path = tmp_path / "model.lexicon"
+        path.write_bytes(b"lexicon-v1 iterations=2\na\t\xff\t1\n")
+        with pytest.raises(CorpusFormatError, match=r"model\.lexicon:2: not valid"):
+            em.load_model(path)
+
+
+# Few word types, so words repeat within sentences; one-word sentences give
+# exact ties between a word's only target and the null target.
+SOURCE_WORDS = st.sampled_from(["a", "b", "c", "d"])
+TARGET_WORDS = st.sampled_from(["w", "x", "y", "z"])
+
+
+def sentences(words):
+    return st.lists(words, min_size=1, max_size=5).map(" ".join)
+
+
+def lexicon_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.lexicon"
+        em.save_model(model, path)
+        return path.read_bytes()
+
+
+class TestMatchesReference:
+    """train_em, best_target and translate against the original dict-based EM."""
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.tuples(sentences(SOURCE_WORDS), sentences(TARGET_WORDS)),
+                 min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_bit_identical(self, pairs, iterations):
+        corpus = make_corpus(pairs)
+        model = em.train_em(corpus, iterations)
+        expected = reference_em.train_em(corpus, iterations)
+        assert model.t.keys() == expected.t.keys()
+        for f, dist in expected.t.items():
+            assert list(model.t[f].items()) == list(dist.items())
+        assert model.log_likelihoods == expected.log_likelihoods
+        assert model.final_log_likelihood == expected.final_log_likelihood
+        assert model.source_vocab == expected.source_vocab
+        assert model.target_vocab == expected.target_vocab
+        lines = corpus.source_lines() + ["a e b", "e"]
+        assert em.translate(model, lines) == reference_em.translate(expected, lines)
+        for f in expected.t:
+            assert em.best_target(model, f) == reference_em.best_target(expected, f)
+        assert lexicon_bytes(model) == lexicon_bytes(expected)
 
 
 class TestRunExperiment:

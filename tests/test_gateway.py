@@ -10,6 +10,7 @@ from corpus_forge.errors import (
     AuthError,
     ConfigError,
     ProtocolError,
+    RateLimited,
     TransportError,
     UnclassifiableRequest,
 )
@@ -315,6 +316,34 @@ class TestHttpBackend:
         )
         backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
         assert len(delays) == 1 and 28 <= delays[0] <= 30
+
+    @pytest.mark.parametrize("retry_after", [
+        "86400",
+        "Fri, 31 Dec 9999 23:59:59 GMT",
+    ])
+    def test_rate_limit_wait_above_cap_fails_at_once(
+            self, api_key_env, monkeypatch, retry_after):
+        delays = []
+        monkeypatch.setattr(gateway_module.time, "sleep", delays.append)
+        backend, session = self.make(
+            [FakeResponse(429, headers={"Retry-After": retry_after}), ok_response()]
+        )
+        with pytest.raises(RateLimited) as caught:
+            backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
+        assert caught.value.retry_after > gateway_module.MAX_RETRY_AFTER_S
+        assert len(session.requests) == 1
+        assert delays == []
+
+    def test_rate_limit_wait_at_cap_is_honoured(self, api_key_env, monkeypatch):
+        delays = []
+        monkeypatch.setattr(gateway_module.time, "sleep", delays.append)
+        cap = str(gateway_module.MAX_RETRY_AFTER_S)
+        backend, session = self.make(
+            [FakeResponse(429, headers={"Retry-After": cap}), ok_response()]
+        )
+        backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
+        assert len(session.requests) == 2
+        assert delays == [gateway_module.MAX_RETRY_AFTER_S]
 
     def test_malformed_body_is_protocol_error(self, api_key_env):
         backend, _ = self.make([FakeResponse(200, {"unexpected": True})])
