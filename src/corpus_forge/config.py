@@ -27,7 +27,6 @@ class RunConfig:
     plan: GenerationPlan = field(default_factory=GenerationPlan)
     templates: PromptTemplateSet = field(default_factory=PromptTemplateSet.defaults)
     split_spec: SplitSpec = field(default_factory=SplitSpec)
-    bpe_vocab_size: int = 16_000
     em_iterations: int = 10
     run_root: str = DEFAULT_RUN_ROOT
 
@@ -53,7 +52,6 @@ class RunConfig:
                     else PromptTemplateSet.defaults()
                 ),
                 split_spec=SplitSpec(**split_section),
-                bpe_vocab_size=int(raw.get("bpe", {}).get("target_vocab_size", 16_000)),
                 em_iterations=int(raw.get("em", {}).get("iterations", 10)),
                 run_root=str(raw.get("paths", {}).get("run_root", DEFAULT_RUN_ROOT)),
             )

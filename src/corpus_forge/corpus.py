@@ -1,17 +1,19 @@
-"""Parallel corpora: sentence pairs, token counting, dedup, threshold sampling, splits.
+"""Parallel corpora: sentence pairs, tokens, dedup, threshold splits, file formats.
 
-A "token" throughout the toolkit is a whitespace-delimited unit after Unicode
-NFC normalization and trimming. Thresholds are read as "first prefix reaching
-at least the threshold": the sentence that crosses the line is kept.
+A "token" throughout the toolkit is what tokenize() returns: a
+whitespace-delimited unit after Unicode NFC normalization. Thresholds are
+read as "first prefix reaching at least the threshold": the sentence that
+crosses the line is kept.
 """
 
 import json
+import os
 import random
 import unicodedata
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import CorpusFormatError, InsufficientData
 
@@ -64,7 +66,7 @@ class ParallelCorpus:
         return [p.target for p in self.pairs]
 
     def source_token_count(self):
-        return sum(count_tokens(p.source) for p in self.pairs)
+        return sum(len(tokenize(p.source)) for p in self.pairs)
 
 
 @dataclass
@@ -86,28 +88,19 @@ def normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text).strip()
 
 
-def count_tokens(text: str) -> int:
-    """Number of whitespace-delimited tokens after NFC normalization and trimming."""
-    return len(normalize(text).split())
+def tokenize(text: str) -> list:
+    """The toolkit's tokens: NFC-normalize, then split on whitespace."""
+    return normalize(text).split()
 
 
-def dedup(items: Iterable[str], mode: str) -> list:
-    """Drop duplicates, keeping first occurrences in order.
-
-    seed_word mode compares case-insensitively (chat models vary capitalization
-    of the same lemma); sentence mode compares exactly. Both compare after NFC
-    normalization and trimming.
-    """
-    if mode not in ("seed_word", "sentence"):
-        raise ValueError(f"bad dedup mode: {mode!r}")
+def dedup(items: Iterable, key: Callable) -> list:
+    """Drop every item whose key(item) an earlier item already had, keeping order."""
     seen = set()
     kept = []
     for item in items:
-        key = normalize(item)
-        if mode == "seed_word":
-            key = key.casefold()
-        if key not in seen:
-            seen.add(key)
+        k = key(item)
+        if k not in seen:
+            seen.add(k)
             kept.append(item)
     return kept
 
@@ -116,26 +109,12 @@ def _take_until(pairs, threshold):
     """First prefix of pairs whose source tokens reach >= threshold, plus the rest."""
     total = 0
     for i, pair in enumerate(pairs):
-        total += count_tokens(pair.source)
+        total += len(tokenize(pair.source))
         if total >= threshold:
             return pairs[: i + 1], pairs[i + 1 :]
     raise InsufficientData(
         f"corpus has {total} source tokens, threshold {threshold} not reachable"
     )
-
-
-def sample_to_threshold(corpus: ParallelCorpus, threshold: int, rng_seed: int):
-    """Shuffle with a seeded RNG and take pairs until source tokens reach threshold.
-
-    Returns (selected, remainder); remainder keeps the shuffled order.
-    """
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
-    shuffled = list(corpus.pairs)
-    random.Random(rng_seed).shuffle(shuffled)
-    selected, rest = _take_until(shuffled, threshold)
-    make = lambda pairs: ParallelCorpus(pairs, corpus.source_lang, corpus.target_lang)
-    return make(selected), make(rest)
 
 
 def make_splits(corpus: ParallelCorpus, spec: SplitSpec, with_test: bool = False):
@@ -159,7 +138,7 @@ def make_splits(corpus: ParallelCorpus, spec: SplitSpec, with_test: bool = False
 
 
 # ---------------------------------------------------------------------------
-# On-disk formats: (a) line-aligned plain text pair, (b) JSON lines.
+# On-disk formats: (a) line-aligned plain text pair, (b) JSON lines, (c) JSON.
 
 @contextmanager
 def open_text(path):
@@ -181,6 +160,30 @@ def open_text(path):
                         f"{path}:{lineno}: not valid UTF-8 ({exc.reason})"
                     ) from None
         raise
+
+
+@contextmanager
+def open_atomic(path):
+    """Open path for writing UTF-8 text through a temp file beside it.
+
+    The temp file replaces path only when the block ends without an error.
+    On an error it is deleted, so path keeps whatever it held before.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, payload) -> None:
+    """Write payload as indented UTF-8 JSON, atomically, with a final newline."""
+    with open_atomic(path) as fh:
+        fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
 def write_jsonl(corpus: ParallelCorpus, path) -> None:

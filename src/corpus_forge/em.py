@@ -11,8 +11,9 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import normalize, open_text
-from .errors import CorpusFormatError, EmptyCorpus
+from .corpus import ParallelCorpus, open_text, tokenize
+from .errors import ConfigError, CorpusFormatError, EmptyCorpus
+from .metrics import cross_evaluate
 
 NULL_TOKEN = "<null>"
 
@@ -31,13 +32,6 @@ class LexiconModel:
 
     def translate(self, source_lines):
         return translate(self, source_lines)
-
-
-def _tokenized(corpus):
-    return [
-        (normalize(p.source).split(), normalize(p.target).split())
-        for p in corpus.pairs
-    ]
 
 
 def _cells(bitext):
@@ -89,7 +83,7 @@ def train_em(corpus, iterations: int) -> LexiconModel:
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    bitext = _tokenized(corpus)
+    bitext = [(tokenize(p.source), tokenize(p.target)) for p in corpus.pairs]
     target_vocab = {e for _, tgt in bitext for e in tgt}
     rows, spans, segments = _cells(bitext)
     del bitext  # the token lists are not needed past this point
@@ -149,7 +143,7 @@ def translate(model: LexiconModel, source_lines):
     out = []
     for line in source_lines:
         words = []
-        for f in normalize(line).split():
+        for f in tokenize(line):
             e = best_target(model, f)
             if e is None:
                 words.append(f)  # out-of-vocabulary: copy through
@@ -170,15 +164,17 @@ def run_experiment(
     """Train Nat / Synth / Aug lexicon models and cross-evaluate them.
 
     Aug trains on the concatenation of both training corpora. Every model is
-    scored on every provided eval set; returns (models, EvalMatrix).
+    scored on every provided eval set; returns (models, EvalMatrix). Raises
+    ConfigError when an eval set shares a pair id with the training data.
     """
-    from .corpus import ParallelCorpus
-    from .metrics import cross_evaluate
-
-    train_ids = {p.id for p in nat_train.pairs} | {p.id for p in syn_train.pairs}
-    for eval_corpus in (nat_valid, test, syn_valid):
-        if eval_corpus is not None and train_ids & {p.id for p in eval_corpus.pairs}:
-            raise ValueError("eval sets must be disjoint from training data")
+    train_ids = {p.id for c in (nat_train, syn_train) for p in c.pairs}
+    for eval_corpus in filter(None, (nat_valid, test, syn_valid)):
+        overlap = train_ids & {p.id for p in eval_corpus.pairs}
+        if overlap:
+            raise ConfigError(
+                f"training and evaluation corpora share pair ids: "
+                f"{sorted(overlap)[:5]}..."
+            )
 
     aug_pairs = list(nat_train.pairs) + list(syn_train.pairs)
     aug = ParallelCorpus(aug_pairs, nat_train.source_lang, nat_train.target_lang)
@@ -230,11 +226,16 @@ def load_model(path) -> LexiconModel:
                 raise CorpusFormatError(f"{path}:{lineno}: bad lexicon line")
             f, e, prob = parts
             try:
-                t[f][e] = float(prob)
+                value = float(prob)
             except ValueError:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: probability {prob!r} is not a number"
                 ) from None
+            if not 0.0 <= value <= 1.0:  # also false for nan
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: probability {prob!r} is not in [0, 1]"
+                )
+            t[f][e] = value
     target_vocab = {e for d in t.values() for e in d} - {NULL_TOKEN}
     return LexiconModel(
         t=dict(t),

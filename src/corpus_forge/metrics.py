@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
-from .corpus import count_tokens, normalize
+from .corpus import tokenize
 from .errors import EmptyInput, LengthMismatch
 
 MAX_ORDER = 4
@@ -137,16 +137,11 @@ def corpus_bleu(hypotheses, references, smoothing=SMOOTH_NONE) -> BleuReport:
     )
 
 
-def tokenize_lines(lines):
-    return [normalize(line).split() for line in lines]
-
-
 def frequency_profile(corpus_side) -> FrequencyProfile:
     """Case-folded type/token statistics and rank-frequency list for one corpus side."""
-    counts = Counter()
-    for line in corpus_side:
-        for token in normalize(line).split():
-            counts[token.casefold()] += 1
+    counts = Counter(
+        token.casefold() for line in corpus_side for token in tokenize(line)
+    )
     token_count = sum(counts.values())
     if token_count == 0:
         raise EmptyInput("no tokens in input")
@@ -177,7 +172,9 @@ def cross_evaluate(models, eval_sets, smoothing=SMOOTH_NONE) -> EvalMatrix:
             try:
                 out_lines = models[row](src_lines)
                 report = corpus_bleu(
-                    tokenize_lines(out_lines), tokenize_lines(ref_lines), smoothing
+                    [tokenize(line) for line in out_lines],
+                    [tokenize(line) for line in ref_lines],
+                    smoothing,
                 )
                 cells[(row, col)] = report.bleu
             except Exception as exc:  # per-cell isolation by contract
@@ -208,10 +205,3 @@ def render_matrix_markdown(matrix: EvalMatrix) -> str:
         scores = [format_score(matrix.get(row, col)) for col in matrix.columns]
         lines.append("| " + row + " | " + " | ".join(scores) + " |")
     return "\n".join(lines) + "\n"
-
-
-def zipf_points(profile: FrequencyProfile):
-    """(log rank, log frequency) pairs for external plotting."""
-    return [
-        (math.log(rank), math.log(freq)) for rank, _, freq in profile.rank_frequency
-    ]

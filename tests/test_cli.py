@@ -280,6 +280,25 @@ class TestMalformedInputs:
         ])
         self.assert_clean_failure(result, f"{paths[bad_file]}:1: not valid UTF-8")
 
+    @pytest.mark.parametrize("previous", [None, "old output\n"])
+    def test_failed_bpe_apply_leaves_no_output(self, runner, tmp_path, previous):
+        model_path = tmp_path / "model.bpe"
+        model_path.write_text("bpe-v1 10\ne s\n", encoding="utf-8")
+        text_in = tmp_path / "in.txt"
+        text_in.write_bytes(b"esel\nesel\nes\xffel\nesel\n")
+        text_out = tmp_path / "out.txt"
+        if previous is not None:
+            text_out.write_text(previous, encoding="utf-8")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        result = runner.invoke(main, [
+            "bpe-apply", "--model", str(model_path),
+            "--input", str(text_in), "--output", str(text_out),
+        ])
+        self.assert_clean_failure(result, f"{text_in}:3: not valid UTF-8")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        if previous is not None:
+            assert text_out.read_text(encoding="utf-8") == previous
+
     def test_bpe_header_with_non_integer_size(self, runner, tmp_path):
         model_path = tmp_path / "model.bpe"
         model_path.write_text("bpe-v1 abc\ne s\n", encoding="utf-8")

@@ -20,7 +20,7 @@ class TestLoadConfig:
         assert cfg.plan.sentences_per_seed == 100
         assert cfg.split_spec.train_token_threshold == 900_000
         assert cfg.split_spec.valid_token_threshold == 100_000
-        assert cfg.bpe_vocab_size == 16_000
+        assert cfg.em_iterations == 10
 
     def test_file_values(self, tmp_path):
         path = write_config(
@@ -46,6 +46,11 @@ class TestLoadConfig:
         cfg = load_config(path, overrides=["plan.n_nouns=9", "mock_seed=2"])
         assert cfg.plan.n_nouns == 9
         assert cfg.mock_seed == 2
+
+    def test_unknown_sections_ignored(self, tmp_path):
+        # bpe-train takes its vocabulary size as --vocab-size, not from here
+        path = write_config(tmp_path, {"bpe": "not a mapping", "extra": {"x": 1}})
+        assert load_config(path) == load_config()
 
     def test_bad_backend(self, tmp_path):
         path = write_config(tmp_path, {"backend": "telepathy"})

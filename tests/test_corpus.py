@@ -1,3 +1,5 @@
+import unicodedata
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,16 +8,20 @@ from corpus_forge.corpus import (
     ParallelCorpus,
     SentencePair,
     SplitSpec,
-    count_tokens,
     dedup,
     make_splits,
+    normalize,
     read_jsonl,
     read_plain_pair,
-    sample_to_threshold,
+    tokenize,
     write_jsonl,
     write_plain_pair,
 )
 from corpus_forge.errors import CorpusFormatError, InsufficientData
+
+
+def count_tokens(text):
+    return len(tokenize(text))
 
 
 class TestCountTokens:
@@ -27,7 +33,12 @@ class TestCountTokens:
         assert count_tokens("   \t ") == 0
 
     def test_whitespace_runs_collapse(self):
-        assert count_tokens("  a\t b  ") == 2
+        assert tokenize("  a\t b  ") == ["a", "b"]
+
+    def test_nfd_spelling_is_the_nfc_token(self):
+        assert tokenize(unicodedata.normalize("NFD", "Café au lait")) == [
+            "Café", "au", "lait"
+        ]
 
     @given(st.text(min_size=1), st.text(min_size=1))
     def test_concatenation_additive(self, a, b):
@@ -36,20 +47,29 @@ class TestCountTokens:
         assert count_tokens(a + " " + b) == count_tokens(a) + count_tokens(b)
 
 
+def seed_word_key(text):
+    return normalize(text).casefold()
+
+
 class TestDedup:
     def test_seed_word_case_insensitive(self):
-        assert dedup(["Eule", "eule", "Katze"], "seed_word") == ["Eule", "Katze"]
+        assert dedup(["Eule", "eule", "Katze"], seed_word_key) == ["Eule", "Katze"]
 
     def test_sentence_case_sensitive(self):
-        assert dedup(["Eule", "eule"], "sentence") == ["Eule", "eule"]
+        assert dedup(["Eule", "eule"], normalize) == ["Eule", "eule"]
 
     def test_exact_repeat(self):
-        assert dedup(["a", "a", "a"], "sentence") == ["a"]
+        assert dedup(["a", "a", "a"], normalize) == ["a"]
+
+    def test_key_picks_the_compared_part(self):
+        tagged = [("s1", "Satz."), ("s2", " Satz. "), ("s2", "Neu.")]
+        kept = dedup(tagged, key=lambda pair: normalize(pair[1]))
+        assert kept == [("s1", "Satz."), ("s2", "Neu.")]
 
     @given(st.lists(st.text(min_size=1, max_size=8)))
     def test_idempotent(self, items):
-        once = dedup(items, "sentence")
-        assert dedup(once, "sentence") == once
+        once = dedup(items, normalize)
+        assert dedup(once, normalize) == once
         assert len(once) <= len(items)
 
 
@@ -58,40 +78,53 @@ def four_token_corpus(n):
                         for i in range(n)])
 
 
+def split_to_threshold(corpus, train_tokens, rng_seed):
+    """make_splits with a train threshold and the smallest valid one."""
+    spec = SplitSpec(train_token_threshold=train_tokens, valid_token_threshold=1,
+                     rng_seed=rng_seed)
+    return make_splits(corpus, spec)
+
+
 class TestSampleToThreshold:
+    """Threshold sampling: the properties of each prefix make_splits takes."""
+
     def test_overshoot_kept(self):
-        corpus = four_token_corpus(3)
-        selected, remainder = sample_to_threshold(corpus, 10, rng_seed=1)
-        assert len(selected) == 3
-        assert selected.source_token_count() == 12
-        assert len(remainder) == 0
+        corpus = four_token_corpus(4)
+        splits = split_to_threshold(corpus, 10, rng_seed=1)
+        assert len(splits["train"]) == 3
+        assert splits["train"].source_token_count() == 12
+        assert len(splits["valid"]) == 1
 
     def test_tiny_threshold_takes_one(self):
-        corpus = four_token_corpus(5)
-        selected, _ = sample_to_threshold(corpus, 1, rng_seed=0)
-        assert len(selected) == 1
+        splits = split_to_threshold(four_token_corpus(5), 1, rng_seed=0)
+        assert len(splits["train"]) == 1
+        assert len(splits["valid"]) == 1
 
     def test_deterministic(self):
         corpus = four_token_corpus(20)
-        a, _ = sample_to_threshold(corpus, 30, rng_seed=7)
-        b, _ = sample_to_threshold(corpus, 30, rng_seed=7)
+        a = split_to_threshold(corpus, 30, rng_seed=7)["train"]
+        b = split_to_threshold(corpus, 30, rng_seed=7)["train"]
         assert [p.id for p in a.pairs] == [p.id for p in b.pairs]
 
     def test_insufficient(self):
         with pytest.raises(InsufficientData):
-            sample_to_threshold(four_token_corpus(2), 100, rng_seed=0)
+            split_to_threshold(four_token_corpus(2), 100, rng_seed=0)
+        with pytest.raises(InsufficientData):  # train fits, nothing left for valid
+            split_to_threshold(four_token_corpus(2), 8, rng_seed=0)
 
-    def test_partition_and_bound(self):
-        corpus = four_token_corpus(25)
-        threshold = 37
-        selected, remainder = sample_to_threshold(corpus, threshold, rng_seed=3)
+    @given(st.integers(1, 96), st.integers(0, 2**32 - 1))
+    def test_partition_and_bound(self, threshold, rng_seed):
+        corpus = make_corpus([
+            (" ".join(f"w{i}" for _ in range(1 + i % 5)), "t") for i in range(40)
+        ])  # 120 source tokens, sentences of 1 to 5 tokens
+        splits = split_to_threshold(corpus, threshold, rng_seed)
         longest = max(count_tokens(p.source) for p in corpus.pairs)
-        tokens = selected.source_token_count()
+        tokens = splits["train"].source_token_count()
         assert threshold <= tokens < threshold + longest
-        ids = sorted(p.id for p in selected.pairs) + sorted(
-            p.id for p in remainder.pairs
-        )
-        assert sorted(ids) == sorted(p.id for p in corpus.pairs)
+        train_ids = [p.id for p in splits["train"].pairs]
+        valid_ids = [p.id for p in splits["valid"].pairs]
+        assert len(valid_ids) == 1 and valid_ids[0] not in train_ids
+        assert len(set(train_ids)) == len(train_ids)
 
 
 class TestMakeSplits:

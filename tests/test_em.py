@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 import reference_em
 from conftest import make_corpus
 from corpus_forge import em
-from corpus_forge.errors import CorpusFormatError, EmptyCorpus
-from corpus_forge.metrics import corpus_bleu, tokenize_lines
+from corpus_forge.corpus import tokenize
+from corpus_forge.errors import ConfigError, CorpusFormatError, EmptyCorpus
+from corpus_forge.metrics import corpus_bleu
 
 
 def toy_corpus():
@@ -72,7 +73,8 @@ class TestTranslate:
         model = em.train_em(corpus, 10)
         out = model.translate(lines)
         assert out == lines
-        report = corpus_bleu(tokenize_lines(out), tokenize_lines(lines))
+        report = corpus_bleu([tokenize(line) for line in out],
+                             [tokenize(line) for line in lines])
         assert report.bleu == 100.0
 
     def test_oov_copied_through(self):
@@ -133,6 +135,20 @@ class TestSerialization:
         )
         with pytest.raises(CorpusFormatError, match=r"model\.lexicon:3: "):
             em.load_model(path)
+
+    @pytest.mark.parametrize("prob", ["nan", "inf", "-inf", "-3", "1.5"])
+    def test_non_probability_rejected(self, tmp_path, prob):
+        path = self.write_lexicon(
+            tmp_path, f"lexicon-v1 iterations=2\na\tb\t{prob}\na\tc\t0.5\n"
+        )
+        with pytest.raises(CorpusFormatError, match=r"model\.lexicon:2: .* not in"):
+            em.load_model(path)
+
+    def test_bounds_are_probabilities(self, tmp_path):
+        path = self.write_lexicon(
+            tmp_path, "lexicon-v1 iterations=2\na\tb\t1\na\tc\t0\n"
+        )
+        assert em.load_model(path).t == {"a": {"b": 1.0, "c": 0.0}}
 
     def test_not_utf8_rejected(self, tmp_path):
         path = tmp_path / "model.lexicon"
@@ -222,7 +238,7 @@ class TestRunExperiment:
 
     def test_eval_overlap_rejected(self, experiment_fixture):
         fx = experiment_fixture
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="share pair ids"):
             em.run_experiment(
                 fx["nat_train"], fx["syn_train"], fx["nat_train"], fx["test"], 2
             )

@@ -1,8 +1,11 @@
 import json
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from corpus_forge import prompts
 from corpus_forge.corpus import SplitSpec
 from corpus_forge.errors import InsufficientData, TransportError
 from corpus_forge.gateway import Gateway, MockBackend
@@ -146,6 +149,23 @@ class TestTranslateSentences:
             assert pair.seed_word in seeds
 
 
+class CountingBackend:
+    """Forwards to a backend and counts its requests by pipeline stage."""
+
+    def __init__(self, backend, templates):
+        self.backend = backend
+        self.templates = templates
+        self.calls = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        system = request.first_content("system")
+        stage, _ = prompts.classify_system_text(self.templates, system)
+        with self._lock:
+            self.calls[stage] += 1
+        return self.backend.complete(request)
+
+
 def run_once(tmp_path, name, mock_seed=0, rng_seed=0, thresholds=(60, 20)):
     templates = PromptTemplateSet.defaults()
     plan = small_plan()
@@ -186,7 +206,7 @@ class TestRunPipeline:
         with pytest.raises(InsufficientData):
             run_once(tmp_path, "a", thresholds=(100_000, 100))
         report = json.loads(
-            (tmp_path / "a" / "reports" / "report.json").read_text()
+            (tmp_path / "a" / "reports" / "report.json").read_text(encoding="utf-8")
         )
         assert report["insufficient_data"] is True
 
@@ -209,8 +229,40 @@ class TestRunPipeline:
         assert set(splits) == {"train", "valid"}
         assert dir_snapshot(run_dir) == before
 
+    @pytest.mark.parametrize("missing, stages", [
+        (["sentences.json", "translations.json"],
+         {prompts.STAGE_SENTENCES, prompts.STAGE_TRANSLATION}),
+        (["translations.json"], {prompts.STAGE_TRANSLATION}),
+    ])
+    def test_resume_runs_only_missing_stages(self, tmp_path, missing, stages):
+        run_dir, _, _ = run_once(tmp_path, "a")
+        uninterrupted = dir_snapshot(run_dir)
+        checkpoints = run_dir / "checkpoints"
+        records = {
+            name: json.loads((checkpoints / name).read_text(encoding="utf-8"))
+            for name in ("seeds.json", "sentences.json")
+        }
+        for name in missing:
+            (checkpoints / name).unlink()
+
+        templates = PromptTemplateSet.defaults()
+        backend = CountingBackend(MockBackend(templates, mock_seed=0), templates)
+        spec = SplitSpec(train_token_threshold=60, valid_token_threshold=20,
+                         rng_seed=0)
+        run_pipeline(small_plan(), templates, Gateway(backend, max_in_flight=2),
+                     spec, run_dir, mock_seed=0)
+
+        expected = {
+            prompts.STAGE_SENTENCES: len(records["seeds.json"]),
+            prompts.STAGE_TRANSLATION: len(records["sentences.json"]),
+        }
+        assert backend.calls == {stage: expected[stage] for stage in stages}
+        assert dir_snapshot(run_dir) == uninterrupted
+
     def test_report_serialization_excludes_wall_time(self, tmp_path):
         run_dir, _, _ = run_once(tmp_path, "a")
-        payload = json.loads((run_dir / "reports" / "report.json").read_text())
+        payload = json.loads(
+            (run_dir / "reports" / "report.json").read_text(encoding="utf-8")
+        )
         assert "wall_time_seconds" not in payload
         assert payload["rng_seed"] == 0

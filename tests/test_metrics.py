@@ -1,5 +1,6 @@
 import math
 import random
+import unicodedata
 
 import pytest
 
@@ -12,8 +13,6 @@ from corpus_forge.metrics import (
     frequency_profile,
     render_matrix_markdown,
     render_score_row_markdown,
-    tokenize_lines,
-    zipf_points,
 )
 
 
@@ -135,8 +134,8 @@ class TestFrequencyProfile:
 
     def test_zipf_points(self):
         profile = frequency_profile(["a a a b b c"])
-        points = zipf_points(profile)
-        assert points[0] == (math.log(1), math.log(3))
+        points = [(rank, freq) for rank, _, freq in profile.rank_frequency]
+        assert points == [(1, 3), (2, 2), (3, 1)]
 
 
 class TestCrossEvaluate:
@@ -166,6 +165,14 @@ class TestCrossEvaluate:
         assert ("bad", "s") in matrix.failures
         assert matrix.get("ok", "s") == 100.0
 
+    def test_bleu_tokens_are_corpus_tokens(self):
+        # hypotheses and references are split by corpus.tokenize: extra
+        # whitespace and an NFD spelling change no token
+        refs = ["Café au lait", "a b c d"]
+        out = [unicodedata.normalize("NFD", "  Café  au lait "), "a\tb c  d"]
+        matrix = cross_evaluate({"m": lambda _: out}, {"s": (refs, refs)})
+        assert matrix.get("m", "s") == 100.0
+
 
 class TestRendering:
     def test_score_row(self):
@@ -181,6 +188,3 @@ class TestRendering:
         )
         out = render_matrix_markdown(matrix)
         assert "| Aug-de | - | - | 18.9 |" in out
-
-    def test_tokenize_lines(self):
-        assert tokenize_lines(["  a  b ", "c"]) == [["a", "b"], ["c"]]
