@@ -30,7 +30,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import open_text, tokenize
+from .corpus import open_atomic, open_text, tokenize
 from .errors import CorpusFormatError, EmptyCorpus
 
 BOUNDARY = "</w>"
@@ -172,7 +172,7 @@ def decode(tokens):
 
 
 def save_model(model, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         fh.write(f"bpe-v1 {model.target_vocab_size}\n")
         for left, right in model.merges:
             fh.write(f"{left} {right}\n")

@@ -189,8 +189,8 @@ def bpe_apply(model_path, input_path, output_path):
 
 
 def _write_csv(path, header, rows):
-    """Write a CSV file, quoting fields that hold commas or quotes."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write a CSV file atomically, quoting fields that hold commas or quotes."""
+    with open_atomic(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -255,11 +255,12 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         corpora["syn-valid"] = load(syn_valid)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_analysis(corpora, out)
     if analyze_only:
+        out.mkdir(parents=True, exist_ok=True)
+        _write_analysis(corpora, out)
         return
 
+    # run_experiment refuses overlapping corpora; nothing is written before it
     models, matrix = em.run_experiment(
         corpora["nat-train"],
         corpora["syn-train"],
@@ -268,6 +269,8 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         cfg.em_iterations,
         syn_valid=corpora.get("syn-valid"),
     )
+    out.mkdir(parents=True, exist_ok=True)
+    _write_analysis(corpora, out)
     models_dir = out / "models"
     models_dir.mkdir(exist_ok=True)
     for label, model in models.items():
@@ -281,7 +284,8 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         + "\n## Cross-method validation\n\n"
         + metrics.render_matrix_markdown(matrix)
     )
-    (out / "results.md").write_text(results_md, encoding="utf-8")
+    with open_atomic(out / "results.md") as fh:
+        fh.write(results_md)
     write_json(
         out / "results.json",
         {"em_iterations": cfg.em_iterations, "matrix": matrix.to_dict()},

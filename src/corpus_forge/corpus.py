@@ -187,7 +187,7 @@ def write_json(path, payload) -> None:
 
 
 def write_jsonl(corpus: ParallelCorpus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         for p in corpus.pairs:
             record = {
                 "id": p.id,
@@ -239,7 +239,7 @@ def write_plain_pair(corpus: ParallelCorpus, stem) -> None:
         (corpus.source_lang, corpus.source_lines()),
         (corpus.target_lang, corpus.target_lines()),
     ):
-        with open(f"{stem}.{suffix}", "w", encoding="utf-8", newline="\n") as fh:
+        with open_atomic(f"{stem}.{suffix}") as fh:
             for line in lines:
                 fh.write(line + "\n")
 

@@ -11,7 +11,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import ParallelCorpus, open_text, tokenize
+from .corpus import ParallelCorpus, open_atomic, open_text, tokenize
 from .errors import ConfigError, CorpusFormatError, EmptyCorpus
 from .metrics import cross_evaluate
 
@@ -194,7 +194,7 @@ def run_experiment(
 
 def save_model(model: LexiconModel, path) -> None:
     """Sorted f<TAB>e<TAB>prob lines with a one-line header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_atomic(path) as fh:
         fh.write(f"lexicon-v1 iterations={model.iterations_run}\n")
         for f in sorted(model.t):
             for e in sorted(model.t[f]):

@@ -12,8 +12,8 @@ import logging
 import math
 import os
 import random
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import requests
@@ -79,10 +79,16 @@ class BackendConfig:
     timeout: float = 60.0
 
     def __post_init__(self):
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+        _check_count("max_in_flight", self.max_in_flight, 1)
+        _check_count("max_retries", self.max_retries, 0)
+
+
+def _check_count(name, value, minimum):
+    """ValueError unless value is an int (not a bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}")
 
 
 class HttpBackend:
@@ -239,6 +245,7 @@ class Gateway:
     """Bounded-concurrency front door over a backend."""
 
     def __init__(self, backend, max_in_flight: int = 4):
+        _check_count("max_in_flight", max_in_flight, 1)
         self.backend = backend
         self.max_in_flight = max_in_flight
 
@@ -249,22 +256,41 @@ class Gateway:
         """Run requests with at most max_in_flight outstanding.
 
         Returns [(index, result_or_exception), ...] in input order; per-item
-        failures do not abort the batch.
+        failures do not abort the batch. min(max_in_flight, len(requests_))
+        worker threads each take the next index from one shared iterator,
+        so the per-request cost is one call, whatever the batch size. An
+        exception that is not an Exception (SystemExit, say) stops its
+        worker and is raised here once every worker is done.
         """
         requests_ = list(requests_)
         results = [None] * len(requests_)
+        # next() on a range iterator is atomic under the GIL: each index is
+        # taken by exactly one worker
+        indices = iter(range(len(requests_)))
+        complete = self.backend.complete
+        escaped = []
 
-        def run(i):
+        def work():
             try:
-                return i, self.backend.complete(requests_[i])
-            except Exception as exc:
-                return i, exc
+                for i in indices:
+                    try:
+                        results[i] = (i, complete(requests_[i]))
+                    except Exception as exc:
+                        results[i] = (i, exc)
+            except BaseException as exc:
+                escaped.append(exc)
 
-        if not requests_:
-            return []
-        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-            for i, outcome in pool.map(run, range(len(requests_))):
-                results[i] = (i, outcome)
+        # daemon: an interrupted run exits without draining the batch
+        workers = [
+            threading.Thread(target=work, daemon=True)
+            for _ in range(min(self.max_in_flight, len(requests_)))
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        if escaped:
+            raise escaped[0]
         return results
 
 

@@ -6,6 +6,7 @@ travel as user messages, so system templates normally use only {n}, {src}
 and {tgt}.
 """
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Optional
@@ -82,8 +83,13 @@ def render(template: str, **values) -> str:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def template_pattern(template: str) -> re.Pattern:
-    """Regex matching any rendering of a template; {n} captures the count."""
+    """Regex matching any rendering of a template; {n} captures the count.
+
+    Cached on the template text, so an edited PromptTemplateSet is matched
+    by its current templates.
+    """
     escaped = re.escape(template)
     escaped = escaped.replace(re.escape("{n}"), r"(?P<n>\d+)")
     for placeholder in ("{seed}", "{src}", "{tgt}", "{sentence}"):

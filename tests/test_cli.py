@@ -72,6 +72,24 @@ class TestHallucinate:
         # --backend appears twice; the later http wins
         assert result.exit_code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("setting", [
+        "http.max_in_flight=2.5",
+        "http.max_in_flight=true",
+        "http.max_in_flight=0",
+        "http.max_retries=1.5",
+        "http.max_retries=true",
+    ])
+    def test_non_integer_http_counts_are_config_errors(self, runner, tmp_path,
+                                                       setting):
+        result = runner.invoke(
+            main, hallucinate_args(tmp_path / "runs", extra=["--set", setting])
+        )
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        key = setting.split(".")[1].split("=")[0]
+        assert f"config error: invalid configuration: {key} must be" in result.output
+
     def test_insufficient_data_exit_code(self, runner, tmp_path):
         args = hallucinate_args(
             tmp_path / "runs",
@@ -174,6 +192,9 @@ class TestExperiment:
         args[args.index("--nat-valid") + 1] = str(fixture_paths["nat_train"])
         result = runner.invoke(main, args)
         assert result.exit_code == EXIT_CONFIG
+        # refused before anything is written
+        assert not (out / "ttr.csv").exists()
+        assert not (out / "zipf.csv").exists()
 
 
 class TestExport:
