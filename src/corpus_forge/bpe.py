@@ -52,9 +52,6 @@ class BpeModel:
             self._ranks.setdefault(pair, []).append(rank)
         self._cache = {}  # word -> its encoded tokens
 
-    def encode(self, text):
-        return encode(self, text)
-
 
 def _word_symbols(word):
     chars = list(word)

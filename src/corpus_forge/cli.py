@@ -114,13 +114,12 @@ def hallucinate(config_path, overrides, backend, run_id):
     run_dir = Path(cfg.run_root) / run_id
     click.echo(f"run directory: {run_dir}")
     click.echo(f"seeds: rng_seed={cfg.rng_seed} mock_seed={cfg.mock_seed}")
-    splits, report = run_pipeline(
+    splits, _ = run_pipeline(
         cfg.plan, cfg.templates, gateway, cfg.split_spec, run_dir,
         mock_seed=cfg.mock_seed if cfg.backend == "mock" else None,
     )
     for name, split in splits.items():
         click.echo(f"{name}: {len(split)} pairs")
-    click.echo(f"wall time: {report.wall_time_seconds:.2f}s")
 
 
 @main.command()
@@ -196,6 +195,17 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+def _by_stem(input_paths):
+    """Map each input's file stem, which names its outputs, to its path."""
+    by_stem = {}
+    for path in input_paths:
+        stem = Path(path).stem
+        if stem in by_stem:
+            raise ConfigError(f"inputs {by_stem[stem]} and {path} share a file stem")
+        by_stem[stem] = path
+    return by_stem
+
+
 def _write_analysis(corpora_by_label, out_dir):
     ttr_path = out_dir / "ttr.csv"
     zipf_path = out_dir / "zipf.csv"
@@ -237,11 +247,9 @@ def _write_analysis(corpora_by_label, out_dir):
 @click.option("--src", "source_lang", required=True)
 @click.option("--tgt", "target_lang", required=True)
 @click.option("--out-dir", required=True, type=click.Path())
-@click.option("--analyze-only", is_flag=True,
-              help="Only emit ttr.csv/zipf.csv, skip training.")
 @mapped_errors
 def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_valid,
-               test_path, source_lang, target_lang, out_dir, analyze_only):
+               test_path, source_lang, target_lang, out_dir):
     """Train Nat/Synth/Aug baselines, cross-evaluate, and profile diversity."""
     cfg = load_config(config_path, overrides)
     load = lambda p: read_jsonl(p, source_lang, target_lang)
@@ -255,11 +263,6 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         corpora["syn-valid"] = load(syn_valid)
 
     out = Path(out_dir)
-    if analyze_only:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_analysis(corpora, out)
-        return
-
     # run_experiment refuses overlapping corpora; nothing is written before it
     models, matrix = em.run_experiment(
         corpora["nat-train"],
@@ -302,11 +305,12 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
 @mapped_errors
 def analyze(input_paths, source_lang, target_lang, out_dir):
     """Emit TTR and rank-frequency statistics for one or more corpora."""
+    corpora = {
+        stem: read_jsonl(p, source_lang, target_lang)
+        for stem, p in _by_stem(input_paths).items()
+    }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    corpora = {
-        Path(p).stem: read_jsonl(p, source_lang, target_lang) for p in input_paths
-    }
     _write_analysis(corpora, out)
 
 
@@ -319,13 +323,14 @@ def analyze(input_paths, source_lang, target_lang, out_dir):
 @mapped_errors
 def export(input_paths, source_lang, target_lang, out_dir):
     """Write line-aligned text pairs plus reference training metadata."""
+    by_stem = _by_stem(input_paths)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for path in input_paths:
+    for stem, path in by_stem.items():
         corpus = read_jsonl(path, source_lang, target_lang)
         if len(corpus) == 0:
             raise ConfigError(f"refusing to export empty corpus: {path}")
-        write_plain_pair(corpus, out / Path(path).stem)
+        write_plain_pair(corpus, out / stem)
         click.echo(f"exported {path} ({len(corpus)} pairs)")
     write_json(out / "reference_transformer.json", REFERENCE_TRANSFORMER)
 

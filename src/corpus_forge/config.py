@@ -11,11 +11,12 @@ import yaml
 
 from .corpus import SplitSpec
 from .errors import ConfigError
-from .gateway import BackendConfig
+from .gateway import BackendConfig, _check_count
 from .hallucinate import GenerationPlan
 from .prompts import PromptTemplateSet
 
 DEFAULT_RUN_ROOT = "runs"
+SECTIONS = ("http", "plan", "templates", "splits", "em", "paths")
 
 
 @dataclass
@@ -36,24 +37,30 @@ class RunConfig:
             backend = raw.get("backend", "mock")
             if backend not in ("mock", "http"):
                 raise ConfigError(f"backend must be 'mock' or 'http', got {backend!r}")
+            # an absent or empty (null) section takes its defaults
+            section = {n: {} if raw.get(n) is None else raw[n] for n in SECTIONS}
+            for name, value in section.items():
+                if not isinstance(value, dict):
+                    raise ConfigError(f"{name} must be a mapping, got {value!r}")
             rng_seed = int(raw.get("rng_seed", 0))
-            split_section = dict(raw.get("splits", {}))
+            split_section = dict(section["splits"])
             split_section.setdefault("rng_seed", rng_seed)
-            templates_section = raw.get("templates")
+            em_iterations = section["em"].get("iterations", 10)
+            _check_count("em.iterations", em_iterations, 1)
             return cls(
                 backend=backend,
                 mock_seed=int(raw.get("mock_seed", 0)),
                 rng_seed=rng_seed,
-                backend_config=BackendConfig(**raw.get("http", {})),
-                plan=GenerationPlan(**raw.get("plan", {})),
+                backend_config=BackendConfig(**section["http"]),
+                plan=GenerationPlan(**section["plan"]),
                 templates=(
-                    PromptTemplateSet.from_config(templates_section)
-                    if templates_section
+                    PromptTemplateSet.from_config(section["templates"])
+                    if section["templates"]
                     else PromptTemplateSet.defaults()
                 ),
                 split_spec=SplitSpec(**split_section),
-                em_iterations=int(raw.get("em", {}).get("iterations", 10)),
-                run_root=str(raw.get("paths", {}).get("run_root", DEFAULT_RUN_ROOT)),
+                em_iterations=em_iterations,
+                run_root=str(section["paths"].get("run_root", DEFAULT_RUN_ROOT)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
@@ -82,6 +89,8 @@ def load_config(path=None, overrides=()) -> RunConfig:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file is not UTF-8: {path}: {exc.reason}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file is not valid YAML: {exc}") from exc
         if not isinstance(raw, dict):

@@ -242,22 +242,3 @@ def write_plain_pair(corpus: ParallelCorpus, stem) -> None:
         with open_atomic(f"{stem}.{suffix}") as fh:
             for line in lines:
                 fh.write(line + "\n")
-
-
-def read_plain_pair(stem, source_lang: str, target_lang: str) -> ParallelCorpus:
-    stem = Path(stem)
-    src_path = Path(f"{stem}.{source_lang}")
-    tgt_path = Path(f"{stem}.{target_lang}")
-    with open_text(src_path) as fh:
-        src_lines = fh.read().splitlines()
-    with open_text(tgt_path) as fh:
-        tgt_lines = fh.read().splitlines()
-    if len(src_lines) != len(tgt_lines):
-        raise CorpusFormatError(
-            f"{src_path} has {len(src_lines)} lines, {tgt_path} has {len(tgt_lines)}"
-        )
-    pairs = [
-        SentencePair(id=str(i), source=s, target=t)
-        for i, (s, t) in enumerate(zip(src_lines, tgt_lines))
-    ]
-    return ParallelCorpus(pairs, source_lang, target_lang)

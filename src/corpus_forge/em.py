@@ -8,11 +8,10 @@ normalization, then renormalization of t. Decoding is positional argmax.
 
 import math
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .corpus import ParallelCorpus, open_atomic, open_text, tokenize
-from .errors import ConfigError, CorpusFormatError, EmptyCorpus
+from .corpus import ParallelCorpus, open_atomic, tokenize
+from .errors import ConfigError, EmptyCorpus
 from .metrics import cross_evaluate
 
 NULL_TOKEN = "<null>"
@@ -199,47 +198,3 @@ def save_model(model: LexiconModel, path) -> None:
         for f in sorted(model.t):
             for e in sorted(model.t[f]):
                 fh.write(f"{f}\t{e}\t{model.t[f][e]:.12g}\n")
-
-
-def load_model(path) -> LexiconModel:
-    t = defaultdict(dict)
-    with open_text(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith("lexicon-v1"):
-            raise CorpusFormatError(f"{path}: unknown lexicon header")
-        iterations = 0
-        for part in header.split():
-            if part.startswith("iterations="):
-                value = part.split("=", 1)[1]
-                try:
-                    iterations = int(value)
-                except ValueError:
-                    raise CorpusFormatError(
-                        f"{path}:1: iteration count {value!r} is not an integer"
-                    ) from None
-        for lineno, line in enumerate(fh, 2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise CorpusFormatError(f"{path}:{lineno}: bad lexicon line")
-            f, e, prob = parts
-            try:
-                value = float(prob)
-            except ValueError:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: probability {prob!r} is not a number"
-                ) from None
-            if not 0.0 <= value <= 1.0:  # also false for nan
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: probability {prob!r} is not in [0, 1]"
-                )
-            t[f][e] = value
-    target_vocab = {e for d in t.values() for e in d} - {NULL_TOKEN}
-    return LexiconModel(
-        t=dict(t),
-        source_vocab=set(t),
-        target_vocab=target_vocab,
-        iterations_run=iterations,
-    )

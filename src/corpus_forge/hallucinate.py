@@ -10,7 +10,7 @@ import json
 import logging
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import prompts
@@ -22,12 +22,14 @@ from .corpus import (
     dedup,
     make_splits,
     normalize,
+    open_text,
     write_json,
     write_jsonl,
 )
 from .errors import (
     AllSeedsFailed,
     AllTranslationsFailed,
+    CorpusFormatError,
     EmptyResponse,
     InsufficientData,
 )
@@ -59,22 +61,15 @@ class GenerationPlan:
 class PipelineReport:
     seeds_requested: int = 0
     seeds_parsed: int = 0
-    seeds_deduplicated: int = 0
     sentences_parsed: int = 0
     sentences_deduplicated: int = 0
     sentences_translated: int = 0
     pairs_sampled: int = 0
-    seed_failures: int = 0
     sentence_failures: int = 0
     translation_failures: int = 0
     rng_seed: int = 0
     mock_seed: int = None
     insufficient_data: bool = False
-    wall_time_seconds: float = 0.0  # logged, not serialized (determinism)
-
-    def to_dict(self):
-        payload = {k: v for k, v in self.__dict__.items() if k != "wall_time_seconds"}
-        return payload
 
 
 def _clean_item(item: str) -> str:
@@ -222,15 +217,34 @@ def translate_sentences(sentences, plan, templates, gateway, report=None):
 # ---------------------------------------------------------------------------
 # Checkpointed pipeline
 
-def _stage(path: Path, produce, to_records, from_records):
+def _check_records(records, keys):
+    """ValueError unless records lists strings, or objects with strings at keys."""
+    if not isinstance(records, list):
+        raise ValueError("expected a JSON list")
+    for record in records:
+        if keys and not isinstance(record, dict):
+            raise ValueError(f"expected a JSON object, got {record!r}")
+        for value in [record.get(k) for k in keys] if keys else [record]:
+            if not isinstance(value, str):
+                raise ValueError(f"expected strings, got {value!r} in {record!r}")
+
+
+def _stage(path: Path, produce, to_records, from_records, keys=()):
     """Load a stage's output from its checkpoint, or produce it and write one.
 
-    Returns (output, resumed).
+    The checkpoint is checked by _check_records(records, keys); a malformed
+    one ends in CorpusFormatError. Returns (output, resumed).
     """
     if path.exists():
-        records = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            with open_text(path) as fh:
+                records = json.load(fh)
+            _check_records(records, keys)
+            output = from_records(records)
+        except ValueError as exc:
+            raise CorpusFormatError(f"{path}: malformed checkpoint: {exc}") from None
         log.info("resumed %d records from %s", len(records), path)
-        return from_records(records), True
+        return output, True
     output = produce()
     write_json(path, to_records(output))
     return output, False
@@ -263,13 +277,14 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
         list,
         list,
     )
-    report.seeds_parsed = report.seeds_deduplicated = len(seeds)
+    report.seeds_parsed = len(seeds)
 
     sentences, resumed = _stage(
         checkpoints / "sentences.json",
         lambda: generate_sentences(seeds, plan, templates, gateway, report),
         lambda tagged: [{"seed": seed, "sentence": s} for seed, s in tagged],
         lambda records: [(r["seed"], r["sentence"]) for r in records],
+        keys=("seed", "sentence"),
     )
     if resumed:
         report.sentences_parsed = report.sentences_deduplicated = len(sentences)
@@ -290,6 +305,7 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
             plan.source_lang,
             plan.target_lang,
         ),
+        keys=("id", "src", "tgt", "seed_word"),
     )
     if resumed:
         report.sentences_translated = len(corpus)
@@ -298,19 +314,12 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
         splits = make_splits(corpus, split_spec)
     except InsufficientData:
         report.insufficient_data = True
-        report.wall_time_seconds = time.monotonic() - started
-        _write_report(report, reports_dir)
+        write_json(reports_dir / "report.json", asdict(report))
         raise
 
     report.pairs_sampled = sum(len(split) for split in splits.values())
-    report.wall_time_seconds = time.monotonic() - started
     for name, split in splits.items():
         write_jsonl(split, corpora_dir / f"{name}.jsonl")
-    _write_report(report, reports_dir)
-    log.info("pipeline finished in %.2fs", report.wall_time_seconds)
+    write_json(reports_dir / "report.json", asdict(report))
+    log.info("pipeline finished in %.2fs", time.monotonic() - started)
     return splits, report
-
-
-def _write_report(report: PipelineReport, reports_dir: Path) -> None:
-    # wall time stays out of the file so reruns are byte-identical
-    write_json(reports_dir / "report.json", report.to_dict())

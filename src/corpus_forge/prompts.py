@@ -8,7 +8,7 @@ and {tgt}.
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 STAGE_SEED_NOUNS = "seed_nouns"

@@ -10,8 +10,6 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-import pytest
-
 from conftest import make_corpus, make_experiment_fixture
 from corpus_forge import bpe, em, natural_sample_path
 from corpus_forge.corpus import SplitSpec, read_jsonl

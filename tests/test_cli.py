@@ -177,14 +177,38 @@ class TestExperiment:
         assert (out / "zipf.csv").exists()
         assert (out / "models" / "aug.lexicon").exists()
 
-    def test_analyze_only(self, runner, tmp_path, fixture_paths):
-        out = tmp_path / "analysis"
+    @pytest.mark.parametrize("setting, message", [
+        ("em=5", "em must be a mapping, got 5"),
+        ("paths=5", "paths must be a mapping, got 5"),
+        ("templates=5", "templates must be a mapping, got 5"),
+        ("em.iterations=0", "em.iterations must be >= 1"),
+        ("em.iterations=2.7", "em.iterations must be an integer, got 2.7"),
+        ("em.iterations=true", "em.iterations must be an integer, got True"),
+        ("em.iterations='3'", "em.iterations must be an integer, got '3'"),
+    ])
+    def test_malformed_config_is_a_config_error(self, runner, tmp_path,
+                                                fixture_paths, setting, message):
+        out = tmp_path / "results"
         result = runner.invoke(
-            main, self.experiment_args(fixture_paths, out, ["--analyze-only"])
+            main, self.experiment_args(fixture_paths, out, ["--set", setting])
         )
-        assert result.exit_code == 0, result.output
-        assert (out / "ttr.csv").exists()
-        assert not (out / "results.md").exists()
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert message in result.output
+        assert not out.exists()
+
+    def test_config_file_not_utf8(self, runner, tmp_path, fixture_paths):
+        config = tmp_path / "run.yaml"
+        config.write_bytes(b"em:\n  iterations: 3 # \xff\n")
+        out = tmp_path / "results"
+        result = runner.invoke(
+            main, self.experiment_args(fixture_paths, out, ["--config", str(config)])
+        )
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"config error: config file is not UTF-8: {config}" in result.output
+        assert not out.exists()
 
     def test_training_eval_overlap_rejected(self, runner, tmp_path, fixture_paths):
         out = tmp_path / "results"
@@ -217,6 +241,20 @@ class TestExport:
         assert meta["max_epochs"] == 100
         assert meta["early_stopping"] == "validation-loss"
 
+    def test_inputs_sharing_a_stem_refused(self, runner, tmp_path, fixture_paths):
+        paths = [tmp_path / "a" / "train.jsonl", tmp_path / "b" / "train.jsonl"]
+        for path, name in zip(paths, ["nat_train", "syn_train"]):
+            path.parent.mkdir()
+            path.write_bytes(fixture_paths[name].read_bytes())
+        out = tmp_path / "export"
+        result = runner.invoke(main, [
+            "export", "--input", str(paths[0]), "--input", str(paths[1]),
+            "--src", "de", "--tgt", "en", "--out-dir", str(out),
+        ])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert f"inputs {paths[0]} and {paths[1]} share a file stem" in result.output
+        assert not out.exists()
+
     def test_empty_corpus_refused(self, runner, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -237,6 +275,20 @@ class TestAnalyze:
         assert result.exit_code == 0, result.output
         header = (out / "ttr.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header == "corpus,side,type_count,token_count,ttr"
+
+    def test_inputs_sharing_a_stem_refused(self, runner, tmp_path, fixture_paths):
+        paths = [tmp_path / "nat" / "train.jsonl", tmp_path / "syn" / "train.jsonl"]
+        for path, name in zip(paths, ["nat_train", "syn_train"]):
+            path.parent.mkdir()
+            path.write_bytes(fixture_paths[name].read_bytes())
+        out = tmp_path / "analysis"
+        result = runner.invoke(main, [
+            "analyze", "--input", str(paths[0]), "--input", str(paths[1]),
+            "--src", "de", "--tgt", "en", "--out-dir", str(out),
+        ])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert f"inputs {paths[0]} and {paths[1]} share a file stem" in result.output
+        assert not out.exists()
 
     def test_tokens_with_commas_and_quotes_read_back_intact(self, runner, tmp_path):
         path = tmp_path / "punct.jsonl"
@@ -330,3 +382,56 @@ class TestMalformedInputs:
             "--input", str(text_in), "--output", str(tmp_path / "out.txt"),
         ])
         self.assert_clean_failure(result, f"{model_path}:")
+
+
+def _drop_sentence_key(records):
+    del records[0]["sentence"]
+    return records
+
+
+def _non_string_seed(records):
+    records[1] = 5
+    return records
+
+
+def _empty_source(records):
+    records[0]["src"] = " "
+    return records
+
+
+class TestMalformedCheckpoints:
+    """A malformed checkpoint ends in an error naming it: exit 1, no traceback."""
+
+    @pytest.mark.parametrize("name, corrupt, message", [
+        ("seeds.json", lambda records: "not json", "malformed checkpoint: Expecting"),
+        ("seeds.json", lambda records: {"a": 1}, "expected a JSON list"),
+        ("seeds.json", _non_string_seed, "expected strings, got 5"),
+        ("sentences.json", _drop_sentence_key, "expected strings, got None"),
+        ("translations.json", _empty_source, "must be non-empty"),
+    ], ids=["not-json", "object", "non-string-seed", "no-sentence", "empty-source"])
+    def test_resume_from_malformed_checkpoint(self, runner, tmp_path, name,
+                                              corrupt, message):
+        args = hallucinate_args(tmp_path / "runs")
+        assert runner.invoke(main, args).exit_code == 0
+        path = tmp_path / "runs" / "r1" / "checkpoints" / name
+        payload = corrupt(json.loads(path.read_text(encoding="utf-8")))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload),
+                        encoding="utf-8")
+        before = snapshot(tmp_path / "runs")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert f"error: {path}: malformed checkpoint: " in result.output
+        assert message in result.output
+        assert snapshot(tmp_path / "runs") == before
+
+    def test_resume_from_checkpoint_not_utf8(self, runner, tmp_path):
+        args = hallucinate_args(tmp_path / "runs")
+        assert runner.invoke(main, args).exit_code == 0
+        path = tmp_path / "runs" / "r1" / "checkpoints" / "sentences.json"
+        path.write_bytes(b"[\n" + b'  {"seed": "\xff", "sentence": "a"}\n]\n')
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"error: {path}:2: not valid UTF-8" in result.output

@@ -1,7 +1,7 @@
 import pytest
 import yaml
 
-from corpus_forge.config import RunConfig, apply_overrides, load_config
+from corpus_forge.config import apply_overrides, load_config
 from corpus_forge.errors import ConfigError
 
 
@@ -64,6 +64,17 @@ class TestLoadConfig:
     def test_bad_override_syntax(self):
         with pytest.raises(ConfigError):
             load_config(overrides=["no-equals-sign"])
+
+    # em, paths and templates, and em.iterations, are checked in tests/test_cli.py
+    @pytest.mark.parametrize("section", ["http", "plan", "splits"])
+    def test_section_must_be_a_mapping(self, section):
+        with pytest.raises(ConfigError, match=f"{section} must be a mapping"):
+            load_config(overrides=[f"{section}=5"])
+
+    def test_null_section_takes_defaults(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("http:\nplan:\ntemplates:\nem:\n", encoding="utf-8")
+        assert load_config(path) == load_config()
 
     def test_invalid_plan_value(self, tmp_path):
         path = write_config(tmp_path, {"plan": {"n_nouns": 0}})

@@ -12,7 +12,6 @@ from corpus_forge.corpus import (
     make_splits,
     normalize,
     read_jsonl,
-    read_plain_pair,
     tokenize,
     write_jsonl,
     write_plain_pair,
@@ -201,18 +200,6 @@ class TestOnDiskFormats:
     def test_plain_pair_round_trip(self, tmp_path):
         corpus = make_corpus([("ein Haus", "a house"), ("zwei Hunde", "two dogs")])
         write_plain_pair(corpus, tmp_path / "c")
-        loaded = read_plain_pair(tmp_path / "c", "de", "en")
-        assert loaded.source_lines() == corpus.source_lines()
-        assert loaded.target_lines() == corpus.target_lines()
-
-    def test_plain_pair_not_utf8_rejected(self, tmp_path):
-        (tmp_path / "c.de").write_text("a\nb\n", encoding="utf-8")
-        (tmp_path / "c.en").write_bytes(b"a\n\xffb\n")
-        with pytest.raises(CorpusFormatError, match=r"c\.en:2: not valid UTF-8"):
-            read_plain_pair(tmp_path / "c", "de", "en")
-
-    def test_plain_pair_line_mismatch_rejected(self, tmp_path):
-        (tmp_path / "c.de").write_text("a\nb\n", encoding="utf-8")
-        (tmp_path / "c.en").write_text("a\n", encoding="utf-8")
-        with pytest.raises(CorpusFormatError):
-            read_plain_pair(tmp_path / "c", "de", "en")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.de", "c.en"]
+        assert (tmp_path / "c.de").read_bytes() == b"ein Haus\nzwei Hunde\n"
+        assert (tmp_path / "c.en").read_bytes() == b"a house\ntwo dogs\n"

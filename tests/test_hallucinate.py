@@ -7,7 +7,7 @@ import pytest
 
 from corpus_forge import prompts
 from corpus_forge.corpus import SplitSpec
-from corpus_forge.errors import InsufficientData, TransportError
+from corpus_forge.errors import CorpusFormatError, InsufficientData, TransportError
 from corpus_forge.gateway import Gateway, MockBackend
 from corpus_forge.hallucinate import (
     GenerationPlan,
@@ -259,10 +259,22 @@ class TestRunPipeline:
         assert backend.calls == {stage: expected[stage] for stage in stages}
         assert dir_snapshot(run_dir) == uninterrupted
 
-    def test_report_serialization_excludes_wall_time(self, tmp_path):
+    def test_report_keys(self, tmp_path):
         run_dir, _, _ = run_once(tmp_path, "a")
         payload = json.loads(
             (run_dir / "reports" / "report.json").read_text(encoding="utf-8")
         )
-        assert "wall_time_seconds" not in payload
+        assert list(payload) == [
+            "seeds_requested", "seeds_parsed", "sentences_parsed",
+            "sentences_deduplicated", "sentences_translated", "pairs_sampled",
+            "sentence_failures", "translation_failures", "rng_seed", "mock_seed",
+            "insufficient_data",
+        ]
         assert payload["rng_seed"] == 0
+
+    def test_malformed_checkpoint_raises(self, tmp_path):
+        run_dir, _, _ = run_once(tmp_path, "a")
+        path = run_dir / "checkpoints" / "seeds.json"
+        path.write_text('{"a": 1}', encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match="seeds.json: malformed"):
+            run_once(tmp_path, "a")

@@ -4,7 +4,6 @@ import unicodedata
 
 import pytest
 
-from corpus_forge import metrics
 from corpus_forge.errors import EmptyInput, LengthMismatch
 from corpus_forge.metrics import (
     EvalMatrix,
