@@ -263,8 +263,9 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         corpora["syn-valid"] = load(syn_valid)
 
     out = Path(out_dir)
-    # run_experiment refuses overlapping corpora; nothing is written before it
-    models, matrix = em.run_experiment(
+    # run_experiment refuses overlapping corpora and returns once every fit
+    # has; nothing is written before it
+    fits, matrix = em.run_experiment(
         corpora["nat-train"],
         corpora["syn-train"],
         corpora["nat-valid"],
@@ -276,8 +277,9 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
     _write_analysis(corpora, out)
     models_dir = out / "models"
     models_dir.mkdir(exist_ok=True)
-    for label, model in models.items():
-        em.save_model(model, models_dir / f"{label.lower()}.lexicon")
+    for label, fit in fits.items():
+        with open_atomic(models_dir / f"{label.lower()}.lexicon") as fh:
+            fh.write(fit.lexicon)
 
     test_scores = [matrix.get(m, "Test") for m in ("Synth", "Nat", "Aug")]
     results_md = (

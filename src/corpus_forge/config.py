@@ -42,14 +42,17 @@ class RunConfig:
             for name, value in section.items():
                 if not isinstance(value, dict):
                     raise ConfigError(f"{name} must be a mapping, got {value!r}")
-            rng_seed = int(raw.get("rng_seed", 0))
+            rng_seed = raw.get("rng_seed", 0)
+            mock_seed = raw.get("mock_seed", 0)
+            _check_count("rng_seed", rng_seed)
+            _check_count("mock_seed", mock_seed)
             split_section = dict(section["splits"])
             split_section.setdefault("rng_seed", rng_seed)
             em_iterations = section["em"].get("iterations", 10)
             _check_count("em.iterations", em_iterations, 1)
             return cls(
                 backend=backend,
-                mock_seed=int(raw.get("mock_seed", 0)),
+                mock_seed=mock_seed,
                 rng_seed=rng_seed,
                 backend_config=BackendConfig(**section["http"]),
                 plan=GenerationPlan(**section["plan"]),

@@ -7,12 +7,13 @@ normalization, then renormalization of t. Decoding is positional argmax.
 """
 
 import math
+import os
 from array import array
 from dataclasses import dataclass, field
 
 from .corpus import ParallelCorpus, open_atomic, tokenize
-from .errors import ConfigError, EmptyCorpus
-from .metrics import cross_evaluate
+from .errors import ConfigError, CorpusForgeError, EmptyCorpus
+from .metrics import EvalMatrix, cross_evaluate
 
 NULL_TOKEN = "<null>"
 
@@ -91,13 +92,15 @@ def train_em(corpus, iterations: int) -> LexiconModel:
     uniform = 1.0 / (len(target_vocab) + 1)  # +1 for the null target
     t = [uniform] * n_cells
 
+    sizes = [len(cells) for cells in segments]
+    log = math.log
     log_likelihoods = []
     for _ in range(iterations):
         counts = array("d", [0.0]) * n_cells
         log_likelihood = 0.0
-        for cells in segments:
-            z = sum([t[c] for c in cells])
-            log_likelihood += math.log(z / len(cells))
+        for cells, size in zip(segments, sizes):
+            z = sum(map(t.__getitem__, cells))
+            log_likelihood += log(z / size)
             for c in cells:
                 counts[c] += t[c] / z
         for first, end in spans:
@@ -152,6 +155,47 @@ def translate(model: LexiconModel, source_lines):
     return out
 
 
+@dataclass
+class Fit:
+    """What run_experiment's caller keeps of one fitted model."""
+
+    lexicon: str  # the lexicon-v1 text that save_model writes
+    log_likelihoods: list  # one per iteration
+
+
+def _fit(label, corpus, iterations, eval_sets):
+    """Train one model, score it on every eval set and render its lexicon.
+
+    Returns (Fit, the model's one-row EvalMatrix).
+    """
+    model = train_em(corpus, iterations)
+    row = cross_evaluate({label: model.translate}, eval_sets)
+    return Fit(lexicon_text(model), model.log_likelihoods), row
+
+
+def _fit_in_worker(sender, job):
+    """Forked worker body: fit Aug and send (Fit, row), or the exception."""
+    try:
+        outcome = _fit("Aug", *job)
+    except Exception as exc:  # the caller raises it
+        outcome = exc
+    sender.send(outcome)
+
+
+def _use_worker() -> bool:
+    """True when a forked worker can fit Aug on a CPU of its own; False with
+    one CPU, or on a platform that cannot fork."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    return cpus > 1
+
+
 def run_experiment(
     nat_train,
     syn_train,
@@ -160,11 +204,16 @@ def run_experiment(
     iterations: int,
     syn_valid=None,
 ):
-    """Train Nat / Synth / Aug lexicon models and cross-evaluate them.
+    """Fit Nat / Synth / Aug lexicon models and cross-evaluate them.
 
-    Aug trains on the concatenation of both training corpora. Every model is
-    scored on every provided eval set; returns (models, EvalMatrix). Raises
-    ConfigError when an eval set shares a pair id with the training data.
+    Aug trains on the concatenation of both training corpora. Each model is
+    trained, scored on every provided eval set and rendered as lexicon-v1
+    text. A forked worker fits Aug while the caller fits Nat and then Synth:
+    the E-step's cost is additive over sentences, so the two sides take
+    about as long. With one CPU, or no fork, the caller fits all three.
+    Returns ({label: Fit}, EvalMatrix) once every fit has returned. Raises
+    ConfigError when an eval set shares a pair id with the training data,
+    and CorpusForgeError when the worker dies.
     """
     train_ids = {p.id for c in (nat_train, syn_train) for p in c.pairs}
     for eval_corpus in filter(None, (nat_valid, test, syn_valid)):
@@ -177,24 +226,65 @@ def run_experiment(
 
     aug_pairs = list(nat_train.pairs) + list(syn_train.pairs)
     aug = ParallelCorpus(aug_pairs, nat_train.source_lang, nat_train.target_lang)
-    models = {
-        "Nat": train_em(nat_train, iterations),
-        "Synth": train_em(syn_train, iterations),
-        "Aug": train_em(aug, iterations),
-    }
     eval_sets = {}
     if syn_valid is not None:
         eval_sets["Synth-val"] = (syn_valid.source_lines(), syn_valid.target_lines())
     eval_sets["Nat-val"] = (nat_valid.source_lines(), nat_valid.target_lines())
     eval_sets["Test"] = (test.source_lines(), test.target_lines())
-    translators = {label: model.translate for label, model in models.items()}
-    return models, cross_evaluate(translators, eval_sets)
+    jobs = {label: (corpus, iterations, eval_sets)
+            for label, corpus in (("Nat", nat_train), ("Synth", syn_train),
+                                  ("Aug", aug))}
+
+    if not _use_worker():
+        results = {label: _fit(label, *job) for label, job in jobs.items()}
+    else:
+        import multiprocessing
+
+        fork = multiprocessing.get_context("fork")
+        receiver, sender = fork.Pipe(duplex=False)
+        # the worker inherits the corpora instead of receiving them pickled
+        worker = fork.Process(target=_fit_in_worker, args=(sender, jobs["Aug"]))
+        worker.start()
+        sender.close()  # the worker holds the only sender: EOF means it died
+        try:
+            results = {label: _fit(label, *jobs[label]) for label in ("Nat", "Synth")}
+            try:
+                outcome = receiver.recv()
+            except EOFError:
+                raise CorpusForgeError(
+                    "a worker process died while fitting Aug"
+                ) from None
+        except BaseException:
+            worker.kill()
+            raise
+        finally:
+            receiver.close()
+            worker.join()
+        if isinstance(outcome, Exception):
+            raise outcome
+        results["Aug"] = outcome
+
+    rows = [row for _, row in results.values()]
+    matrix = EvalMatrix(
+        rows=list(jobs),
+        columns=list(eval_sets),
+        cells={key: v for row in rows for key, v in row.cells.items()},
+        failures={key: v for row in rows for key, v in row.failures.items()},
+    )
+    return {label: fit for label, (fit, _) in results.items()}, matrix
+
+
+def lexicon_text(model: LexiconModel) -> str:
+    """lexicon-v1: a one-line header, then sorted f<TAB>e<TAB>prob lines."""
+    rows = [f"lexicon-v1 iterations={model.iterations_run}\n"]
+    for f in sorted(model.t):
+        dist = model.t[f]
+        rows.append("".join([f"{f}\t{e}\t{dist[e]:.12g}\n" for e in sorted(dist)]))
+    return "".join(rows)
 
 
 def save_model(model: LexiconModel, path) -> None:
-    """Sorted f<TAB>e<TAB>prob lines with a one-line header."""
+    """Write model's lexicon_text to path, atomically."""
+    text = lexicon_text(model)
     with open_atomic(path) as fh:
-        fh.write(f"lexicon-v1 iterations={model.iterations_run}\n")
-        for f in sorted(model.t):
-            for e in sorted(model.t[f]):
-                fh.write(f"{f}\t{e}\t{model.t[f][e]:.12g}\n")
+        fh.write(text)

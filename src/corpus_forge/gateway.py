@@ -83,11 +83,11 @@ class BackendConfig:
         _check_count("max_retries", self.max_retries, 0)
 
 
-def _check_count(name, value, minimum):
-    """ValueError unless value is an int (not a bool) of at least minimum."""
+def _check_count(name, value, minimum=None):
+    """ValueError unless value is an int (not a bool), >= minimum if given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}")
 
 

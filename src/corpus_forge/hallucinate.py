@@ -33,7 +33,7 @@ from .errors import (
     EmptyResponse,
     InsufficientData,
 )
-from .gateway import ChatMessage, ChatRequest
+from .gateway import ChatMessage, ChatRequest, _check_count
 
 log = logging.getLogger(__name__)
 
@@ -52,9 +52,8 @@ class GenerationPlan:
     model_name: str = "gpt-3.5-turbo"
 
     def __post_init__(self):
-        for count in (self.n_nouns, self.n_verbs, self.sentences_per_seed):
-            if count < 1:
-                raise ValueError("plan counts must be >= 1")
+        for name in ("n_nouns", "n_verbs", "sentences_per_seed"):
+            _check_count(f"plan.{name}", getattr(self, name), 1)
 
 
 @dataclass

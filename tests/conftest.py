@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -82,3 +83,15 @@ def make_experiment_fixture(seed=0):
 @pytest.fixture
 def experiment_fixture():
     return make_experiment_fixture()
+
+
+def in_worker(train_em, fail):
+    """train_em that calls fail() in any forked worker; the caller trains as usual."""
+    caller = os.getpid()
+
+    def train(corpus, iterations):
+        if os.getpid() != caller:
+            fail()
+        return train_em(corpus, iterations)
+
+    return train

@@ -1,11 +1,13 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import make_corpus, make_experiment_fixture
+from conftest import in_worker, make_corpus, make_experiment_fixture
+from corpus_forge import em
 from corpus_forge.cli import (
     EXIT_CONFIG,
     EXIT_INSUFFICIENT_DATA,
@@ -89,6 +91,35 @@ class TestHallucinate:
         assert "Traceback" not in result.output
         key = setting.split(".")[1].split("=")[0]
         assert f"config error: invalid configuration: {key} must be" in result.output
+
+    @pytest.mark.parametrize("setting, message", [
+        ("templates.seed_nouns_system=5",
+         "templates.seed_nouns_system must be a string, got 5"),
+        ("templates.sentences_fewshot=[a]",
+         "templates.sentences_fewshot must be a string, got ['a']"),
+        ("plan.n_nouns=2.5", "plan.n_nouns must be an integer, got 2.5"),
+        ("plan.n_nouns=true", "plan.n_nouns must be an integer, got True"),
+        ("plan.sentences_per_seed=0", "plan.sentences_per_seed must be >= 1"),
+        ("mock_seed=2.7", "mock_seed must be an integer, got 2.7"),
+        ("rng_seed=false", "rng_seed must be an integer, got False"),
+    ])
+    def test_mistyped_config_values_are_config_errors(self, runner, tmp_path,
+                                                      setting, message):
+        # every template is set, so only the setting under test is wrong
+        templates = [
+            "--set", "templates.seed_nouns_system=Give {n} nouns",
+            "--set", "templates.seed_verbs_system=Give {n} verbs",
+            "--set", "templates.sentences_system=Give {n} sentences",
+            "--set", "templates.translation_system=Translate {src} to {tgt}",
+        ]
+        run_root = tmp_path / "runs"
+        result = runner.invoke(main, hallucinate_args(
+            run_root, extra=templates + ["--set", setting]))
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert f"config error: invalid configuration: {message}" in result.output
+        assert not run_root.exists()
 
     def test_insufficient_data_exit_code(self, runner, tmp_path):
         args = hallucinate_args(
@@ -219,6 +250,32 @@ class TestExperiment:
         # refused before anything is written
         assert not (out / "ttr.csv").exists()
         assert not (out / "zipf.csv").exists()
+
+    def test_dead_worker_is_a_clean_error(self, runner, tmp_path, fixture_paths,
+                                          monkeypatch):
+        # forked workers inherit the patch and die before they return a fit
+        monkeypatch.setattr(em, "_use_worker", lambda: True)
+        monkeypatch.setattr(em, "train_em", in_worker(em.train_em, lambda: os._exit(3)))
+        out = tmp_path / "results"
+        result = runner.invoke(main, self.experiment_args(fixture_paths, out))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert result.output.endswith(
+            "error: a worker process died while fitting Aug\n")
+        assert not out.exists()
+
+    def test_empty_synthetic_training_set(self, runner, tmp_path, fixture_paths):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "results"
+        args = self.experiment_args(fixture_paths, out)
+        args[args.index("--syn-train") + 1] = str(empty)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == "error: cannot train on an empty corpus\n"
+        assert not out.exists()
 
 
 class TestExport:

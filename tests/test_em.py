@@ -1,5 +1,7 @@
+import os
 import random
 import tempfile
+import threading
 import unicodedata
 from pathlib import Path
 
@@ -7,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_em
-from conftest import make_corpus
+from conftest import in_worker, make_corpus
 from corpus_forge import em
 from corpus_forge.corpus import tokenize
-from corpus_forge.errors import ConfigError, EmptyCorpus
-from corpus_forge.metrics import corpus_bleu
+from corpus_forge.errors import ConfigError, CorpusForgeError, EmptyCorpus
+from corpus_forge.metrics import corpus_bleu, cross_evaluate
 
 
 def toy_corpus():
@@ -217,4 +219,124 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="share pair ids"):
             em.run_experiment(
                 fx["nat_train"], fx["syn_train"], fx["nat_train"], fx["test"], 2
+            )
+
+
+def serial_experiment(nat_train, syn_train, nat_valid, test, iterations,
+                      syn_valid=None):
+    """run_experiment as one process composes it: train, translate, score, save."""
+    aug = type(nat_train)(list(nat_train.pairs) + list(syn_train.pairs),
+                          nat_train.source_lang, nat_train.target_lang)
+    models = {label: em.train_em(corpus, iterations)
+              for label, corpus in (("Nat", nat_train), ("Synth", syn_train),
+                                    ("Aug", aug))}
+    eval_sets = {}
+    if syn_valid is not None:
+        eval_sets["Synth-val"] = (syn_valid.source_lines(), syn_valid.target_lines())
+    eval_sets["Nat-val"] = (nat_valid.source_lines(), nat_valid.target_lines())
+    eval_sets["Test"] = (test.source_lines(), test.target_lines())
+    matrix = cross_evaluate(
+        {label: lambda lines, m=model: em.translate(m, lines)
+         for label, model in models.items()},
+        eval_sets,
+    )
+    return models, matrix
+
+
+def assert_matches_serial(corpora, iterations):
+    threads = threading.enumerate()
+    fits, matrix = em.run_experiment(
+        corpora["nat_train"], corpora["syn_train"], corpora["nat_valid"],
+        corpora["test"], iterations, syn_valid=corpora.get("syn_valid"),
+    )
+    # no pool thread outlives the call, so a later fork sees one thread
+    assert threading.enumerate() == threads
+    models, expected = serial_experiment(
+        corpora["nat_train"], corpora["syn_train"], corpora["nat_valid"],
+        corpora["test"], iterations, syn_valid=corpora.get("syn_valid"),
+    )
+    assert (matrix.rows, matrix.columns) == (expected.rows, expected.columns)
+    assert matrix.cells == expected.cells
+    assert matrix.failures == expected.failures
+    assert list(fits) == list(models)
+    for label, model in models.items():
+        assert fits[label].lexicon.encode("utf-8") == lexicon_bytes(model)
+        assert fits[label].log_likelihoods == model.log_likelihoods
+
+
+class TestParallelExperiment:
+    """run_experiment's forked fits against the serial composition."""
+
+    def test_fixture_matches_serial(self, experiment_fixture):
+        assert_matches_serial(experiment_fixture, 5)
+
+    def test_without_synthetic_validation(self, experiment_fixture):
+        corpora = dict(experiment_fixture)
+        del corpora["syn_valid"]
+        assert_matches_serial(corpora, 3)
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.lists(
+        st.lists(st.tuples(sentences(SOURCE_WORDS), sentences(TARGET_WORDS)),
+                 min_size=1, max_size=5),
+        min_size=5, max_size=5,
+    ), st.integers(min_value=1, max_value=4))
+    def test_tiny_corpora_match_serial(self, blocks, iterations):
+        names = ["nat_train", "syn_train", "nat_valid", "test", "syn_valid"]
+        corpora = {name: make_corpus(pairs, prefix=name)
+                   for name, pairs in zip(names, blocks)}
+        assert_matches_serial(corpora, iterations)
+
+    @pytest.mark.parametrize("label", ["Synth", "Aug"])  # caller, worker
+    def test_failed_decoding_fails_only_its_cells(self, experiment_fixture,
+                                                  monkeypatch, label):
+        translate = em.translate
+
+        def failing(model, lines):
+            # Nat knows only quell*, Synth only neu*, Aug both
+            vocab = ("quell0" in model.source_vocab, "neu0" in model.source_vocab)
+            if vocab == {"Synth": (False, True), "Aug": (True, True)}[label]:
+                raise ValueError(f"no decoding for {label}")
+            return translate(model, lines)
+
+        monkeypatch.setattr(em, "_use_worker", lambda: True)
+        monkeypatch.setattr(em, "translate", failing)  # the worker inherits it
+        fx = experiment_fixture
+        _, matrix = em.run_experiment(
+            fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"], 3,
+            syn_valid=fx["syn_valid"],
+        )
+        assert matrix.failures == {
+            (label, col): f"ValueError: no decoding for {label}"
+            for col in ("Synth-val", "Nat-val", "Test")
+        }
+        assert len(matrix.cells) == 6
+
+    def test_one_process_matches_serial(self, experiment_fixture, monkeypatch):
+        monkeypatch.setattr(em, "_use_worker", lambda: False)  # one CPU, or no fork
+        assert_matches_serial(experiment_fixture, 3)
+
+    def test_dead_worker_is_a_clean_error(self, experiment_fixture, monkeypatch):
+        monkeypatch.setattr(em, "_use_worker", lambda: True)
+        monkeypatch.setattr(em, "train_em", in_worker(em.train_em, lambda: os._exit(3)))
+        fx = experiment_fixture
+        threads = threading.enumerate()
+        with pytest.raises(CorpusForgeError,
+                           match="worker process died while fitting Aug"):
+            em.run_experiment(
+                fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"], 3,
+            )
+        assert threading.enumerate() == threads
+
+    def test_worker_exception_reaches_the_caller(self, experiment_fixture,
+                                                 monkeypatch):
+        def fail():
+            raise EmptyCorpus("Aug failed in the worker")
+
+        monkeypatch.setattr(em, "_use_worker", lambda: True)
+        monkeypatch.setattr(em, "train_em", in_worker(em.train_em, fail))
+        fx = experiment_fixture
+        with pytest.raises(EmptyCorpus, match="Aug failed in the worker"):
+            em.run_experiment(
+                fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"], 3,
             )
