@@ -104,18 +104,18 @@ def hallucinate(config_path, overrides, backend, run_id):
         cfg.backend = backend
     backend_impl = make_backend(
         cfg.backend,
-        config=cfg.backend_config,
+        config=cfg.http,
         templates=cfg.templates,
         mock_seed=cfg.mock_seed,
     )
-    gateway = Gateway(backend_impl, max_in_flight=cfg.backend_config.max_in_flight)
+    gateway = Gateway(backend_impl, max_in_flight=cfg.http.max_in_flight)
     if run_id is None:
         run_id = f"run-s{cfg.rng_seed}-m{cfg.mock_seed}"
-    run_dir = Path(cfg.run_root) / run_id
+    run_dir = Path(cfg.paths.run_root) / run_id
     click.echo(f"run directory: {run_dir}")
     click.echo(f"seeds: rng_seed={cfg.rng_seed} mock_seed={cfg.mock_seed}")
     splits, _ = run_pipeline(
-        cfg.plan, cfg.templates, gateway, cfg.split_spec, run_dir,
+        cfg.plan, cfg.templates, gateway, cfg.splits, run_dir,
         mock_seed=cfg.mock_seed if cfg.backend == "mock" else None,
     )
     for name, split in splits.items():
@@ -126,9 +126,9 @@ def hallucinate(config_path, overrides, backend, run_id):
 @click.option("--input", "input_path", required=True, type=click.Path(exists=True))
 @click.option("--src", "source_lang", required=True)
 @click.option("--tgt", "target_lang", required=True)
-@click.option("--train-tokens", type=int, required=True)
-@click.option("--valid-tokens", type=int, required=True)
-@click.option("--test-tokens", type=int, default=None)
+@click.option("--train-tokens", type=click.IntRange(min=1), required=True)
+@click.option("--valid-tokens", type=click.IntRange(min=1), required=True)
+@click.option("--test-tokens", type=click.IntRange(min=1), default=None)
 @click.option("--rng-seed", type=int, default=0)
 @click.option("--out-dir", required=True, type=click.Path())
 @mapped_errors
@@ -142,7 +142,7 @@ def sample(input_path, source_lang, target_lang, train_tokens, valid_tokens,
         test_token_threshold=test_tokens,
         rng_seed=rng_seed,
     )
-    splits = make_splits(corpus, spec, with_test=test_tokens is not None)
+    splits = make_splits(corpus, spec)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, split in splits.items():
@@ -270,7 +270,7 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         corpora["syn-train"],
         corpora["nat-valid"],
         corpora["test"],
-        cfg.em_iterations,
+        cfg.em.iterations,
         syn_valid=corpora.get("syn-valid"),
     )
     out.mkdir(parents=True, exist_ok=True)
@@ -293,7 +293,7 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         fh.write(results_md)
     write_json(
         out / "results.json",
-        {"em_iterations": cfg.em_iterations, "matrix": matrix.to_dict()},
+        {"em_iterations": cfg.em.iterations, "matrix": matrix.to_dict()},
     )
     click.echo(results_md)
 

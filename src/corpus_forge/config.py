@@ -1,9 +1,12 @@
 """Run configuration: one YAML file plus dotted --set overrides.
 
+A setting's type is the annotation of its dataclass field, and its lower
+bound, if it has one, is in BOUNDS; _settings checks both for every setting.
 Secrets never live in the config file; the API key is read from the
 environment variable named by http.api_key_source.
 """
 
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -11,12 +14,34 @@ import yaml
 
 from .corpus import SplitSpec
 from .errors import ConfigError
-from .gateway import BackendConfig, _check_count
+from .gateway import BackendConfig, check_value
 from .hallucinate import GenerationPlan
-from .prompts import PromptTemplateSet
+from .prompts import DEFAULT_TEMPLATES, PromptTemplateSet
 
-DEFAULT_RUN_ROOT = "runs"
-SECTIONS = ("http", "plan", "templates", "splits", "em", "paths")
+BOUNDS = {
+    "http.max_in_flight": (">=", 1),
+    "http.max_retries": (">=", 0),
+    "http.backoff_base": (">=", 0),
+    "http.timeout": (">", 0),
+    "plan.n_nouns": (">=", 1),
+    "plan.n_verbs": (">=", 1),
+    "plan.sentences_per_seed": (">=", 1),
+    "plan.generation_temperature": (">=", 0),
+    "plan.translation_temperature": (">=", 0),
+    "splits.train_token_threshold": (">=", 1),
+    "splits.valid_token_threshold": (">=", 1),
+    "em.iterations": (">=", 1),
+}
+
+
+@dataclass
+class EmSettings:
+    iterations: int = 10
+
+
+@dataclass
+class PathSettings:
+    run_root: str = "runs"
 
 
 @dataclass
@@ -24,49 +49,60 @@ class RunConfig:
     backend: str = "mock"
     mock_seed: int = 0
     rng_seed: int = 0
-    backend_config: BackendConfig = field(default_factory=BackendConfig)
+    http: BackendConfig = field(default_factory=BackendConfig)
     plan: GenerationPlan = field(default_factory=GenerationPlan)
     templates: PromptTemplateSet = field(default_factory=PromptTemplateSet.defaults)
-    split_spec: SplitSpec = field(default_factory=SplitSpec)
-    em_iterations: int = 10
-    run_root: str = DEFAULT_RUN_ROOT
+    splits: SplitSpec = field(default_factory=SplitSpec)
+    em: EmSettings = field(default_factory=EmSettings)
+    paths: PathSettings = field(default_factory=PathSettings)
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "RunConfig":
+        # top-level keys other than these three and the sections are ignored
+        top = {k: raw[k] for k in ("backend", "mock_seed", "rng_seed") if k in raw}
         try:
-            backend = raw.get("backend", "mock")
-            if backend not in ("mock", "http"):
-                raise ConfigError(f"backend must be 'mock' or 'http', got {backend!r}")
-            # an absent or empty (null) section takes its defaults
-            section = {n: {} if raw.get(n) is None else raw[n] for n in SECTIONS}
-            for name, value in section.items():
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{name} must be a mapping, got {value!r}")
-            rng_seed = raw.get("rng_seed", 0)
-            mock_seed = raw.get("mock_seed", 0)
-            _check_count("rng_seed", rng_seed)
-            _check_count("mock_seed", mock_seed)
-            split_section = dict(section["splits"])
-            split_section.setdefault("rng_seed", rng_seed)
-            em_iterations = section["em"].get("iterations", 10)
-            _check_count("em.iterations", em_iterations, 1)
-            return cls(
-                backend=backend,
-                mock_seed=mock_seed,
-                rng_seed=rng_seed,
-                backend_config=BackendConfig(**section["http"]),
-                plan=GenerationPlan(**section["plan"]),
-                templates=(
-                    PromptTemplateSet.from_config(section["templates"])
-                    if section["templates"]
-                    else PromptTemplateSet.defaults()
-                ),
-                split_spec=SplitSpec(**split_section),
-                em_iterations=em_iterations,
-                run_root=str(section["paths"].get("run_root", DEFAULT_RUN_ROOT)),
-            )
+            cfg = _settings(cls, "", top)
+            if cfg.backend not in ("mock", "http"):
+                raise ValueError(f"backend must be mock or http, got {cfg.backend!r}")
+            cfg.http = _settings(BackendConfig, "http", raw.get("http"))
+            cfg.plan = _settings(GenerationPlan, "plan", raw.get("plan"))
+            # a templates section that sets anything sets all four system templates
+            templates = raw.get("templates")
+            cfg.templates = _settings(PromptTemplateSet, "templates", DEFAULT_TEMPLATES
+                                      if templates in (None, {}) else templates)
+            # the split seed is the run's rng_seed; hallucinate draws no test split
+            cfg.splits = _settings(SplitSpec, "splits", raw.get("splits"),
+                                   rng_seed=cfg.rng_seed, test_token_threshold=None)
+            cfg.em = _settings(EmSettings, "em", raw.get("em"))
+            cfg.paths = _settings(PathSettings, "paths", raw.get("paths"))
+            return cfg
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid configuration: {exc}") from exc
+
+
+def _settings(cls, name, section, **fixed):
+    """cls(**section, **fixed), once each key of section is a checked setting.
+
+    An absent (None) section is empty. A key must name a field of cls that
+    fixed does not set, and its value must have the field's type and meet
+    its bound in BOUNDS.
+    """
+    if section is None:
+        section = {}
+    if not isinstance(section, dict):
+        raise ValueError(f"{name} must be a mapping, got {section!r}")
+    types = typing.get_type_hints(cls)
+    for key, value in section.items():
+        dotted = f"{name}.{key}" if name else key
+        if key not in types or key in fixed:
+            raise ValueError(f"unknown setting {dotted}")
+        kind = types[key]
+        if typing.get_origin(kind) is typing.Union:  # Optional[X]: None or an X
+            if value is None:
+                continue
+            kind = typing.get_args(kind)[0]
+        check_value(dotted, value, kind, BOUNDS.get(dotted))
+    return cls(**section, **fixed)
 
 
 def apply_overrides(raw: dict, overrides) -> dict:

@@ -73,15 +73,8 @@ class ParallelCorpus:
 class SplitSpec:
     train_token_threshold: int = 900_000
     valid_token_threshold: int = 100_000
-    test_token_threshold: Optional[int] = None  # natural corpora only
+    test_token_threshold: Optional[int] = None  # None: no test split
     rng_seed: int = 0
-
-    def __post_init__(self):
-        for value in (self.train_token_threshold, self.valid_token_threshold):
-            if value <= 0:
-                raise ValueError("thresholds must be > 0")
-        if self.test_token_threshold is not None and self.test_token_threshold <= 0:
-            raise ValueError("thresholds must be > 0")
 
 
 def normalize(text: str) -> str:
@@ -117,21 +110,20 @@ def _take_until(pairs, threshold):
     )
 
 
-def make_splits(corpus: ParallelCorpus, spec: SplitSpec, with_test: bool = False):
+def make_splits(corpus: ParallelCorpus, spec: SplitSpec):
     """Draw train / valid / optional test sequentially from one seeded shuffle.
 
     Sequential prefix consumption guarantees the splits are disjoint by id.
-    Returns a dict with keys "train", "valid" and, when requested, "test".
+    Returns a dict with keys "train", "valid" and, when spec has a test
+    threshold, "test".
     """
-    if with_test and spec.test_token_threshold is None:
-        raise ValueError("with_test requires test_token_threshold")
     shuffled = list(corpus.pairs)
     random.Random(spec.rng_seed).shuffle(shuffled)
     train, rest = _take_until(shuffled, spec.train_token_threshold)
     valid, rest = _take_until(rest, spec.valid_token_threshold)
     make = lambda pairs: ParallelCorpus(pairs, corpus.source_lang, corpus.target_lang)
     splits = {"train": make(train), "valid": make(valid)}
-    if with_test:
+    if spec.test_token_threshold is not None:
         test, rest = _take_until(rest, spec.test_token_threshold)
         splits["test"] = make(test)
     return splits

@@ -59,8 +59,6 @@ class ChatRequest:
     def __post_init__(self):
         if not self.messages:
             raise ValueError("request needs at least one message")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
     def first_content(self, role: str):
         for message in self.messages:
@@ -78,17 +76,28 @@ class BackendConfig:
     backoff_base: float = 1.0  # seconds
     timeout: float = 60.0
 
-    def __post_init__(self):
-        _check_count("max_in_flight", self.max_in_flight, 1)
-        _check_count("max_retries", self.max_retries, 0)
+
+_KINDS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a finite number"),
+    str: (str, "a string"),
+}
 
 
-def _check_count(name, value, minimum=None):
-    """ValueError unless value is an int (not a bool), >= minimum if given."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}")
+def check_value(name, value, kind=int, bound=None):
+    """ValueError unless value is of kind and meets bound, if one is given.
+
+    kind is int (an int that is not a bool), float (a finite int or float
+    that is not a bool) or str; bound is (">=", limit) or (">", limit).
+    """
+    types, noun = _KINDS[kind]
+    if (isinstance(value, bool) or not isinstance(value, types)
+            or kind is float and not math.isfinite(value)):
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+    if bound is not None:
+        op, limit = bound
+        if not (value > limit if op == ">" else value >= limit):
+            raise ValueError(f"{name} must be {op} {limit}")
 
 
 class HttpBackend:
@@ -245,7 +254,7 @@ class Gateway:
     """Bounded-concurrency front door over a backend."""
 
     def __init__(self, backend, max_in_flight: int = 4):
-        _check_count("max_in_flight", max_in_flight, 1)
+        check_value("max_in_flight", max_in_flight, int, (">=", 1))
         self.backend = backend
         self.max_in_flight = max_in_flight
 

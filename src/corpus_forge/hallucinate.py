@@ -33,7 +33,7 @@ from .errors import (
     EmptyResponse,
     InsufficientData,
 )
-from .gateway import ChatMessage, ChatRequest, _check_count
+from .gateway import ChatMessage, ChatRequest
 
 log = logging.getLogger(__name__)
 
@@ -50,10 +50,6 @@ class GenerationPlan:
     generation_temperature: float = 1.0
     translation_temperature: float = 0.0
     model_name: str = "gpt-3.5-turbo"
-
-    def __post_init__(self):
-        for name in ("n_nouns", "n_verbs", "sentences_per_seed"):
-            _check_count(f"plan.{name}", getattr(self, name), 1)
 
 
 @dataclass
@@ -158,10 +154,7 @@ def generate_sentences(seeds, plan, templates, gateway, report=None):
     # the mock backend, the originals lie scattered through memory that the
     # dropped ones free, and keeping them holds all of it (2 MB of peak RSS
     # on the 1,000-seed generate benchmark).
-    result = [(seed, s) for seed, s in dedup(tagged, key=lambda p: normalize(p[1]))]
-    if report is not None:
-        report.sentences_deduplicated = len(result)
-    return result
+    return [(seed, s) for seed, s in dedup(tagged, key=lambda p: normalize(p[1]))]
 
 
 def _translation_request(plan, templates, sentence):
@@ -177,7 +170,7 @@ def _translation_request(plan, templates, sentence):
     )
 
 
-def translate_sentences(sentences, plan, templates, gateway, report=None):
+def translate_sentences(sentences, plan, templates, gateway):
     """One translation call per sentence; failures dropped with a logged count."""
     if not sentences:
         raise ValueError("sentences must be non-empty")
@@ -205,9 +198,6 @@ def translate_sentences(sentences, plan, templates, gateway, report=None):
         )
     if failures:
         log.info("dropped %d failed translations", failures)
-    if report is not None:
-        report.sentences_translated = len(pairs)
-        report.translation_failures = failures
     if not pairs:
         raise AllTranslationsFailed("every translation request failed")
     return ParallelCorpus(pairs, plan.source_lang, plan.target_lang)
@@ -285,12 +275,13 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
         lambda records: [(r["seed"], r["sentence"]) for r in records],
         keys=("seed", "sentence"),
     )
+    report.sentences_deduplicated = len(sentences)
     if resumed:
-        report.sentences_parsed = report.sentences_deduplicated = len(sentences)
+        report.sentences_parsed = len(sentences)
 
-    corpus, resumed = _stage(
+    corpus, _ = _stage(
         checkpoints / "translations.json",
-        lambda: translate_sentences(sentences, plan, templates, gateway, report),
+        lambda: translate_sentences(sentences, plan, templates, gateway),
         lambda corpus: [
             {"id": p.id, "src": p.source, "tgt": p.target, "seed_word": p.seed_word}
             for p in corpus.pairs
@@ -306,8 +297,8 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
         ),
         keys=("id", "src", "tgt", "seed_word"),
     )
-    if resumed:
-        report.sentences_translated = len(corpus)
+    report.sentences_translated = len(corpus)
+    report.translation_failures = len(sentences) - len(corpus)
 
     try:
         splits = make_splits(corpus, split_spec)

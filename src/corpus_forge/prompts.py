@@ -46,36 +46,7 @@ class PromptTemplateSet:
 
     @classmethod
     def defaults(cls):
-        return cls.from_config(DEFAULT_TEMPLATES)
-
-    @classmethod
-    def from_config(cls, section: dict):
-        required = {
-            "seed_nouns_system",
-            "seed_verbs_system",
-            "sentences_system",
-            "translation_system",
-        }
-        missing = required - section.keys()
-        if missing:
-            raise ValueError(f"templates section missing {sorted(missing)}")
-        for name in sorted(required):
-            if not isinstance(section[name], str):
-                raise ValueError(
-                    f"templates.{name} must be a string, got {section[name]!r}"
-                )
-        fewshot = section.get("sentences_fewshot")
-        if fewshot is not None and not isinstance(fewshot, str):
-            raise ValueError(
-                f"templates.sentences_fewshot must be a string, got {fewshot!r}"
-            )
-        return cls(
-            seed_nouns_system=section["seed_nouns_system"],
-            seed_verbs_system=section["seed_verbs_system"],
-            sentences_system=section["sentences_system"],
-            translation_system=section["translation_system"],
-            sentences_fewshot=fewshot,
-        )
+        return cls(**DEFAULT_TEMPLATES)
 
     def system_for(self, stage: str) -> str:
         return {

@@ -30,6 +30,15 @@ MOCK_ARGS = [
 ]
 
 
+# every template is set, so a test's one bad template setting is the only error
+ALL_TEMPLATES = [
+    "--set", "templates.seed_nouns_system=Give {n} nouns",
+    "--set", "templates.seed_verbs_system=Give {n} verbs",
+    "--set", "templates.sentences_system=Give {n} sentences",
+    "--set", "templates.translation_system=Translate {src} to {tgt}",
+]
+
+
 def hallucinate_args(run_root, run_id="r1", extra=()):
     return (
         ["hallucinate", "--backend", "mock", "--run-id", run_id,
@@ -89,7 +98,7 @@ class TestHallucinate:
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
-        key = setting.split(".")[1].split("=")[0]
+        key = setting.split("=")[0]
         assert f"config error: invalid configuration: {key} must be" in result.output
 
     @pytest.mark.parametrize("setting, message", [
@@ -105,20 +114,74 @@ class TestHallucinate:
     ])
     def test_mistyped_config_values_are_config_errors(self, runner, tmp_path,
                                                       setting, message):
-        # every template is set, so only the setting under test is wrong
-        templates = [
-            "--set", "templates.seed_nouns_system=Give {n} nouns",
-            "--set", "templates.seed_verbs_system=Give {n} verbs",
-            "--set", "templates.sentences_system=Give {n} sentences",
-            "--set", "templates.translation_system=Translate {src} to {tgt}",
-        ]
         run_root = tmp_path / "runs"
         result = runner.invoke(main, hallucinate_args(
-            run_root, extra=templates + ["--set", setting]))
+            run_root, extra=ALL_TEMPLATES + ["--set", setting]))
         assert result.exit_code == EXIT_CONFIG, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         assert f"config error: invalid configuration: {message}" in result.output
+        assert not run_root.exists()
+
+    # Every setting with a value of the wrong type and, where the setting has
+    # a lower bound, a value below it. Listed by hand, so that a setting
+    # whose check goes missing fails here.
+    @pytest.mark.parametrize("setting", [
+        "backend=5",
+        "mock_seed=2.7",
+        "rng_seed=false",
+        "http.endpoint_url=5",
+        "http.api_key_source=[LLM_API_KEY]",
+        "http.max_in_flight=2.5", "http.max_in_flight=0",
+        "http.max_retries=true", "http.max_retries=-1",
+        "http.backoff_base=slow", "http.backoff_base=-1",
+        "http.timeout=slow", "http.timeout=0",
+        "plan.n_nouns=2.5", "plan.n_nouns=0",
+        "plan.n_verbs=true", "plan.n_verbs=0",
+        "plan.sentences_per_seed='4'", "plan.sentences_per_seed=0",
+        "plan.source_lang=5",
+        "plan.target_lang=[en]",
+        "plan.generation_temperature=hot", "plan.generation_temperature=-0.5",
+        "plan.translation_temperature=.nan", "plan.translation_temperature=-1",
+        "plan.model_name=5",
+        "templates.seed_nouns_system=5",
+        "templates.seed_verbs_system=true",
+        "templates.sentences_system=[a]",
+        "templates.translation_system=1.5",
+        "templates.sentences_fewshot={a: b}",
+        "splits.train_token_threshold=true", "splits.train_token_threshold=0",
+        "splits.valid_token_threshold=2.5", "splits.valid_token_threshold=0",
+        "em.iterations=2.7", "em.iterations=0",
+        "paths.run_root=5",
+    ])
+    def test_every_setting_is_checked(self, runner, tmp_path, monkeypatch, setting):
+        monkeypatch.chdir(tmp_path)  # a run_root of 5 would land here
+        result = runner.invoke(main, hallucinate_args(
+            tmp_path / "runs", extra=ALL_TEMPLATES + ["--set", setting]))
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        key = setting.split("=")[0]
+        assert f"config error: invalid configuration: {key} must be" in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("setting", [
+        "splits.rng_seed=3",  # the split seed is the top-level rng_seed
+        "splits.test_token_threshold=10",  # hallucinate draws no test split
+        "templates.sentence_fewshot=x",
+        "em.iteration=3",
+        "paths.root=x",
+        "http.retries=2",
+        "plan.nouns=3",
+    ])
+    def test_unknown_settings_are_config_errors(self, runner, tmp_path, setting):
+        run_root = tmp_path / "runs"
+        result = runner.invoke(main, hallucinate_args(
+            run_root, extra=ALL_TEMPLATES + ["--set", setting]))
+        assert result.exit_code == EXIT_CONFIG, result.output
+        key = setting.split("=")[0]
+        message = f"config error: invalid configuration: unknown setting {key}\n"
+        assert message in result.output
         assert not run_root.exists()
 
     def test_insufficient_data_exit_code(self, runner, tmp_path):
@@ -156,6 +219,26 @@ class TestSample:
         assert train.source_token_count() >= 100
         assert valid.source_token_count() >= 40
         assert not {p.id for p in train.pairs} & {p.id for p in valid.pairs}
+
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--train-tokens", "0"),
+        ("--valid-tokens", "-3"),
+        ("--test-tokens", "0"),
+    ])
+    def test_thresholds_below_one_are_usage_errors(self, runner, tmp_path,
+                                                   fixture_paths, flag, value):
+        out = tmp_path / "splits"
+        tokens = {"--train-tokens": "100", "--valid-tokens": "40",
+                  "--test-tokens": "20", flag: value}
+        result = runner.invoke(main, [
+            "sample", "--input", str(fixture_paths["nat_train"]),
+            "--src", "de", "--tgt", "en", "--out-dir", str(out),
+        ] + [arg for item in tokens.items() for arg in item])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"Invalid value for '{flag}'" in result.output
+        assert not out.exists()
 
 
 class TestBpeCommands:

@@ -1,8 +1,13 @@
+from dataclasses import is_dataclass
+from pathlib import Path
+
 import pytest
 import yaml
 
-from corpus_forge.config import apply_overrides, load_config
+from corpus_forge.config import RunConfig, apply_overrides, load_config
 from corpus_forge.errors import ConfigError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_config(tmp_path, payload):
@@ -18,9 +23,9 @@ class TestLoadConfig:
         assert cfg.plan.n_nouns == 600
         assert cfg.plan.n_verbs == 600
         assert cfg.plan.sentences_per_seed == 100
-        assert cfg.split_spec.train_token_threshold == 900_000
-        assert cfg.split_spec.valid_token_threshold == 100_000
-        assert cfg.em_iterations == 10
+        assert cfg.splits.train_token_threshold == 900_000
+        assert cfg.splits.valid_token_threshold == 100_000
+        assert cfg.em.iterations == 10
 
     def test_file_values(self, tmp_path):
         path = write_config(
@@ -38,8 +43,8 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.mock_seed == 9
         assert cfg.plan.n_nouns == 5
-        assert cfg.split_spec.rng_seed == 4
-        assert cfg.em_iterations == 3
+        assert cfg.splits.rng_seed == 4
+        assert cfg.em.iterations == 3
 
     def test_overrides(self, tmp_path):
         path = write_config(tmp_path, {"plan": {"n_nouns": 5}})
@@ -76,6 +81,12 @@ class TestLoadConfig:
         path.write_text("http:\nplan:\ntemplates:\nem:\n", encoding="utf-8")
         assert load_config(path) == load_config()
 
+    def test_templates_section_sets_all_four_system_templates(self):
+        with pytest.raises(ConfigError, match="translation_system"):
+            load_config(overrides=["templates.seed_nouns_system=Give {n}",
+                                   "templates.seed_verbs_system=Give {n}",
+                                   "templates.sentences_system=Give {n}"])
+
     def test_invalid_plan_value(self, tmp_path):
         path = write_config(tmp_path, {"plan": {"n_nouns": 0}})
         with pytest.raises(ConfigError):
@@ -90,3 +101,18 @@ class TestApplyOverrides:
     def test_yaml_typed_values(self):
         raw = apply_overrides({}, ["x=1.5", "y=true", "z=text"])
         assert raw == {"x": 1.5, "y": True, "z": "text"}
+
+
+def test_readme_config_block_is_every_setting_at_its_default():
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("### Configuration\n", 1)[1]
+    raw = yaml.safe_load(section.split("```yaml\n", 1)[1].split("```", 1)[0])
+    cfg = load_config()
+    assert RunConfig.from_mapping(raw) == cfg
+    for name, value in vars(cfg).items():
+        if is_dataclass(value):
+            # the split seed is rng_seed, and hallucinate draws no test split
+            fixed = {"rng_seed", "test_token_threshold"} if name == "splits" else set()
+            assert raw[name].keys() == vars(value).keys() - fixed, name
+        else:
+            assert name in raw

@@ -140,13 +140,20 @@ class TestMakeSplits:
         corpus = four_token_corpus(30)  # 120 tokens
         spec = SplitSpec(train_token_threshold=40, valid_token_threshold=20,
                          test_token_threshold=20, rng_seed=2)
-        splits = make_splits(corpus, spec, with_test=True)
+        splits = make_splits(corpus, spec)
         ids = [frozenset(p.id for p in s.pairs) for s in splits.values()]
         assert len(splits) == 3
         for i in range(len(ids)):
             for j in range(i + 1, len(ids)):
                 assert not ids[i] & ids[j]
         assert sum(len(s) for s in ids) <= len(corpus)
+
+    def test_test_split_exactly_when_given_a_threshold(self):
+        corpus = four_token_corpus(30)
+        spec = SplitSpec(train_token_threshold=40, valid_token_threshold=20)
+        assert set(make_splits(corpus, spec)) == {"train", "valid"}
+        spec.test_token_threshold = 20
+        assert set(make_splits(corpus, spec)) == {"train", "valid", "test"}
 
     def test_deterministic(self):
         corpus = four_token_corpus(30)

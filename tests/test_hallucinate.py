@@ -259,6 +259,40 @@ class TestRunPipeline:
         assert backend.calls == {stage: expected[stage] for stage in stages}
         assert dir_snapshot(run_dir) == uninterrupted
 
+    def test_resumed_run_writes_the_report_it_resumes(self, tmp_path):
+        templates = PromptTemplateSet.defaults()
+
+        class FailingTranslations:
+            """The mock backend, failing each translation of an odd-length sentence."""
+
+            def __init__(self):
+                self.backend = MockBackend(templates, mock_seed=0)
+
+            def complete(self, request):
+                stage, _ = prompts.classify_system_text(
+                    templates, request.first_content("system"))
+                if (stage == prompts.STAGE_TRANSLATION
+                        and len(request.first_content("user")) % 2):
+                    raise TransportError("simulated translation failure")
+                return self.backend.complete(request)
+
+        class Exploding:
+            def complete(self, request):
+                raise AssertionError("resumed run must not call the backend")
+
+        spec = SplitSpec(train_token_threshold=20, valid_token_threshold=10,
+                         rng_seed=0)
+        run_dir = tmp_path / "a"
+        _, report = run_pipeline(small_plan(), templates,
+                                 Gateway(FailingTranslations(), max_in_flight=2),
+                                 spec, run_dir, mock_seed=0)
+        assert report.translation_failures > 0
+        report_path = run_dir / "reports" / "report.json"
+        first = report_path.read_bytes()
+        run_pipeline(small_plan(), templates, Gateway(Exploding()), spec, run_dir,
+                     mock_seed=0)
+        assert report_path.read_bytes() == first
+
     def test_report_keys(self, tmp_path):
         run_dir, _, _ = run_once(tmp_path, "a")
         payload = json.loads(
