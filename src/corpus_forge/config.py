@@ -31,6 +31,11 @@ BOUNDS = {
     "splits.train_token_threshold": (">=", 1),
     "splits.valid_token_threshold": (">=", 1),
     "em.iterations": (">=", 1),
+    # each system template is a message of its own, and a message has content
+    "templates.seed_nouns_system": (">", ""),
+    "templates.seed_verbs_system": (">", ""),
+    "templates.sentences_system": (">", ""),
+    "templates.translation_system": (">", ""),
 }
 
 

@@ -192,7 +192,9 @@ def write_jsonl(corpus: ParallelCorpus, path) -> None:
 
 
 def read_jsonl(path, source_lang: str, target_lang: str) -> ParallelCorpus:
+    """A corpus from JSON lines; a pair id that repeats is a CorpusFormatError."""
     pairs = []
+    first_line = {}  # pair id -> the line that gave it first
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -209,10 +211,17 @@ def read_jsonl(path, source_lang: str, target_lang: str) -> ParallelCorpus:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: missing fields {sorted(missing)}"
                 )
+            pair_id = str(record["id"])
+            if pair_id in first_line:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: pair id {pair_id!r} repeats line "
+                    f"{first_line[pair_id]}"
+                )
+            first_line[pair_id] = lineno
             try:
                 pairs.append(
                     SentencePair(
-                        id=str(record["id"]),
+                        id=pair_id,
                         source=record["src"],
                         target=record["tgt"],
                         origin=record["origin"],

@@ -212,17 +212,16 @@ def run_experiment(
     the E-step's cost is additive over sentences, so the two sides take
     about as long. With one CPU, or no fork, the caller fits all three.
     Returns ({label: Fit}, EvalMatrix) once every fit has returned. Raises
-    ConfigError when an eval set shares a pair id with the training data,
-    and CorpusForgeError when the worker dies.
+    ConfigError when a pair id is in two of the input corpora, and
+    CorpusForgeError when the worker dies.
     """
-    train_ids = {p.id for c in (nat_train, syn_train) for p in c.pairs}
-    for eval_corpus in filter(None, (nat_valid, test, syn_valid)):
-        overlap = train_ids & {p.id for p in eval_corpus.pairs}
-        if overlap:
-            raise ConfigError(
-                f"training and evaluation corpora share pair ids: "
-                f"{sorted(overlap)[:5]}..."
-            )
+    seen, shared = set(), set()
+    for corpus in filter(None, (nat_train, syn_train, nat_valid, test, syn_valid)):
+        ids = {p.id for p in corpus.pairs}
+        shared |= seen & ids
+        seen |= ids
+    if shared:
+        raise ConfigError(f"input corpora share pair ids: {sorted(shared)[:5]}...")
 
     aug_pairs = list(nat_train.pairs) + list(syn_train.pairs)
     aug = ParallelCorpus(aug_pairs, nat_train.source_lang, nat_train.target_lang)

@@ -88,7 +88,8 @@ def check_value(name, value, kind=int, bound=None):
     """ValueError unless value is of kind and meets bound, if one is given.
 
     kind is int (an int that is not a bool), float (a finite int or float
-    that is not a bool) or str; bound is (">=", limit) or (">", limit).
+    that is not a bool) or str; bound is (">=", limit) or (">", limit), and
+    (">", "") asks for a non-empty str.
     """
     types, noun = _KINDS[kind]
     if (isinstance(value, bool) or not isinstance(value, types)
@@ -97,7 +98,8 @@ def check_value(name, value, kind=int, bound=None):
     if bound is not None:
         op, limit = bound
         if not (value > limit if op == ">" else value >= limit):
-            raise ValueError(f"{name} must be {op} {limit}")
+            rule = "non-empty" if limit == "" else f"{op} {limit}"
+            raise ValueError(f"{name} must be {rule}")
 
 
 class HttpBackend:
@@ -257,9 +259,6 @@ class Gateway:
         check_value("max_in_flight", max_in_flight, int, (">=", 1))
         self.backend = backend
         self.max_in_flight = max_in_flight
-
-    def complete(self, request: ChatRequest) -> str:
-        return self.backend.complete(request)
 
     def complete_batch(self, requests_):
         """Run requests with at most max_in_flight outstanding.

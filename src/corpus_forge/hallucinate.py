@@ -1,15 +1,17 @@
 """Three-stage synthetic corpus generation: seed words, sentences, translations.
 
-Each stage checkpoints its output under the run directory so an interrupted
-run resumes without repeating paid API calls. Responses are parsed
-defensively: when the expected delimiter yields fewer than two items the
-parser falls back to line breaks, and numbered-list prefixes are stripped.
+Each stage returns the JSON records that it checkpoints under the run
+directory, so an interrupted run resumes without repeating paid API calls.
+Responses are parsed defensively: when the expected delimiter yields fewer
+than two items the parser falls back to line breaks, and numbered-list
+prefixes are stripped.
 """
 
 import json
 import logging
 import re
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -88,25 +90,38 @@ def parse_delimited(text: str, delimiter: str):
     return items
 
 
-def _seed_request(plan, templates, stage, n):
-    return ChatRequest(
-        messages=(
-            ChatMessage("system", prompts.render(templates.system_for(stage), n=n)),
-        ),
-        model_name=plan.model_name,
-        temperature=plan.generation_temperature,
-    )
+def _request(plan, temperature, system, user=None, assistant=None):
+    """A stage's request: a system message, then the user and assistant ones given."""
+    turns = (("system", system), ("user", user), ("assistant", assistant))
+    messages = tuple(ChatMessage(role, text) for role, text in turns if text is not None)
+    return ChatRequest(messages, plan.model_name, temperature)
+
+
+def _answers(gateway, requests, what, subjects):
+    """(index, response) of each request that succeeded; each failure is logged."""
+    answers = []
+    for index, outcome in gateway.complete_batch(requests):
+        if isinstance(outcome, Exception):
+            log.warning("%s failed for %r: %s", what, subjects[index], outcome)
+        else:
+            answers.append((index, outcome))
+    return answers
 
 
 def generate_seed_words(plan, templates, gateway):
-    """One request for nouns and one for verbs; parse, combine, dedup."""
+    """One request for nouns and one for verbs; parse, combine, dedup.
+    Returns the seed words; a failed request aborts the stage."""
+    requests = [
+        _request(plan, plan.generation_temperature,
+                 prompts.render(templates.system_for(stage), n=n))
+        for stage, n in ((prompts.STAGE_SEED_NOUNS, plan.n_nouns),
+                         (prompts.STAGE_SEED_VERBS, plan.n_verbs))
+    ]
     seeds = []
-    for stage, n in (
-        (prompts.STAGE_SEED_NOUNS, plan.n_nouns),
-        (prompts.STAGE_SEED_VERBS, plan.n_verbs),
-    ):
-        response = gateway.complete(_seed_request(plan, templates, stage, n))
-        seeds.extend(parse_delimited(response, ","))
+    for _, outcome in gateway.complete_batch(requests):
+        if isinstance(outcome, Exception):
+            raise outcome
+        seeds.extend(parse_delimited(outcome, ","))
     # chat models vary the capitalization of one lemma
     deduped = dedup(seeds, key=lambda seed: normalize(seed).casefold())
     if not deduped:
@@ -114,102 +129,72 @@ def generate_seed_words(plan, templates, gateway):
     return deduped
 
 
-def _sentence_request(plan, templates, seed):
-    messages = [
-        ChatMessage(
-            "system",
-            prompts.render(templates.sentences_system, n=plan.sentences_per_seed),
-        ),
-        ChatMessage("user", seed),
-    ]
-    if templates.sentences_fewshot:
-        messages.append(ChatMessage("assistant", templates.sentences_fewshot))
-    return ChatRequest(
-        messages=tuple(messages),
-        model_name=plan.model_name,
-        temperature=plan.generation_temperature,
-    )
-
-
 def generate_sentences(seeds, plan, templates, gateway, report=None):
-    """One request per seed; global sentence dedup; returns (seed, sentence) pairs."""
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    requests = [_sentence_request(plan, templates, seed) for seed in seeds]
-    tagged = []
-    failures = 0
-    for index, outcome in gateway.complete_batch(requests):
-        if isinstance(outcome, Exception):
-            failures += 1
-            log.warning("sentence generation failed for %r: %s", seeds[index], outcome)
-            continue
-        for sentence in parse_delimited(outcome, ";"):
-            tagged.append((seeds[index], sentence))
+    """One request per seed; global sentence dedup. Returns {"seed", "sentence"}
+    records, each sentence kept under the first seed that produced it."""
+    system = prompts.render(templates.sentences_system, n=plan.sentences_per_seed)
+    requests = [
+        _request(plan, plan.generation_temperature, system, seed,
+                 templates.sentences_fewshot or None)
+        for seed in seeds
+    ]
+    answers = _answers(gateway, requests, "sentence generation", seeds)
+    tagged = [(seeds[index], sentence) for index, response in answers
+              for sentence in parse_delimited(response, ";")]
     if report is not None:
         report.sentences_parsed = len(tagged)
-        report.sentence_failures = failures
+        report.sentence_failures = len(seeds) - len(answers)
     if not tagged:
         raise AllSeedsFailed("no sentences produced by any seed")
-    # Fresh tuples for the kept pairs: when most pairs are duplicates, as on
-    # the mock backend, the originals lie scattered through memory that the
-    # dropped ones free, and keeping them holds all of it (2 MB of peak RSS
+    # Records for the kept pairs only: when most pairs are duplicates, as on
+    # the mock backend, the kept tuples lie scattered through memory that the
+    # dropped ones free, and holding them holds all of it (2 MB of peak RSS
     # on the 1,000-seed generate benchmark).
-    return [(seed, s) for seed, s in dedup(tagged, key=lambda p: normalize(p[1]))]
-
-
-def _translation_request(plan, templates, sentence):
-    system = prompts.render(
-        templates.translation_system,
-        src=plan.source_lang,
-        tgt=plan.target_lang,
-    )
-    return ChatRequest(
-        messages=(ChatMessage("system", system), ChatMessage("user", sentence)),
-        model_name=plan.model_name,
-        temperature=plan.translation_temperature,
-    )
+    return [{"seed": seed, "sentence": sentence}
+            for seed, sentence in dedup(tagged, key=lambda p: normalize(p[1]))]
 
 
 def translate_sentences(sentences, plan, templates, gateway):
-    """One translation call per sentence; failures dropped with a logged count."""
-    if not sentences:
-        raise ValueError("sentences must be non-empty")
-    requests = [_translation_request(plan, templates, s) for _, s in sentences]
-    pairs = []
-    failures = 0
-    for index, outcome in gateway.complete_batch(requests):
-        if isinstance(outcome, Exception):
-            failures += 1
-            log.warning("translation failed for %r: %s", sentences[index][1], outcome)
-            continue
-        seed, source = sentences[index]
-        target = " ".join(str(outcome).split())
-        if not target:
-            failures += 1
-            continue
-        pairs.append(
-            SentencePair(
-                id=f"syn-{index:06d}",
-                source=source,
-                target=target,
-                origin=ORIGIN_SYNTHETIC,
-                seed_word=seed,
-            )
-        )
-    if failures:
-        log.info("dropped %d failed translations", failures)
-    if not pairs:
+    """One translation call per sentence record; failures dropped with a logged
+    count. Returns {"id", "src", "tgt", "seed_word"} records, ids numbering
+    the sentences."""
+    system = prompts.render(templates.translation_system,
+                            src=plan.source_lang, tgt=plan.target_lang)
+    sources = [record["sentence"] for record in sentences]
+    requests = [_request(plan, plan.translation_temperature, system, source)
+                for source in sources]
+    records = []
+    for index, response in _answers(gateway, requests, "translation", sources):
+        target = " ".join(str(response).split())
+        if target:
+            records.append({"id": f"syn-{index:06d}", "src": sources[index],
+                            "tgt": target, "seed_word": sentences[index]["seed"]})
+    if len(records) < len(sentences):
+        log.info("dropped %d failed translations", len(sentences) - len(records))
+    if not records:
         raise AllTranslationsFailed("every translation request failed")
-    return ParallelCorpus(pairs, plan.source_lang, plan.target_lang)
+    return records
 
 
 # ---------------------------------------------------------------------------
 # Checkpointed pipeline
 
+@contextmanager
+def _checkpoint_errors(path):
+    """Turn a ValueError raised in the block into CorpusFormatError naming path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CorpusFormatError(f"{path}: malformed checkpoint: {exc}") from None
+
+
 def _check_records(records, keys):
-    """ValueError unless records lists strings, or objects with strings at keys."""
+    """ValueError unless records is a non-empty list of strings, or of objects
+    with strings at keys. No stage writes an empty list."""
     if not isinstance(records, list):
         raise ValueError("expected a JSON list")
+    if not records:
+        raise ValueError("expected a non-empty JSON list, got []")
     for record in records:
         if keys and not isinstance(record, dict):
             raise ValueError(f"expected a JSON object, got {record!r}")
@@ -218,25 +203,22 @@ def _check_records(records, keys):
                 raise ValueError(f"expected strings, got {value!r} in {record!r}")
 
 
-def _stage(path: Path, produce, to_records, from_records, keys=()):
-    """Load a stage's output from its checkpoint, or produce it and write one.
+def _stage(path: Path, produce, keys=()):
+    """Load a stage's records from its checkpoint, or produce them and write one.
 
     The checkpoint is checked by _check_records(records, keys); a malformed
-    one ends in CorpusFormatError. Returns (output, resumed).
+    one ends in CorpusFormatError. Returns (records, resumed).
     """
     if path.exists():
-        try:
+        with _checkpoint_errors(path):
             with open_text(path) as fh:
                 records = json.load(fh)
             _check_records(records, keys)
-            output = from_records(records)
-        except ValueError as exc:
-            raise CorpusFormatError(f"{path}: malformed checkpoint: {exc}") from None
         log.info("resumed %d records from %s", len(records), path)
-        return output, True
-    output = produce()
-    write_json(path, to_records(output))
-    return output, False
+        return records, True
+    records = produce()
+    write_json(path, records)
+    return records, False
 
 
 def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
@@ -260,43 +242,30 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
     )
     started = time.monotonic()
 
-    seeds, _ = _stage(
-        checkpoints / "seeds.json",
-        lambda: generate_seed_words(plan, templates, gateway),
-        list,
-        list,
-    )
+    seeds, _ = _stage(checkpoints / "seeds.json",
+                      lambda: generate_seed_words(plan, templates, gateway))
     report.seeds_parsed = len(seeds)
 
     sentences, resumed = _stage(
         checkpoints / "sentences.json",
         lambda: generate_sentences(seeds, plan, templates, gateway, report),
-        lambda tagged: [{"seed": seed, "sentence": s} for seed, s in tagged],
-        lambda records: [(r["seed"], r["sentence"]) for r in records],
         keys=("seed", "sentence"),
     )
     report.sentences_deduplicated = len(sentences)
     if resumed:
         report.sentences_parsed = len(sentences)
 
-    corpus, _ = _stage(
-        checkpoints / "translations.json",
+    translations_path = checkpoints / "translations.json"
+    translations, _ = _stage(
+        translations_path,
         lambda: translate_sentences(sentences, plan, templates, gateway),
-        lambda corpus: [
-            {"id": p.id, "src": p.source, "tgt": p.target, "seed_word": p.seed_word}
-            for p in corpus.pairs
-        ],
-        lambda records: ParallelCorpus(
-            [
-                SentencePair(id=r["id"], source=r["src"], target=r["tgt"],
-                             origin=ORIGIN_SYNTHETIC, seed_word=r["seed_word"])
-                for r in records
-            ],
-            plan.source_lang,
-            plan.target_lang,
-        ),
         keys=("id", "src", "tgt", "seed_word"),
     )
+    with _checkpoint_errors(translations_path):
+        pairs = [SentencePair(id=r["id"], source=r["src"], target=r["tgt"],
+                              origin=ORIGIN_SYNTHETIC, seed_word=r["seed_word"])
+                 for r in translations]
+        corpus = ParallelCorpus(pairs, plan.source_lang, plan.target_lang)
     report.sentences_translated = len(corpus)
     report.translation_failures = len(sentences) - len(corpus)
 

@@ -1,9 +1,9 @@
 """Prompt templates for the three generation stages.
 
-Placeholder syntax: {n} (item count), {seed} (seed word), {src}/{tgt}
-(language names), {sentence} (text to translate). Seed words and sentences
-travel as user messages, so system templates normally use only {n}, {src}
-and {tgt}.
+render fills three placeholders: {n} (item count) and {src}/{tgt}
+(language names). Seed words and sentences travel as user messages, so no
+placeholder stands for them; a {seed} or {sentence} in a template is sent
+as written.
 """
 
 import functools

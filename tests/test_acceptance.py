@@ -146,14 +146,17 @@ def test_criterion_4_augmentation_improves_translation():
         assert matrix.get("Nat", "Test") > matrix.get("Synth", "Test")
 
 
-def mock_synthetic_corpus(mock_seed=0):
+def mock_synthetic_lines(mock_seed=0):
+    """Source and target lines of a small corpus from the mock backend."""
     templates = PromptTemplateSet.defaults()
     plan = GenerationPlan(n_nouns=5, n_verbs=5, sentences_per_seed=4)
     gateway = Gateway(MockBackend(templates, mock_seed=mock_seed),
                       max_in_flight=2)
     seeds = generate_seed_words(plan, templates, gateway)
     tagged = generate_sentences(seeds, plan, templates, gateway)
-    return translate_sentences(tagged, plan, templates, gateway)
+    records = translate_sentences(tagged, plan, templates, gateway)
+    return {"source_lines": [r["src"] for r in records],
+            "target_lines": [r["tgt"] for r in records]}
 
 
 def test_criterion_5_overfitting_and_diversity():
@@ -165,10 +168,10 @@ def test_criterion_5_overfitting_and_diversity():
         )
         assert matrix.get("Synth", "Synth-val") > matrix.get("Synth", "Test")
 
-        synthetic = mock_synthetic_corpus()
+        synthetic = mock_synthetic_lines()
         natural = read_jsonl(natural_sample_path(), "de", "en")
         for side in ("source_lines", "target_lines"):
-            syn_ttr = frequency_profile(getattr(synthetic, side)()).ttr
+            syn_ttr = frequency_profile(synthetic[side]).ttr
             nat_ttr = frequency_profile(getattr(natural, side)()).ttr
             assert syn_ttr < nat_ttr, f"{side}: {syn_ttr} !< {nat_ttr}"
 

@@ -144,10 +144,10 @@ class TestHallucinate:
         "plan.generation_temperature=hot", "plan.generation_temperature=-0.5",
         "plan.translation_temperature=.nan", "plan.translation_temperature=-1",
         "plan.model_name=5",
-        "templates.seed_nouns_system=5",
-        "templates.seed_verbs_system=true",
-        "templates.sentences_system=[a]",
-        "templates.translation_system=1.5",
+        "templates.seed_nouns_system=5", "templates.seed_nouns_system=''",
+        "templates.seed_verbs_system=true", "templates.seed_verbs_system=''",
+        "templates.sentences_system=[a]", "templates.sentences_system=''",
+        "templates.translation_system=1.5", "templates.translation_system=''",
         "templates.sentences_fewshot={a: b}",
         "splits.train_token_threshold=true", "splits.train_token_threshold=0",
         "splits.valid_token_threshold=2.5", "splits.valid_token_threshold=0",
@@ -325,14 +325,21 @@ class TestExperiment:
         assert not out.exists()
 
     def test_training_eval_overlap_rejected(self, runner, tmp_path, fixture_paths):
-        out = tmp_path / "results"
-        args = self.experiment_args(fixture_paths, out)
-        args[args.index("--nat-valid") + 1] = str(fixture_paths["nat_train"])
-        result = runner.invoke(main, args)
-        assert result.exit_code == EXIT_CONFIG
-        # refused before anything is written
-        assert not (out / "ttr.csv").exists()
-        assert not (out / "zipf.csv").exists()
+        # no pair id may be in two inputs: train and eval, two training
+        # corpora, or two eval sets
+        for flag, shared in [("--nat-valid", "nat_train"),
+                             ("--syn-train", "nat_train"),
+                             ("--test", "nat_valid")]:
+            out = tmp_path / "results"
+            args = self.experiment_args(fixture_paths, out)
+            args[args.index(flag) + 1] = str(fixture_paths[shared])
+            result = runner.invoke(main, args)
+            assert result.exit_code == EXIT_CONFIG, (flag, result.output)
+            assert isinstance(result.exception, SystemExit), result.exception
+            assert "Traceback" not in result.output
+            assert "config error: input corpora share pair ids: " in result.output
+            # refused before anything is written
+            assert not out.exists()
 
     def test_dead_worker_is_a_clean_error(self, runner, tmp_path, fixture_paths,
                                           monkeypatch):
@@ -470,6 +477,25 @@ class TestMalformedInputs:
         ])
         self.assert_clean_failure(result, f"{path}:2:")
 
+    @pytest.mark.parametrize("command", ["analyze", "sample", "export"])
+    def test_jsonl_repeated_pair_id(self, runner, tmp_path, command):
+        path = tmp_path / "dup.jsonl"
+        path.write_text(
+            '{"id": "a", "src": "x y", "tgt": "u v", "origin": "natural"}\n'
+            '{"id": "b", "src": "x", "tgt": "u", "origin": "natural"}\n'
+            '{"id": "a", "src": "y", "tgt": "v", "origin": "natural"}\n',
+            encoding="utf-8")
+        out = tmp_path / "out"
+        args = {
+            "analyze": ["analyze", "--input", str(path)],
+            "sample": ["sample", "--input", str(path), "--train-tokens", "1",
+                       "--valid-tokens", "1"],
+            "export": ["export", "--input", str(path)],
+        }[command] + ["--src", "de", "--tgt", "en", "--out-dir", str(out)]
+        result = runner.invoke(main, args)
+        self.assert_clean_failure(result, f"{path}:3: pair id 'a' repeats line 1")
+        assert list(tmp_path.glob("out/*")) == []
+
     def test_jsonl_not_utf8(self, runner, tmp_path):
         path = tmp_path / "bad.jsonl"
         good = b'{"id": "0", "src": "a", "tgt": "b", "origin": "natural"}\n'
@@ -545,10 +571,14 @@ class TestMalformedCheckpoints:
     @pytest.mark.parametrize("name, corrupt, message", [
         ("seeds.json", lambda records: "not json", "malformed checkpoint: Expecting"),
         ("seeds.json", lambda records: {"a": 1}, "expected a JSON list"),
+        ("seeds.json", lambda records: [], "expected a non-empty JSON list, got []"),
+        ("sentences.json", lambda records: [],
+         "expected a non-empty JSON list, got []"),
         ("seeds.json", _non_string_seed, "expected strings, got 5"),
         ("sentences.json", _drop_sentence_key, "expected strings, got None"),
         ("translations.json", _empty_source, "must be non-empty"),
-    ], ids=["not-json", "object", "non-string-seed", "no-sentence", "empty-source"])
+    ], ids=["not-json", "object", "empty-seeds", "empty-sentences",
+            "non-string-seed", "no-sentence", "empty-source"])
     def test_resume_from_malformed_checkpoint(self, runner, tmp_path, name,
                                               corrupt, message):
         args = hallucinate_args(tmp_path / "runs")

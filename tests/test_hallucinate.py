@@ -11,6 +11,7 @@ from corpus_forge.errors import CorpusFormatError, InsufficientData, TransportEr
 from corpus_forge.gateway import Gateway, MockBackend
 from corpus_forge.hallucinate import (
     GenerationPlan,
+    PipelineReport,
     generate_seed_words,
     generate_sentences,
     parse_delimited,
@@ -42,18 +43,8 @@ class ScriptedGateway:
     def __init__(self, responses):
         self.responses = list(responses)
 
-    def complete(self, request):
-        return self.responses.pop(0)
-
     def complete_batch(self, requests):
-        out = []
-        for i, _ in enumerate(requests):
-            response = self.responses.pop(0)
-            if isinstance(response, Exception):
-                out.append((i, response))
-            else:
-                out.append((i, response))
-        return out
+        return [(i, self.responses.pop(0)) for i, _ in enumerate(requests)]
 
 
 class TestParsing:
@@ -94,59 +85,72 @@ class TestGenerateSeedWords:
         seeds = generate_seed_words(small_plan(), templates, gateway)
         assert seeds == ["Eule", "fliegen"]
 
+    def test_failed_request_aborts(self, templates):
+        gateway = ScriptedGateway(["Hund, Katze", TransportError("down")])
+        with pytest.raises(TransportError, match="down"):
+            generate_seed_words(small_plan(), templates, gateway)
+
 
 class TestGenerateSentences:
     def test_mock_sentences_single_line(self, templates):
         plan = small_plan()
         seeds = ["Hund", "Katze", "Eule"]
-        pairs = generate_sentences(seeds, plan, templates, mock_gateway(templates))
-        assert 0 < len(pairs) <= 12
-        for seed, sentence in pairs:
-            assert seed in seeds
-            assert "\n" not in sentence
+        records = generate_sentences(seeds, plan, templates, mock_gateway(templates))
+        assert 0 < len(records) <= 12
+        for record in records:
+            assert list(record) == ["seed", "sentence"]
+            assert record["seed"] in seeds
+            assert "\n" not in record["sentence"]
 
     def test_global_dedup_attributes_to_first_seed(self, templates):
         gateway = ScriptedGateway(["Das ist gut.;Anders.", "Das ist gut.;Neu."])
-        pairs = generate_sentences(["s1", "s2"], small_plan(), templates, gateway)
-        sentences = [s for _, s in pairs]
+        records = generate_sentences(["s1", "s2"], small_plan(), templates, gateway)
+        sentences = [r["sentence"] for r in records]
         assert sentences.count("Das ist gut.") == 1
-        assert pairs[0] == ("s1", "Das ist gut.")
+        assert records[0] == {"seed": "s1", "sentence": "Das ist gut."}
 
     def test_partial_failure_skipped(self, templates):
         gateway = ScriptedGateway(
             [TransportError("down"), "Ein Satz.;Noch ein Satz."]
         )
-        pairs = generate_sentences(["s1", "s2"], small_plan(), templates, gateway)
-        assert len(pairs) == 2
-        assert all(seed == "s2" for seed, _ in pairs)
+        report = PipelineReport()
+        records = generate_sentences(["s1", "s2"], small_plan(), templates, gateway,
+                                     report)
+        assert records == [{"seed": "s2", "sentence": "Ein Satz."},
+                           {"seed": "s2", "sentence": "Noch ein Satz."}]
+        assert (report.sentences_parsed, report.sentence_failures) == (2, 1)
 
 
 class TestTranslateSentences:
     def test_mock_lexicon(self, templates):
-        corpus = translate_sentences(
-            [("Eule", "Eine Eule ruft")], small_plan(), templates,
+        records = translate_sentences(
+            [{"seed": "Eule", "sentence": "Eine Eule ruft"}], small_plan(), templates,
             mock_gateway(templates),
         )
-        pair = corpus.pairs[0]
-        assert pair.source == "Eine Eule ruft"
-        assert pair.target == "An owl calls"
+        assert records == [{"id": "syn-000000", "src": "Eine Eule ruft",
+                             "tgt": "An owl calls", "seed_word": "Eule"}]
 
     def test_failures_dropped(self, templates):
         responses = ["ok one"] * 4 + [TransportError("down")] + ["ok two"] * 5
         gateway = ScriptedGateway(responses)
-        sentences = [("s", f"Satz nummer {i}") for i in range(10)]
-        corpus = translate_sentences(sentences, small_plan(), templates, gateway)
-        assert len(corpus) == 9
+        sentences = [{"seed": "s", "sentence": f"Satz nummer {i}"} for i in range(10)]
+        records = translate_sentences(sentences, small_plan(), templates, gateway)
+        assert [r["id"] for r in records] == [
+            f"syn-{i:06d}" for i in range(10) if i != 4]
 
-    def test_provenance(self, templates):
-        plan = small_plan()
-        seeds = generate_seed_words(plan, templates, mock_gateway(templates))
-        tagged = generate_sentences(seeds, plan, templates, mock_gateway(templates))
-        corpus = translate_sentences(tagged, plan, templates,
-                                     mock_gateway(templates))
-        for pair in corpus.pairs:
-            assert pair.origin == "synthetic"
-            assert pair.seed_word in seeds
+    def test_provenance(self, tmp_path):
+        run_dir, splits, _ = run_once(tmp_path, "a")
+        checkpoints = run_dir / "checkpoints"
+        seeds = json.loads((checkpoints / "seeds.json").read_text(encoding="utf-8"))
+        translations = {
+            r["id"]: r for r in json.loads(
+                (checkpoints / "translations.json").read_text(encoding="utf-8"))
+        }
+        assert all(r["seed_word"] in seeds for r in translations.values())
+        for split in splits.values():
+            for pair in split.pairs:
+                assert pair.origin == "synthetic"
+                assert pair.seed_word == translations[pair.id]["seed_word"]
 
 
 class CountingBackend:
@@ -214,9 +218,6 @@ class TestRunPipeline:
         run_dir, _, _ = run_once(tmp_path, "a")
 
         class Exploding:
-            def complete(self, request):
-                raise AssertionError("resumed run must not call the backend")
-
             def complete_batch(self, requests):
                 raise AssertionError("resumed run must not call the backend")
 
