@@ -324,16 +324,21 @@ def analyze(input_paths, source_lang, target_lang, out_dir):
 @click.option("--out-dir", required=True, type=click.Path())
 @mapped_errors
 def export(input_paths, source_lang, target_lang, out_dir):
-    """Write line-aligned text pairs plus reference training metadata."""
+    """Write line-aligned text pairs plus reference training metadata.
+
+    Every input is read and checked before anything is written.
+    """
     by_stem = _by_stem(input_paths)
+    corpora = {}
+    for stem, path in by_stem.items():
+        corpora[stem] = read_jsonl(path, source_lang, target_lang)
+        if len(corpora[stem]) == 0:
+            raise ConfigError(f"refusing to export empty corpus: {path}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for stem, path in by_stem.items():
-        corpus = read_jsonl(path, source_lang, target_lang)
-        if len(corpus) == 0:
-            raise ConfigError(f"refusing to export empty corpus: {path}")
+    for stem, corpus in corpora.items():
         write_plain_pair(corpus, out / stem)
-        click.echo(f"exported {path} ({len(corpus)} pairs)")
+        click.echo(f"exported {by_stem[stem]} ({len(corpus)} pairs)")
     write_json(out / "reference_transformer.json", REFERENCE_TRANSFORMER)
 
 

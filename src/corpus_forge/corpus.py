@@ -33,16 +33,22 @@ class SentencePair:
         if self.origin not in (ORIGIN_NATURAL, ORIGIN_SYNTHETIC):
             raise ValueError(f"bad origin: {self.origin!r}")
         for side in (self.source, self.target):
-            if not isinstance(side, str):
-                raise ValueError(f"source/target must be strings, got {side!r}")
-            if not side.strip():
-                raise ValueError("source/target must be non-empty after trimming")
-            if "\n" in side or "\r" in side:
-                raise ValueError("source/target must be single-line")
+            check_line(side, "source/target")
         if self.origin == ORIGIN_SYNTHETIC and self.seed_word is None:
             raise ValueError("synthetic pairs must carry a seed_word")
         if self.origin == ORIGIN_NATURAL and self.seed_word is not None:
             raise ValueError("natural pairs must not carry a seed_word")
+
+
+def check_line(text, what: str) -> None:
+    """ValueError unless text is a string that is non-empty after trimming and
+    holds no line break, as every sentence of a corpus must be."""
+    if not isinstance(text, str):
+        raise ValueError(f"{what} must be strings, got {text!r}")
+    if not text.strip():
+        raise ValueError(f"{what} must be non-empty after trimming")
+    if "\n" in text or "\r" in text:
+        raise ValueError(f"{what} must be single-line")
 
 
 @dataclass
@@ -172,10 +178,41 @@ def open_atomic(path):
         raise
 
 
+# the string encoder json.dumps uses when ensure_ascii is off
+_encode_str = json.encoder.encode_basestring
+
+
+def _is_flat_record(record) -> bool:
+    """A string, or a non-empty object whose keys and values are strings."""
+    if isinstance(record, str):
+        return True
+    return (isinstance(record, dict) and bool(record)
+            and all(isinstance(k, str) and isinstance(v, str)
+                    for k, v in record.items()))
+
+
 def write_json(path, payload) -> None:
-    """Write payload as indented UTF-8 JSON, atomically, with a final newline."""
+    """Write payload as indented UTF-8 JSON, atomically, with a final newline.
+
+    The bytes are json.dumps(payload, ensure_ascii=False, indent=2) + "\\n".
+    A non-empty list of flat records, as every checkpoint is, is written one
+    record at a time, without the pure-Python encoder that indent selects.
+    """
     with open_atomic(path) as fh:
-        fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+        if not (isinstance(payload, list) and payload
+                and all(map(_is_flat_record, payload))):
+            fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+            return
+        separator = "[\n  "
+        for record in payload:
+            if isinstance(record, str):
+                fh.write(separator + _encode_str(record))
+            else:
+                fields = ",\n    ".join([_encode_str(k) + ": " + _encode_str(v)
+                                         for k, v in record.items()])
+                fh.write(separator + "{\n    " + fields + "\n  }")
+            separator = ",\n  "
+        fh.write("\n]\n")
 
 
 def write_jsonl(corpus: ParallelCorpus, path) -> None:

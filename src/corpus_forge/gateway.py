@@ -247,9 +247,10 @@ class MockBackend:
         return ", ".join(picked)
 
     def _sentences(self, seed: str, n: int) -> str:
-        templates = mockdata.SENTENCE_TEMPLATES
-        rendered = [templates[i % len(templates)].format(seed=seed) for i in range(n)]
-        return ";".join(rendered) + ";"
+        rendered = [t.format(seed=seed) for t in mockdata.SENTENCE_TEMPLATES]
+        # the templates in turn, n sentences in all
+        full, rest = divmod(n, len(rendered))
+        return ";".join(rendered * full + rendered[:rest]) + ";"
 
 
 class Gateway:

@@ -21,6 +21,7 @@ from .corpus import (
     ParallelCorpus,
     SentencePair,
     SplitSpec,
+    check_line,
     dedup,
     make_splits,
     normalize,
@@ -69,22 +70,33 @@ class PipelineReport:
     insufficient_data: bool = False
 
 
-def _clean_item(item: str) -> str:
-    item = _NUMBERED_PREFIX.sub("", item)
-    return " ".join(item.split())
+def _clean_items(pieces):
+    """The non-empty pieces, trimmed of spaces and of a numbered-list prefix.
+
+    Each piece holds no whitespace but single spaces.
+    """
+    items = []
+    for piece in pieces:
+        item = piece.strip(" ")
+        # isdigit() holds for every character \d matches
+        if item[:1].isdigit():
+            item = _NUMBERED_PREFIX.sub("", item)
+        if item:
+            items.append(item)
+    return items
 
 
 def parse_delimited(text: str, delimiter: str):
     """Split a response on its delimiter, trimming items and dropping empties.
 
-    Falls back to splitting on line breaks when the delimiter yields fewer
-    than two items (chat models sometimes ignore formatting instructions).
+    Whitespace runs become one space and a leading "N." / "N)" / "N:" is
+    dropped. Falls back to splitting on line breaks when the delimiter yields
+    fewer than two items (chat models sometimes ignore formatting
+    instructions). The delimiter holds no whitespace.
     """
-    items = [_clean_item(piece) for piece in text.split(delimiter)]
-    items = [i for i in items if i]
+    items = _clean_items(" ".join(text.split()).split(delimiter))
     if len(items) < 2:
-        by_line = [_clean_item(piece) for piece in text.splitlines()]
-        by_line = [i for i in by_line if i]
+        by_line = _clean_items(" ".join(line.split()) for line in text.splitlines())
         if len(by_line) > len(items):
             items = by_line
     return items
@@ -139,19 +151,27 @@ def generate_sentences(seeds, plan, templates, gateway, report=None):
         for seed in seeds
     ]
     answers = _answers(gateway, requests, "sentence generation", seeds)
-    tagged = [(seeds[index], sentence) for index, response in answers
-              for sentence in parse_delimited(response, ";")]
+    # each distinct sentence once, under the first seed that produced it: the
+    # mock, like the chat models it stands in for, repeats itself heavily
+    first_seed = {}
+    parsed = 0
+    for index, response in answers:
+        seed = seeds[index]
+        sentences = parse_delimited(response, ";")
+        parsed += len(sentences)
+        for sentence in sentences:
+            if sentence not in first_seed:
+                first_seed[sentence] = seed
     if report is not None:
-        report.sentences_parsed = len(tagged)
+        report.sentences_parsed = parsed
         report.sentence_failures = len(seeds) - len(answers)
-    if not tagged:
+    if not first_seed:
         raise AllSeedsFailed("no sentences produced by any seed")
-    # Records for the kept pairs only: when most pairs are duplicates, as on
-    # the mock backend, the kept tuples lie scattered through memory that the
-    # dropped ones free, and holding them holds all of it (2 MB of peak RSS
-    # on the 1,000-seed generate benchmark).
+    # equal text gives an equal key, so this keeps what deduplicating every
+    # parsed sentence would
     return [{"seed": seed, "sentence": sentence}
-            for seed, sentence in dedup(tagged, key=lambda p: normalize(p[1]))]
+            for sentence, seed in dedup(first_seed.items(),
+                                        key=lambda p: normalize(p[0]))]
 
 
 def translate_sentences(sentences, plan, templates, gateway):
@@ -189,8 +209,9 @@ def _checkpoint_errors(path):
 
 
 def _check_records(records, keys):
-    """ValueError unless records is a non-empty list of strings, or of objects
-    with strings at keys. No stage writes an empty list."""
+    """ValueError unless records is a non-empty list of lines, or of objects
+    with lines at keys, a line being what check_line accepts. No stage writes
+    an empty list, a blank string or a line break."""
     if not isinstance(records, list):
         raise ValueError("expected a JSON list")
     if not records:
@@ -198,9 +219,11 @@ def _check_records(records, keys):
     for record in records:
         if keys and not isinstance(record, dict):
             raise ValueError(f"expected a JSON object, got {record!r}")
-        for value in [record.get(k) for k in keys] if keys else [record]:
+        for key in keys or (None,):
+            value = record if key is None else record.get(key)
             if not isinstance(value, str):
                 raise ValueError(f"expected strings, got {value!r} in {record!r}")
+            check_line(value, repr(record) if key is None else f"{key} in {record!r}")
 
 
 def _stage(path: Path, produce, keys=()):

@@ -402,6 +402,24 @@ class TestExport:
         assert f"inputs {paths[0]} and {paths[1]} share a file stem" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, exit_code", [
+        ('{"id": "a", "src": "x", "tgt": "u", "origin": "natural"}\n' * 2, 1),
+        ("", EXIT_CONFIG),
+    ], ids=["repeated-id", "empty"])
+    def test_bad_later_input_writes_nothing(self, runner, tmp_path, fixture_paths,
+                                            bad, exit_code):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(bad, encoding="utf-8")
+        out = tmp_path / "export"
+        result = runner.invoke(main, [
+            "export", "--input", str(fixture_paths["nat_train"]),
+            "--input", str(path), "--src", "de", "--tgt", "en",
+            "--out-dir", str(out),
+        ])
+        assert result.exit_code == exit_code, result.output
+        assert str(path) in result.output
+        assert not out.exists()
+
     def test_empty_corpus_refused(self, runner, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -494,7 +512,7 @@ class TestMalformedInputs:
         }[command] + ["--src", "de", "--tgt", "en", "--out-dir", str(out)]
         result = runner.invoke(main, args)
         self.assert_clean_failure(result, f"{path}:3: pair id 'a' repeats line 1")
-        assert list(tmp_path.glob("out/*")) == []
+        assert not out.exists()
 
     def test_jsonl_not_utf8(self, runner, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -565,6 +583,11 @@ def _empty_source(records):
     return records
 
 
+def _two_line_sentence(records):
+    records[0]["sentence"] = "Eine Eule\nruft"
+    return records
+
+
 class TestMalformedCheckpoints:
     """A malformed checkpoint ends in an error naming it: exit 1, no traceback."""
 
@@ -577,8 +600,9 @@ class TestMalformedCheckpoints:
         ("seeds.json", _non_string_seed, "expected strings, got 5"),
         ("sentences.json", _drop_sentence_key, "expected strings, got None"),
         ("translations.json", _empty_source, "must be non-empty"),
+        ("sentences.json", _two_line_sentence, "must be single-line"),
     ], ids=["not-json", "object", "empty-seeds", "empty-sentences",
-            "non-string-seed", "no-sentence", "empty-source"])
+            "non-string-seed", "no-sentence", "empty-source", "two-line-sentence"])
     def test_resume_from_malformed_checkpoint(self, runner, tmp_path, name,
                                               corrupt, message):
         args = hallucinate_args(tmp_path / "runs")

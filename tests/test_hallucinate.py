@@ -1,3 +1,4 @@
+import hashlib
 import json
 import threading
 from collections import Counter
@@ -313,3 +314,61 @@ class TestRunPipeline:
         path.write_text('{"a": 1}', encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="seeds.json: malformed"):
             run_once(tmp_path, "a")
+
+    @pytest.mark.parametrize("sentence", ["Eine Eule\nruft", "Eine Eule\rruft", "  "])
+    def test_bad_sentence_checkpoint_fails_before_translating(self, tmp_path,
+                                                               sentence):
+        run_dir, _, _ = run_once(tmp_path, "a")
+        checkpoints = run_dir / "checkpoints"
+        path = checkpoints / "sentences.json"
+        records = json.loads(path.read_text(encoding="utf-8"))
+        records[1]["sentence"] = sentence
+        path.write_text(json.dumps(records), encoding="utf-8")
+        (checkpoints / "translations.json").unlink()
+
+        templates = PromptTemplateSet.defaults()
+        backend = CountingBackend(MockBackend(templates, mock_seed=0), templates)
+        spec = SplitSpec(train_token_threshold=60, valid_token_threshold=20,
+                         rng_seed=0)
+        with pytest.raises(CorpusFormatError,
+                           match=r"sentences\.json: malformed checkpoint: sentence in"):
+            run_pipeline(small_plan(), templates, Gateway(backend), spec, run_dir,
+                         mock_seed=0)
+        assert not backend.calls
+        assert not (checkpoints / "translations.json").exists()
+
+
+# sha256 of each file of a 40-seed mock run, as the code wrote them before
+# response parsing, sentence dedup, the mock's sentences and the checkpoint
+# writer were made to work once per distinct sentence
+GOLDEN = {
+    "checkpoints/seeds.json":
+        "276f544d94407bb05d6a5556432108648cabcd9bf66a8f5932adee2e46f50f68",
+    "checkpoints/sentences.json":
+        "5c1d06784288833508cd9962cc3a3108a15b17853676f956669231861c623095",
+    "checkpoints/translations.json":
+        "53ef0927d28c9ee9dc8ad43948381f5369fd3c7d27f48dd98d1f56f4105c9b59",
+    "corpora/train.jsonl":
+        "7f661b50a81762d4fdde56d2adf0fff1f084b93a2c2702f0ef0807e9192b486c",
+    "corpora/valid.jsonl":
+        "1887f1adcf7aed63ff94b0b52c600d5247c80754ea65ed968a0eb9ddd3e8054a",
+    "reports/report.json":
+        "fcd826f34b42d06512779ca47a08731470a522fda661114b7ac5a25fa6088398",
+}
+
+
+def test_golden_digests(tmp_path):
+    """A mock run whose sentence responses repeat each sentence twice writes
+    the same bytes as ever."""
+    templates = PromptTemplateSet.defaults()
+    plan = GenerationPlan(n_nouns=20, n_verbs=20, sentences_per_seed=12)
+    spec = SplitSpec(train_token_threshold=600, valid_token_threshold=200,
+                     rng_seed=3)
+    run_dir = tmp_path / "run"
+    _, report = run_pipeline(plan, templates, mock_gateway(templates, mock_seed=7),
+                             spec, run_dir, mock_seed=7)
+    assert (report.seeds_parsed, report.sentences_parsed,
+            report.sentences_deduplicated) == (40, 480, 240)
+    digests = {name: hashlib.sha256(data).hexdigest()
+               for name, data in dir_snapshot(run_dir).items()}
+    assert digests == GOLDEN
