@@ -186,6 +186,8 @@ def load_model(path):
             raise CorpusFormatError(
                 f"{path}: BPE vocabulary size {header[1]!r} is not an integer"
             ) from None
+        if target < 1:
+            raise CorpusFormatError(f"{path}: BPE vocabulary size {target} is below 1")
         merges = []
         for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")

@@ -156,7 +156,7 @@ def sample(input_path, source_lang, target_lang, train_tokens, valid_tokens,
               type=click.Path(exists=True), help="Training corpora (JSON lines).")
 @click.option("--src", "source_lang", required=True)
 @click.option("--tgt", "target_lang", required=True)
-@click.option("--vocab-size", type=int, default=16_000)
+@click.option("--vocab-size", type=click.IntRange(min=1), default=16_000)
 @click.option("--out", "model_path", required=True, type=click.Path())
 @mapped_errors
 def bpe_train(input_paths, source_lang, target_lang, vocab_size, model_path):

@@ -3,14 +3,13 @@
 A setting's type is the annotation of its dataclass field, and its lower
 bound, if it has one, is in BOUNDS; _settings checks both for every setting.
 Secrets never live in the config file; the API key is read from the
-environment variable named by http.api_key_source.
+environment variable named by http.api_key_source. yaml is imported only
+when there is a file or an override to parse.
 """
 
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import yaml
 
 from .corpus import SplitSpec
 from .errors import ConfigError
@@ -122,13 +121,20 @@ def apply_overrides(raw: dict, overrides) -> dict:
             target = target.setdefault(part, {})
             if not isinstance(target, dict):
                 raise ConfigError(f"cannot override through scalar at {part!r}")
-        target[parts[-1]] = yaml.safe_load(value)
+        import yaml
+
+        try:
+            target[parts[-1]] = yaml.safe_load(value)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"override {key} is not valid YAML: {exc}") from exc
     return raw
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
     raw = {}
     if path is not None:
+        import yaml
+
         try:
             raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
         except FileNotFoundError as exc:

@@ -3,11 +3,12 @@
 Wire shape is the standard chat-completions JSON: POST with
 {"model", "messages", "temperature", "max_tokens"}; the assistant text is
 read from choices[0].message.content.
+
+Only the HTTP backend needs requests (and with it urllib3 and ssl), so it
+is imported where that backend is built and posts: a process that never
+calls an HTTP endpoint never loads it.
 """
 
-import datetime
-import email.utils
-import hashlib
 import logging
 import math
 import os
@@ -15,8 +16,6 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-
-import requests
 
 from . import mockdata, prompts
 from .errors import (
@@ -112,6 +111,8 @@ class HttpBackend:
             raise ConfigError(
                 f"environment variable {config.api_key_source} is not set"
             )
+        import requests
+
         self._session = session or requests.Session()
         self._headers = {
             "Authorization": f"Bearer {api_key}",
@@ -146,6 +147,8 @@ class HttpBackend:
         raise last_error
 
     def _post(self, body) -> str:
+        import requests
+
         try:
             response = self._session.post(
                 self.config.endpoint_url,
@@ -186,6 +189,9 @@ def _retry_after_seconds(value):
     try:
         seconds = float(value)
     except ValueError:
+        import datetime
+        import email.utils
+
         try:
             when = email.utils.parsedate_to_datetime(value)
         except (ValueError, OverflowError):  # no date, or fields out of range
@@ -210,6 +216,8 @@ class MockBackend:
         self.mock_seed = mock_seed
 
     def _rng(self, request: ChatRequest) -> random.Random:
+        import hashlib
+
         digest = hashlib.sha256()
         digest.update(str(self.mock_seed).encode())
         for message in request.messages:

@@ -114,6 +114,14 @@ class TestSerialization:
         with pytest.raises(CorpusFormatError):
             bpe.load_model(path)
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_vocab_size_below_one_rejected(self, tmp_path, size):
+        path = tmp_path / "bad.bpe"
+        path.write_text(f"bpe-v1 {size}\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as caught:
+            bpe.load_model(path)
+        assert str(path) in str(caught.value)
+
 
 ALPHABETS = ("ab", "aab", "lowenstid")
 

@@ -184,6 +184,18 @@ class TestHallucinate:
         assert message in result.output
         assert not run_root.exists()
 
+    def test_config_file_not_valid_yaml(self, runner, tmp_path):
+        config = tmp_path / "run.yaml"
+        config.write_text("em: [\n", encoding="utf-8")
+        run_root = tmp_path / "runs"
+        result = runner.invoke(main, hallucinate_args(
+            run_root, extra=["--config", str(config)]))
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert "config error: config file is not valid YAML" in result.output
+        assert not run_root.exists()
+
     def test_insufficient_data_exit_code(self, runner, tmp_path):
         args = hallucinate_args(
             tmp_path / "runs",
@@ -261,6 +273,20 @@ class TestBpeCommands:
         encoded = text_out.read_text(encoding="utf-8").strip()
         assert encoded.replace("@@ ", "") == "quell1 quell2"
 
+    @pytest.mark.parametrize("vocab_size", ["0", "-3"])
+    def test_vocab_size_below_one_is_a_usage_error(self, runner, tmp_path,
+                                                   fixture_paths, vocab_size):
+        model_path = tmp_path / "model.bpe"
+        result = runner.invoke(main, [
+            "bpe-train", "--input", str(fixture_paths["nat_train"]),
+            "--src", "de", "--tgt", "en",
+            "--vocab-size", vocab_size, "--out", str(model_path),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Invalid value for '--vocab-size'" in result.output
+        assert not model_path.exists()
+
 
 class TestExperiment:
     def experiment_args(self, fixture_paths, out_dir, extra=()):
@@ -299,6 +325,7 @@ class TestExperiment:
         ("em.iterations=2.7", "em.iterations must be an integer, got 2.7"),
         ("em.iterations=true", "em.iterations must be an integer, got True"),
         ("em.iterations='3'", "em.iterations must be an integer, got '3'"),
+        ("em.iterations=[", "config error: override em.iterations is not valid YAML"),
     ])
     def test_malformed_config_is_a_config_error(self, runner, tmp_path,
                                                 fixture_paths, setting, message):

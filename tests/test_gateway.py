@@ -1,5 +1,6 @@
 import email.utils
 import json
+import socket
 import threading
 import time
 
@@ -348,6 +349,20 @@ class TestHttpBackend:
     def test_malformed_body_is_protocol_error(self, api_key_env):
         backend, _ = self.make([FakeResponse(200, {"unexpected": True})])
         with pytest.raises(ProtocolError):
+            backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
+
+    def test_default_session_maps_a_refused_connection(self, api_key_env,
+                                                       monkeypatch):
+        # a proxy from the environment would take the request elsewhere
+        monkeypatch.setenv("NO_PROXY", "*")
+        monkeypatch.setenv("no_proxy", "*")
+        with socket.socket() as probe:  # a loopback port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        config = BackendConfig(endpoint_url=f"http://127.0.0.1:{port}/v1",
+                               max_retries=1, backoff_base=0.001, timeout=5)
+        backend = HttpBackend(config)
+        with pytest.raises(TransportError):
             backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
 
 
