@@ -42,7 +42,6 @@ class BpeModel:
     merges: list  # ordered (left, right) symbol pairs; not mutated once built
     vocab: Counter  # symbol -> frequency over the training corpus
     target_vocab_size: int
-    continuation_marker: str = MARKER
     _ranks: dict = field(init=False, repr=False, compare=False)
     _cache: dict = field(init=False, repr=False, compare=False)
 
@@ -149,7 +148,7 @@ def _encode_word(model, word):
         symbols = _merge_word(symbols, best_pair, best_pair[0] + best_pair[1])
         last = best_rank
     pieces = [s.removesuffix(BOUNDARY) for s in symbols]
-    return tuple(p + model.continuation_marker for p in pieces[:-1]) + (pieces[-1],)
+    return tuple(p + MARKER for p in pieces[:-1]) + (pieces[-1],)
 
 
 def encode(model, text):

@@ -40,6 +40,11 @@ EXIT_CONFIG = 3
 EXIT_TRANSPORT = 4
 EXIT_INSUFFICIENT_DATA = 5
 
+# a directory given for a file, or a file for --out-dir, is a usage error
+IN_FILE = click.Path(exists=True, dir_okay=False)
+FILE = click.Path(dir_okay=False)  # --config, or a file to write
+DIR = click.Path(file_okay=False, path_type=Path)
+
 # reference transformer setup from the original experiments, exported as
 # metadata so external NMT toolkits can replicate the full-scale training
 REFERENCE_TRANSFORMER = {
@@ -75,7 +80,7 @@ def mapped_errors(fn):
 
 
 def config_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
+    fn = click.option("--config", "config_path", type=FILE, default=None,
                       help="YAML run configuration.")(fn)
     fn = click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
                       help="Override a config key (dotted path).")(fn)
@@ -112,6 +117,12 @@ def hallucinate(config_path, overrides, backend, run_id):
     if run_id is None:
         run_id = f"run-s{cfg.rng_seed}-m{cfg.mock_seed}"
     run_dir = Path(cfg.paths.run_root) / run_id
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"paths.run_root: cannot create run directory {run_dir}: {exc.strerror}"
+        ) from None
     click.echo(f"run directory: {run_dir}")
     click.echo(f"seeds: rng_seed={cfg.rng_seed} mock_seed={cfg.mock_seed}")
     splits, _ = run_pipeline(
@@ -123,17 +134,17 @@ def hallucinate(config_path, overrides, backend, run_id):
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
+@click.option("--input", "input_path", required=True, type=IN_FILE)
 @click.option("--src", "source_lang", required=True)
 @click.option("--tgt", "target_lang", required=True)
 @click.option("--train-tokens", type=click.IntRange(min=1), required=True)
 @click.option("--valid-tokens", type=click.IntRange(min=1), required=True)
 @click.option("--test-tokens", type=click.IntRange(min=1), default=None)
 @click.option("--rng-seed", type=int, default=0)
-@click.option("--out-dir", required=True, type=click.Path())
+@click.option("--out-dir", "out", required=True, type=DIR)
 @mapped_errors
 def sample(input_path, source_lang, target_lang, train_tokens, valid_tokens,
-           test_tokens, rng_seed, out_dir):
+           test_tokens, rng_seed, out):
     """Sample train/valid(/test) splits from a JSON-lines corpus."""
     corpus = read_jsonl(input_path, source_lang, target_lang)
     spec = SplitSpec(
@@ -143,7 +154,6 @@ def sample(input_path, source_lang, target_lang, train_tokens, valid_tokens,
         rng_seed=rng_seed,
     )
     splits = make_splits(corpus, spec)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, split in splits.items():
         write_jsonl(split, out / f"{name}.jsonl")
@@ -153,11 +163,11 @@ def sample(input_path, source_lang, target_lang, train_tokens, valid_tokens,
 
 @main.command("bpe-train")
 @click.option("--input", "input_paths", multiple=True, required=True,
-              type=click.Path(exists=True), help="Training corpora (JSON lines).")
+              type=IN_FILE, help="Training corpora (JSON lines).")
 @click.option("--src", "source_lang", required=True)
 @click.option("--tgt", "target_lang", required=True)
 @click.option("--vocab-size", type=click.IntRange(min=1), default=16_000)
-@click.option("--out", "model_path", required=True, type=click.Path())
+@click.option("--out", "model_path", required=True, type=FILE)
 @mapped_errors
 def bpe_train(input_paths, source_lang, target_lang, vocab_size, model_path):
     """Train a joint source-target BPE model on training corpora."""
@@ -171,9 +181,9 @@ def bpe_train(input_paths, source_lang, target_lang, vocab_size, model_path):
 
 
 @main.command("bpe-apply")
-@click.option("--model", "model_path", required=True, type=click.Path(exists=True))
-@click.option("--input", "input_path", required=True, type=click.Path(exists=True))
-@click.option("--output", "output_path", required=True, type=click.Path())
+@click.option("--model", "model_path", required=True, type=IN_FILE)
+@click.option("--input", "input_path", required=True, type=IN_FILE)
+@click.option("--output", "output_path", required=True, type=FILE)
 @mapped_errors
 def bpe_apply(model_path, input_path, output_path):
     """Encode a plain-text file line by line with a trained BPE model.
@@ -239,17 +249,17 @@ def _write_analysis(corpora_by_label, out_dir):
 
 @main.command()
 @config_options
-@click.option("--nat-train", required=True, type=click.Path(exists=True))
-@click.option("--syn-train", required=True, type=click.Path(exists=True))
-@click.option("--nat-valid", required=True, type=click.Path(exists=True))
-@click.option("--syn-valid", default=None, type=click.Path(exists=True))
-@click.option("--test", "test_path", required=True, type=click.Path(exists=True))
+@click.option("--nat-train", required=True, type=IN_FILE)
+@click.option("--syn-train", required=True, type=IN_FILE)
+@click.option("--nat-valid", required=True, type=IN_FILE)
+@click.option("--syn-valid", default=None, type=IN_FILE)
+@click.option("--test", "test_path", required=True, type=IN_FILE)
 @click.option("--src", "source_lang", required=True)
 @click.option("--tgt", "target_lang", required=True)
-@click.option("--out-dir", required=True, type=click.Path())
+@click.option("--out-dir", "out", required=True, type=DIR)
 @mapped_errors
 def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_valid,
-               test_path, source_lang, target_lang, out_dir):
+               test_path, source_lang, target_lang, out):
     """Train Nat/Synth/Aug baselines, cross-evaluate, and profile diversity."""
     cfg = load_config(config_path, overrides)
     load = lambda p: read_jsonl(p, source_lang, target_lang)
@@ -262,7 +272,6 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
     if syn_valid:
         corpora["syn-valid"] = load(syn_valid)
 
-    out = Path(out_dir)
     # run_experiment refuses overlapping corpora and returns once every fit
     # has; nothing is written before it
     fits, matrix = em.run_experiment(
@@ -300,30 +309,29 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
 
 @main.command()
 @click.option("--input", "input_paths", multiple=True, required=True,
-              type=click.Path(exists=True))
+              type=IN_FILE)
 @click.option("--src", "source_lang", required=True)
 @click.option("--tgt", "target_lang", required=True)
-@click.option("--out-dir", required=True, type=click.Path())
+@click.option("--out-dir", "out", required=True, type=DIR)
 @mapped_errors
-def analyze(input_paths, source_lang, target_lang, out_dir):
+def analyze(input_paths, source_lang, target_lang, out):
     """Emit TTR and rank-frequency statistics for one or more corpora."""
     corpora = {
         stem: read_jsonl(p, source_lang, target_lang)
         for stem, p in _by_stem(input_paths).items()
     }
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_analysis(corpora, out)
 
 
 @main.command()
 @click.option("--input", "input_paths", multiple=True, required=True,
-              type=click.Path(exists=True), help="JSON-lines corpora.")
+              type=IN_FILE, help="JSON-lines corpora.")
 @click.option("--src", "source_lang", required=True)
 @click.option("--tgt", "target_lang", required=True)
-@click.option("--out-dir", required=True, type=click.Path())
+@click.option("--out-dir", "out", required=True, type=DIR)
 @mapped_errors
-def export(input_paths, source_lang, target_lang, out_dir):
+def export(input_paths, source_lang, target_lang, out):
     """Write line-aligned text pairs plus reference training metadata.
 
     Every input is read and checked before anything is written.
@@ -334,7 +342,6 @@ def export(input_paths, source_lang, target_lang, out_dir):
         corpora[stem] = read_jsonl(path, source_lang, target_lang)
         if len(corpora[stem]) == 0:
             raise ConfigError(f"refusing to export empty corpus: {path}")
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for stem, corpus in corpora.items():
         write_plain_pair(corpus, out / stem)

@@ -21,17 +21,9 @@ NULL_TOKEN = "<null>"
 @dataclass
 class LexiconModel:
     t: dict  # source word -> {target word: probability}
-    source_vocab: set
-    target_vocab: set
-    null_token: str = NULL_TOKEN
-    iterations_run: int = 0
-    final_log_likelihood: float = float("-inf")
-    log_likelihoods: list = field(default_factory=list)  # one per iteration
+    log_likelihoods: list  # one per iteration
     # source word -> best_target's answer, filled as words are decoded
     _best: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def translate(self, source_lines):
-        return translate(self, source_lines)
 
 
 def _cells(bitext):
@@ -84,13 +76,11 @@ def train_em(corpus, iterations: int) -> LexiconModel:
         raise ValueError("iterations must be >= 1")
 
     bitext = [(tokenize(p.source), tokenize(p.target)) for p in corpus.pairs]
-    target_vocab = {e for _, tgt in bitext for e in tgt}
+    n_targets = len({e for _, tgt in bitext for e in tgt}) + 1  # + the null target
     rows, spans, segments = _cells(bitext)
     del bitext  # the token lists are not needed past this point
     n_cells = spans[-1][1]
-
-    uniform = 1.0 / (len(target_vocab) + 1)  # +1 for the null target
-    t = [uniform] * n_cells
+    t = [1.0 / n_targets] * n_cells
 
     sizes = [len(cells) for cells in segments]
     log = math.log
@@ -112,14 +102,7 @@ def train_em(corpus, iterations: int) -> LexiconModel:
     for row in rows.values():  # cell ids become probabilities in place
         for e, c in row.items():
             row[e] = t[c]
-    return LexiconModel(
-        t=rows,
-        source_vocab=set(rows),
-        target_vocab=target_vocab,
-        iterations_run=iterations,
-        final_log_likelihood=log_likelihoods[-1],
-        log_likelihoods=log_likelihoods,
-    )
+    return LexiconModel(rows, log_likelihoods)
 
 
 def best_target(model: LexiconModel, f: str):
@@ -134,7 +117,7 @@ def best_target(model: LexiconModel, f: str):
     if f not in cache:
         dist = model.t.get(f)
         cache[f] = (
-            min(dist, key=lambda e: (-dist[e], e == model.null_token, e))
+            min(dist, key=lambda e: (-dist[e], e == NULL_TOKEN, e))
             if dist else None
         )
     return cache[f]
@@ -149,7 +132,7 @@ def translate(model: LexiconModel, source_lines):
             e = best_target(model, f)
             if e is None:
                 words.append(f)  # out-of-vocabulary: copy through
-            elif e != model.null_token:
+            elif e != NULL_TOKEN:
                 words.append(e)
         out.append(" ".join(words))
     return out
@@ -169,7 +152,7 @@ def _fit(label, corpus, iterations, eval_sets):
     Returns (Fit, the model's one-row EvalMatrix).
     """
     model = train_em(corpus, iterations)
-    row = cross_evaluate({label: model.translate}, eval_sets)
+    row = cross_evaluate({label: lambda lines: translate(model, lines)}, eval_sets)
     return Fit(lexicon_text(model), model.log_likelihoods), row
 
 
@@ -221,7 +204,8 @@ def run_experiment(
         shared |= seen & ids
         seen |= ids
     if shared:
-        raise ConfigError(f"input corpora share pair ids: {sorted(shared)[:5]}...")
+        more = "..." if len(shared) > 5 else ""
+        raise ConfigError(f"input corpora share pair ids: {sorted(shared)[:5]}{more}")
 
     aug_pairs = list(nat_train.pairs) + list(syn_train.pairs)
     aug = ParallelCorpus(aug_pairs, nat_train.source_lang, nat_train.target_lang)
@@ -275,7 +259,7 @@ def run_experiment(
 
 def lexicon_text(model: LexiconModel) -> str:
     """lexicon-v1: a one-line header, then sorted f<TAB>e<TAB>prob lines."""
-    rows = [f"lexicon-v1 iterations={model.iterations_run}\n"]
+    rows = [f"lexicon-v1 iterations={len(model.log_likelihoods)}\n"]
     for f in sorted(model.t):
         dist = model.t[f]
         rows.append("".join([f"{f}\t{e}\t{dist[e]:.12g}\n" for e in sorted(dist)]))

@@ -32,6 +32,7 @@ log = logging.getLogger(__name__)
 # A 429 that asks for a longer wait fails the request instead of parking a
 # worker; the bound matches the default request timeout.
 MAX_RETRY_AFTER_S = 60
+MAX_OUTPUT_TOKENS = 2048  # the max_tokens of every request
 
 ROLES = ("system", "user", "assistant")
 
@@ -53,7 +54,6 @@ class ChatRequest:
     messages: tuple
     model_name: str = "gpt-3.5-turbo"
     temperature: float = 1.0
-    max_output_tokens: int = 2048
 
     def __post_init__(self):
         if not self.messages:
@@ -126,7 +126,7 @@ class HttpBackend:
                 {"role": m.role, "content": m.content} for m in request.messages
             ],
             "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }
         last_error = None
         for attempt in range(self.config.max_retries + 1):

@@ -10,9 +10,6 @@ from .errors import EmptyInput, LengthMismatch
 
 MAX_ORDER = 4
 
-SMOOTH_NONE = "none"
-SMOOTH_ADD_K_EXP = "add_k_exp"
-
 
 @dataclass
 class BleuReport:
@@ -21,19 +18,6 @@ class BleuReport:
     brevity_penalty: float
     hyp_len: int
     ref_len: int
-    smoothing: str
-    tokenizer: str = "whitespace"
-
-    def to_dict(self):
-        return {
-            "bleu": self.bleu,
-            "precisions": self.precisions,
-            "brevity_penalty": self.brevity_penalty,
-            "hyp_len": self.hyp_len,
-            "ref_len": self.ref_len,
-            "smoothing": self.smoothing,
-            "tokenizer": self.tokenizer,
-        }
 
 
 @dataclass
@@ -49,7 +33,7 @@ class EvalMatrix:
     rows: list  # model labels
     columns: list  # evaluation-set labels
     cells: dict  # (row, col) -> float, present iff evaluated
-    failures: dict = None  # (row, col) -> reason for absent cells
+    failures: dict  # (row, col) -> reason for absent cells
 
     def get(self, row, col):
         return self.cells.get((row, col))
@@ -66,7 +50,7 @@ class EvalMatrix:
             ],
             "failures": [
                 {"model": r, "eval_set": c, "reason": reason}
-                for (r, c), reason in sorted((self.failures or {}).items())
+                for (r, c), reason in sorted(self.failures.items())
             ],
         }
 
@@ -75,13 +59,12 @@ def _ngrams(tokens, n):
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def corpus_bleu(hypotheses, references, smoothing=SMOOTH_NONE) -> BleuReport:
+def corpus_bleu(hypotheses, references) -> BleuReport:
     """Corpus-level BLEU with clipped n-gram precisions (n=1..4) and brevity penalty.
 
     Inputs are pre-tokenized: each segment is a sequence of tokens. One
-    reference per hypothesis. With smoothing="add_k_exp", an additive floor
-    starting at 1 is halved for each n-gram order with zero clipped matches
-    and used as that order's numerator (floor / total).
+    reference per hypothesis. Unsmoothed: an order with no clipped match
+    scores 0.
     """
     if len(hypotheses) != len(references):
         raise LengthMismatch(
@@ -89,8 +72,6 @@ def corpus_bleu(hypotheses, references, smoothing=SMOOTH_NONE) -> BleuReport:
         )
     if not hypotheses:
         raise EmptyInput("empty hypothesis corpus")
-    if smoothing not in (SMOOTH_NONE, SMOOTH_ADD_K_EXP):
-        raise ValueError(f"bad smoothing: {smoothing!r}")
 
     hyp_len = sum(len(h) for h in hypotheses)
     ref_len = sum(len(r) for r in references)
@@ -110,17 +91,8 @@ def corpus_bleu(hypotheses, references, smoothing=SMOOTH_NONE) -> BleuReport:
                 min(c, ref_counts[g]) for g, c in hyp_counts.items()
             )
 
-    precisions = []
-    floor = 1.0
-    for n in range(MAX_ORDER):
-        if totals[n] == 0:
-            # no n-grams of this order exist: vacuously perfect, not a miss
-            precisions.append(1.0)
-        elif clipped[n] == 0 and smoothing == SMOOTH_ADD_K_EXP:
-            floor /= 2.0
-            precisions.append(floor / totals[n])
-        else:
-            precisions.append(clipped[n] / totals[n])
+    # an order with no n-grams at all is vacuously perfect, not a miss
+    precisions = [c / n if n else 1.0 for c, n in zip(clipped, totals)]
 
     bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
     if any(p == 0.0 for p in precisions):
@@ -133,7 +105,6 @@ def corpus_bleu(hypotheses, references, smoothing=SMOOTH_NONE) -> BleuReport:
         brevity_penalty=bp,
         hyp_len=hyp_len,
         ref_len=ref_len,
-        smoothing=smoothing,
     )
 
 
@@ -155,7 +126,7 @@ def frequency_profile(corpus_side) -> FrequencyProfile:
     )
 
 
-def cross_evaluate(models, eval_sets, smoothing=SMOOTH_NONE) -> EvalMatrix:
+def cross_evaluate(models, eval_sets) -> EvalMatrix:
     """Score every (model, eval set) pairing with corpus BLEU.
 
     models: mapping label -> translate(source_lines) -> target_lines.
@@ -174,7 +145,6 @@ def cross_evaluate(models, eval_sets, smoothing=SMOOTH_NONE) -> EvalMatrix:
                 report = corpus_bleu(
                     [tokenize(line) for line in out_lines],
                     [tokenize(line) for line in ref_lines],
-                    smoothing,
                 )
                 cells[(row, col)] = report.bleu
             except Exception as exc:  # per-cell isolation by contract

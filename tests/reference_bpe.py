@@ -7,7 +7,7 @@ merges, symbol vocabularies and encodings exactly.
 
 from collections import Counter
 
-from corpus_forge.bpe import BOUNDARY, BpeModel
+from corpus_forge.bpe import BOUNDARY, MARKER, BpeModel
 from corpus_forge.corpus import normalize
 
 
@@ -96,6 +96,6 @@ def encode(model, text):
                 break
             symbols = _merge_word(symbols, pair, pair[0] + pair[1])
         pieces = [s.removesuffix(BOUNDARY) for s in symbols]
-        tokens.extend(p + model.continuation_marker for p in pieces[:-1])
+        tokens.extend(p + MARKER for p in pieces[:-1])
         tokens.append(pieces[-1])
     return tokens

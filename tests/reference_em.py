@@ -50,10 +50,6 @@ def train_em(corpus, iterations: int) -> LexiconModel:
 
     return LexiconModel(
         t={f: dict(d) for f, d in t.items()},
-        source_vocab=source_vocab,
-        target_vocab=target_vocab,
-        iterations_run=iterations,
-        final_log_likelihood=log_likelihoods[-1],
         log_likelihoods=log_likelihoods,
     )
 
@@ -68,7 +64,7 @@ def best_target(model: LexiconModel, f: str):
     dist = model.t.get(f)
     if not dist:
         return None
-    return min(dist, key=lambda e: (-dist[e], e == model.null_token, e))
+    return min(dist, key=lambda e: (-dist[e], e == NULL_TOKEN, e))
 
 
 def translate(model: LexiconModel, source_lines):
@@ -80,7 +76,7 @@ def translate(model: LexiconModel, source_lines):
             e = best_target(model, f)
             if e is None:
                 words.append(f)  # out-of-vocabulary: copy through
-            elif e != model.null_token:
+            elif e != NULL_TOKEN:
                 words.append(e)
         out.append(" ".join(words))
     return out

@@ -73,27 +73,28 @@ def test_criterion_1_bleu_oracles():
         ).brevity_penalty
         assert abs(bp - math.exp(-1.0)) < 1e-12
 
-        # permutation invariance on 100 random corpora
+        # permutation invariance on 100 random corpora, the hypotheses noisy
+        # copies of the references so that most of them score above 0
+        scored = 0
         for trial in range(100):
             rng_t = random.Random(trial)
             size = rng_t.randint(2, 12)
-            hyps = [
-                [rng_t.choice(vocab) for _ in range(rng_t.randint(4, 9))]
-                for _ in range(size)
-            ]
             refs = [
                 [rng_t.choice(vocab) for _ in range(rng_t.randint(4, 9))]
                 for _ in range(size)
             ]
+            hyps = [
+                [w if rng_t.random() < 0.8 else rng_t.choice(vocab) for w in ref]
+                [:rng_t.randint(len(ref) - 1, len(ref))]
+                for ref in refs
+            ]
             order = list(range(size))
             rng_t.shuffle(order)
-            base = corpus_bleu(hyps, refs, smoothing="add_k_exp")
-            perm = corpus_bleu(
-                [hyps[i] for i in order],
-                [refs[i] for i in order],
-                smoothing="add_k_exp",
-            )
-            assert abs(base.bleu - perm.bleu) < 1e-12
+            base = corpus_bleu(hyps, refs)
+            perm = corpus_bleu([hyps[i] for i in order], [refs[i] for i in order])
+            assert perm == base
+            scored += base.bleu > 0
+        assert scored >= 90
 
 
 def test_criterion_2_bpe_suite(tmp_path):
@@ -234,6 +235,6 @@ def test_criterion_7_report_fidelity():
             ("Aug-gl", "Test"): 28.3,
         }
         table4 = render_matrix_markdown(
-            EvalMatrix(rows=rows, columns=cols, cells=cells)
+            EvalMatrix(rows=rows, columns=cols, cells=cells, failures={})
         )
         assert table4.encode() == (GOLDEN / "table4.md").read_bytes()

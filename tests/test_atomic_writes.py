@@ -59,7 +59,7 @@ def failing_bpe_model(tmp_path):
 
 def failing_lexicon(tmp_path):
     model = em.LexiconModel(t={"a": {"b": 0.5, "c": "not a number"}},
-                            source_vocab={"a"}, target_vocab={"b", "c"})
+                            log_likelihoods=[0.0])
     path = tmp_path / "model.lexicon"
     return path, lambda: em.save_model(model, path)
 

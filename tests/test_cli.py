@@ -594,6 +594,47 @@ class TestMalformedInputs:
         ])
         self.assert_clean_failure(result, f"{model_path}:")
 
+    LANGS = ["--src", "de", "--tgt", "en"]
+
+    @pytest.mark.parametrize("args, exit_code", [
+        (["analyze", "--input", "{dir}", *LANGS, "--out-dir", "{new}"], 2),
+        (["bpe-apply", "--model", "{dir}", "--input", "{text}", "--output", "{new}"], 2),
+        (hallucinate_args("{new}", extra=["--config", "{dir}"]), 2),
+        (["bpe-train", "--input", "{corpus}", *LANGS, "--out", "{dir}"], 2),
+        (["bpe-apply", "--model", "{model}", "--input", "{text}", "--output", "{dir}"],
+         2),
+        (["analyze", "--input", "{corpus}", *LANGS, "--out-dir", "{text}"], 2),
+        (["sample", "--input", "{corpus}", *LANGS, "--train-tokens", "1",
+          "--valid-tokens", "1", "--out-dir", "{text}"], 2),
+        (["export", "--input", "{corpus}", *LANGS, "--out-dir", "{text}"], 2),
+        (["experiment", "--nat-train", "{corpus}", "--syn-train", "{corpus}",
+          "--nat-valid", "{corpus}", "--test", "{corpus}", *LANGS,
+          "--out-dir", "{text}"], 2),
+        (hallucinate_args("{text}"), EXIT_CONFIG),
+    ], ids=["analyze-input", "bpe-apply-model", "hallucinate-config",
+            "bpe-train-out", "bpe-apply-output", "analyze-out-dir", "sample-out-dir",
+            "export-out-dir", "experiment-out-dir", "hallucinate-run-root"])
+    def test_path_of_the_wrong_kind(self, runner, tmp_path, args, exit_code):
+        """A directory where a file goes, or the reverse, writes nothing."""
+        paths = {name: tmp_path / name
+                 for name in ("dir", "new", "text", "corpus", "model")}
+        paths["dir"].mkdir()
+        paths["text"].write_text("esel\n", encoding="utf-8")
+        paths["corpus"].write_text(
+            '{"id": "a", "src": "x y", "tgt": "u v", "origin": "natural"}\n',
+            encoding="utf-8")
+        paths["model"].write_text("bpe-v1 10\ne s\n", encoding="utf-8")
+        before = snapshot(tmp_path), sorted(tmp_path.rglob("*"))
+        result = runner.invoke(main, [a.format(**paths) for a in args])
+        assert result.exit_code == exit_code, result.output
+        assert "Traceback" not in result.output
+        if exit_code == EXIT_CONFIG:
+            assert "config error: paths.run_root: cannot create run directory" \
+                in result.output
+        else:
+            assert "Invalid value" in result.output
+        assert (snapshot(tmp_path), sorted(tmp_path.rglob("*"))) == before
+
 
 def _drop_sentence_key(records):
     del records[0]["sentence"]

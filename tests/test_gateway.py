@@ -247,7 +247,6 @@ class TestHttpBackend:
             messages=(ChatMessage("system", "s"), ChatMessage("user", "u")),
             model_name="m",
             temperature=0.5,
-            max_output_tokens=64,
         )
         assert backend.complete(request) == "hi"
         body = session.requests[0]["json"]
@@ -258,7 +257,7 @@ class TestHttpBackend:
                 {"role": "user", "content": "u"},
             ],
             "temperature": 0.5,
-            "max_tokens": 64,
+            "max_tokens": 2048,
         }
         assert session.requests[0]["headers"]["Authorization"] == "Bearer sk-test"
 

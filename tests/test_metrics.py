@@ -70,25 +70,16 @@ class TestCorpusBleu:
     def test_permutation_invariance(self):
         rng = random.Random(2)
         vocab = [f"w{i}" for i in range(10)]
-        hyps = [[rng.choice(vocab) for _ in range(6)] for _ in range(15)]
-        refs = [[rng.choice(vocab) for _ in range(6)] for _ in range(15)]
-        base = corpus_bleu(hyps, refs, smoothing="add_k_exp").bleu
+        refs = [[rng.choice(vocab) for _ in range(rng.randint(5, 8))]
+                for _ in range(15)]
+        # noisy copies: some tokens replaced, some segments cut short
+        hyps = [[w if rng.random() < 0.8 else rng.choice(vocab) for w in ref]
+                [:rng.randint(4, len(ref))] for ref in refs]
+        base = corpus_bleu(hyps, refs)
+        assert base.bleu > 0 and base.brevity_penalty < 1
         order = list(range(15))
         rng.shuffle(order)
-        permuted = corpus_bleu(
-            [hyps[i] for i in order], [refs[i] for i in order], smoothing="add_k_exp"
-        ).bleu
-        assert abs(base - permuted) < 1e-12
-
-    def test_smoothing_floor_halves(self):
-        # one 2-token segment with a correct unigram but no higher matches
-        hyp = toks("a b")
-        ref = toks("a c")
-        report = corpus_bleu(hyp, ref, smoothing="add_k_exp")
-        # bigrams: total 1, clipped 0 -> floor 0.5; orders 3,4 have no
-        # n-grams at all and count as vacuously perfect
-        assert abs(report.precisions[1] - 0.5 / 1) < 1e-12
-        assert report.precisions[2] == 1.0
+        assert corpus_bleu([hyps[i] for i in order], [refs[i] for i in order]) == base
 
     def test_zero_overlap_without_smoothing_is_zero(self):
         report = corpus_bleu(toks("a b c d e"), toks("v w x y z"))
@@ -184,6 +175,7 @@ class TestRendering:
             rows=["Aug-de"],
             columns=["Synth-val", "Nat-val", "Test"],
             cells={("Aug-de", "Test"): 18.9},
+            failures={},
         )
         out = render_matrix_markdown(matrix)
         assert "| Aug-de | - | - | 18.9 |" in out
