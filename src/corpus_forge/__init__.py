@@ -1,12 +1,3 @@
 """corpus-forge: synthetic parallel-corpus generation and evaluation toolkit."""
 
-from importlib import resources
-
-from .corpus import ParallelCorpus, SentencePair, SplitSpec  # noqa: F401
-
 __version__ = "0.1.0"
-
-
-def natural_sample_path():
-    """Path to the bundled natural German-English sample corpus."""
-    return resources.files("corpus_forge") / "data" / "natural_sample.jsonl"

@@ -8,6 +8,7 @@ documented file formats, so each is independently rerunnable.
 import csv
 import functools
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -154,7 +155,6 @@ def sample(input_path, source_lang, target_lang, train_tokens, valid_tokens,
         rng_seed=rng_seed,
     )
     splits = make_splits(corpus, spec)
-    out.mkdir(parents=True, exist_ok=True)
     for name, split in splits.items():
         write_jsonl(split, out / f"{name}.jsonl")
         click.echo(f"{name}: {len(split)} pairs, "
@@ -282,12 +282,9 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         cfg.em.iterations,
         syn_valid=corpora.get("syn-valid"),
     )
-    out.mkdir(parents=True, exist_ok=True)
     _write_analysis(corpora, out)
-    models_dir = out / "models"
-    models_dir.mkdir(exist_ok=True)
     for label, fit in fits.items():
-        with open_atomic(models_dir / f"{label.lower()}.lexicon") as fh:
+        with open_atomic(out / "models" / f"{label.lower()}.lexicon") as fh:
             fh.write(fit.lexicon)
 
     test_scores = [matrix.get(m, "Test") for m in ("Synth", "Nat", "Aug")]
@@ -320,15 +317,23 @@ def analyze(input_paths, source_lang, target_lang, out):
         stem: read_jsonl(p, source_lang, target_lang)
         for stem, p in _by_stem(input_paths).items()
     }
-    out.mkdir(parents=True, exist_ok=True)
     _write_analysis(corpora, out)
+
+
+def _file_suffix(ctx, param, value):
+    """A language code that ends a file name: non-empty, no path separator."""
+    if not value or "/" in value or os.sep in value:
+        raise click.BadParameter(
+            f"{value!r} cannot end a file name: it must be non-empty and "
+            "hold no path separator")
+    return value
 
 
 @main.command()
 @click.option("--input", "input_paths", multiple=True, required=True,
               type=IN_FILE, help="JSON-lines corpora.")
-@click.option("--src", "source_lang", required=True)
-@click.option("--tgt", "target_lang", required=True)
+@click.option("--src", "source_lang", required=True, callback=_file_suffix)
+@click.option("--tgt", "target_lang", required=True, callback=_file_suffix)
 @click.option("--out-dir", "out", required=True, type=DIR)
 @mapped_errors
 def export(input_paths, source_lang, target_lang, out):
@@ -336,13 +341,15 @@ def export(input_paths, source_lang, target_lang, out):
 
     Every input is read and checked before anything is written.
     """
+    if source_lang == target_lang:
+        raise click.BadParameter("must differ from --src: each names one file "
+                                 "of a pair", param_hint="'--tgt'")
     by_stem = _by_stem(input_paths)
     corpora = {}
     for stem, path in by_stem.items():
         corpora[stem] = read_jsonl(path, source_lang, target_lang)
         if len(corpora[stem]) == 0:
             raise ConfigError(f"refusing to export empty corpus: {path}")
-    out.mkdir(parents=True, exist_ok=True)
     for stem, corpus in corpora.items():
         write_plain_pair(corpus, out / stem)
         click.echo(f"exported {by_stem[stem]} ({len(corpus)} pairs)")

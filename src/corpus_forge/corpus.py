@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .errors import CorpusFormatError, InsufficientData
+from .errors import ConfigError, CorpusFormatError, InsufficientData
 
 ORIGIN_NATURAL = "natural"
 ORIGIN_SYNTHETIC = "synthetic"
@@ -139,14 +139,26 @@ def make_splits(corpus: ParallelCorpus, spec: SplitSpec):
 # On-disk formats: (a) line-aligned plain text pair, (b) JSON lines, (c) JSON.
 
 @contextmanager
+def _refused(verb, path):
+    """Turn an OSError raised in the block into ConfigError naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot {verb} {path}: {exc.strerror}") from None
+
+
+@contextmanager
 def open_text(path):
     """Open a UTF-8 text file for reading.
 
-    Bytes that are not UTF-8 end in CorpusFormatError naming the path and
-    the first line that holds them.
+    A file the OS will not open ends in ConfigError naming the path. Bytes
+    that are not UTF-8 end in CorpusFormatError naming the path and the
+    first line that holds them.
     """
+    with _refused("read", path):
+        fh = open(path, encoding="utf-8")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with fh:
             yield fh
     except UnicodeDecodeError:
         with open(path, "rb") as fh:
@@ -162,17 +174,23 @@ def open_text(path):
 
 @contextmanager
 def open_atomic(path):
-    """Open path for writing UTF-8 text through a temp file beside it.
+    """Open path for writing UTF-8 text through a temp file beside it,
+    creating its directory first.
 
     The temp file replaces path only when the block ends without an error.
-    On an error it is deleted, so path keeps whatever it held before.
+    On an error it is deleted, so path keeps whatever it held before. A
+    directory, temp file or replacement the OS refuses is a ConfigError.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    with _refused("write", path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(tmp, "w", encoding="utf-8", newline="\n")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        with _refused("write", path):
+            os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

@@ -140,8 +140,6 @@ class HttpBackend:
                 time.sleep(delay)
             try:
                 return self._post(body)
-            except (AuthError, ProtocolError):
-                raise
             except TransportError as exc:
                 last_error = exc
         raise last_error
@@ -172,10 +170,13 @@ class HttpBackend:
                 f"unexpected status {response.status_code}: {response.text[:200]}"
             )
         try:
-            payload = response.json()
-            return payload["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed response body: {exc}") from exc
+        if not isinstance(content, str):
+            raise ProtocolError(
+                f"malformed response body: content is not a string: {content!r:.80}")
+        return content
 
 
 def _retry_after_seconds(value):

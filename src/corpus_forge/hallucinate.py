@@ -185,7 +185,7 @@ def translate_sentences(sentences, plan, templates, gateway):
                 for source in sources]
     records = []
     for index, response in _answers(gateway, requests, "translation", sources):
-        target = " ".join(str(response).split())
+        target = " ".join(response.split())
         if target:
             records.append({"id": f"syn-{index:06d}", "src": sources[index],
                             "tgt": target, "seed_word": sentences[index]["seed"]})
@@ -253,10 +253,7 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
     """
     run_dir = Path(run_dir)
     checkpoints = run_dir / "checkpoints"
-    corpora_dir = run_dir / "corpora"
-    reports_dir = run_dir / "reports"
-    for directory in (checkpoints, corpora_dir, reports_dir):
-        directory.mkdir(parents=True, exist_ok=True)
+    report_path = run_dir / "reports" / "report.json"
 
     report = PipelineReport(
         seeds_requested=plan.n_nouns + plan.n_verbs,
@@ -296,12 +293,12 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
         splits = make_splits(corpus, split_spec)
     except InsufficientData:
         report.insufficient_data = True
-        write_json(reports_dir / "report.json", asdict(report))
+        write_json(report_path, asdict(report))
         raise
 
     report.pairs_sampled = sum(len(split) for split in splits.values())
     for name, split in splits.items():
-        write_jsonl(split, corpora_dir / f"{name}.jsonl")
-    write_json(reports_dir / "report.json", asdict(report))
+        write_jsonl(split, run_dir / "corpora" / f"{name}.jsonl")
+    write_json(report_path, asdict(report))
     log.info("pipeline finished in %.2fs", time.monotonic() - started)
     return splits, report

@@ -1,9 +1,12 @@
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from corpus_forge import prompts
 from corpus_forge.corpus import ParallelCorpus, SentencePair
+from corpus_forge.gateway import ChatMessage, ChatRequest, MockBackend
 
 
 def make_corpus(sentences, source_lang="de", target_lang="en", prefix="p"):
@@ -95,3 +98,25 @@ def in_worker(train_em, fail):
         return train_em(corpus, iterations)
 
     return train
+
+
+class MockSession:
+    """Stands in for the requests.Session of an HttpBackend: answers each post
+    as a chat-completions endpoint would, with the mock backend's text, or
+    with bad_content in its place where is_bad(stage, request) holds."""
+
+    def __init__(self, bad_content, is_bad):
+        self.templates = prompts.PromptTemplateSet.defaults()
+        self.backend = MockBackend(self.templates)
+        self.bad_content = bad_content
+        self.is_bad = is_bad
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        request = ChatRequest(tuple(ChatMessage(m["role"], m["content"])
+                                    for m in json["messages"]))
+        stage, _ = prompts.classify_system_text(
+            self.templates, request.first_content("system"))
+        content = (self.bad_content if self.is_bad(stage, request)
+                   else self.backend.complete(request))
+        body = {"choices": [{"message": {"role": "assistant", "content": content}}]}
+        return SimpleNamespace(status_code=200, json=lambda: body)

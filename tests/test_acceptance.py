@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from conftest import make_corpus, make_experiment_fixture
-from corpus_forge import bpe, em, natural_sample_path
+from corpus_forge import bpe, em
 from corpus_forge.corpus import SplitSpec, read_jsonl
 from corpus_forge.gateway import Gateway, MockBackend
 from corpus_forge.hallucinate import (
@@ -31,6 +31,7 @@ from corpus_forge.metrics import (
 from corpus_forge.prompts import PromptTemplateSet
 
 GOLDEN = Path(__file__).parent / "golden"
+NATURAL_SAMPLE = Path(__file__).parent / "data" / "natural_sample.jsonl"
 
 
 @contextmanager
@@ -170,7 +171,7 @@ def test_criterion_5_overfitting_and_diversity():
         assert matrix.get("Synth", "Synth-val") > matrix.get("Synth", "Test")
 
         synthetic = mock_synthetic_lines()
-        natural = read_jsonl(natural_sample_path(), "de", "en")
+        natural = read_jsonl(NATURAL_SAMPLE, "de", "en")
         for side in ("source_lines", "target_lines"):
             syn_ttr = frequency_profile(synthetic[side]).ttr
             nat_ttr = frequency_profile(getattr(natural, side)()).ttr

@@ -1,6 +1,8 @@
 """Every file writer goes through corpus.open_atomic: a write that fails
-part-way keeps the bytes a file held before and leaves no temp file."""
+part-way keeps the bytes a file held before and leaves no temp file, and the
+directories a file goes in are created with it."""
 
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -12,9 +14,11 @@ from corpus_forge.corpus import (
     ORIGIN_SYNTHETIC,
     ParallelCorpus,
     SentencePair,
+    open_atomic,
     write_jsonl,
     write_plain_pair,
 )
+from corpus_forge.errors import ConfigError
 
 PREVIOUS = "earlier contents\n"
 
@@ -76,3 +80,27 @@ def test_failed_write_keeps_previous_file(tmp_path, make):
         write()
     assert path.read_text(encoding="utf-8") == PREVIOUS
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_open_atomic_creates_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    with open_atomic(path) as fh:
+        fh.write("text\n")
+    assert path.read_text(encoding="utf-8") == "text\n"
+    assert sorted(p.name for p in path.parent.iterdir()) == ["out.txt"]
+
+
+@pytest.mark.parametrize("arrange, where", [
+    (lambda tmp_path: (tmp_path / "a").write_text("", encoding="utf-8"), "a/out.txt"),
+    (lambda tmp_path: (tmp_path / "out.txt").mkdir(), "out.txt"),
+], ids=["file-for-directory", "directory-for-file"])
+def test_open_atomic_refused_is_a_config_error(tmp_path, arrange, where):
+    """A directory the OS will not create, or a target it will not replace,
+    ends in ConfigError naming the target, and no temp file is left."""
+    arrange(tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    path = tmp_path / where
+    with pytest.raises(ConfigError, match="^" + re.escape(f"cannot write {path}: ")):
+        with open_atomic(path) as fh:
+            fh.write("text\n")
+    assert sorted(tmp_path.rglob("*")) == before

@@ -6,14 +6,15 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from conftest import in_worker, make_corpus, make_experiment_fixture
-from corpus_forge import em
+from conftest import MockSession, in_worker, make_corpus, make_experiment_fixture
+from corpus_forge import cli, em, prompts
 from corpus_forge.cli import (
     EXIT_CONFIG,
     EXIT_INSUFFICIENT_DATA,
     main,
 )
 from corpus_forge.corpus import read_jsonl, write_jsonl
+from corpus_forge.gateway import BackendConfig, HttpBackend, MockBackend
 
 
 @pytest.fixture
@@ -195,6 +196,54 @@ class TestHallucinate:
         assert "Traceback" not in result.output
         assert "config error: config file is not valid YAML" in result.output
         assert not run_root.exists()
+
+    def test_file_named_checkpoints_is_a_config_error(self, runner, tmp_path):
+        run_dir = tmp_path / "runs" / "r1"
+        run_dir.mkdir(parents=True)
+        (run_dir / "checkpoints").write_text("not a directory\n", encoding="utf-8")
+        result = runner.invoke(main, hallucinate_args(tmp_path / "runs"))
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        seeds = run_dir / "checkpoints" / "seeds.json"
+        assert f"config error: cannot write {seeds}: " in result.output
+        assert snapshot(run_dir) == {"checkpoints": b"not a directory\n"}
+
+    def test_unreadable_checkpoint_is_a_config_error(self, runner, tmp_path,
+                                                     monkeypatch):
+        seeds = tmp_path / "runs" / "r1" / "checkpoints" / "seeds.json"
+        seeds.mkdir(parents=True)
+        requests = []
+
+        class Counting(MockBackend):
+            def complete(self, request):
+                requests.append(request)
+                return super().complete(request)
+
+        monkeypatch.setattr(cli, "make_backend", lambda *args, **kwargs: Counting())
+        result = runner.invoke(main, hallucinate_args(tmp_path / "runs"))
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert f"config error: cannot read {seeds}: " in result.output
+        assert requests == []
+
+    @pytest.mark.parametrize("content", [None, 5, ["a"]],
+                             ids=["null", "number", "list"])
+    def test_seed_answer_that_is_not_a_string_is_an_error(
+            self, runner, tmp_path, monkeypatch, content):
+        monkeypatch.setenv("LLM_API_KEY", "sk-test")
+        seed_stages = (prompts.STAGE_SEED_NOUNS, prompts.STAGE_SEED_VERBS)
+        session = MockSession(content, lambda stage, request: stage in seed_stages)
+        monkeypatch.setattr(cli, "make_backend", lambda *args, **kwargs: HttpBackend(
+            BackendConfig(max_retries=0), session=session))
+        result = runner.invoke(main, hallucinate_args(tmp_path / "runs"))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert ("error: malformed response body: content is not a string: "
+                f"{content!r}\n") in result.output
+        assert snapshot(tmp_path / "runs") == {}
 
     def test_insufficient_data_exit_code(self, runner, tmp_path):
         args = hallucinate_args(
@@ -447,6 +496,25 @@ class TestExport:
         assert str(path) in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("src, tgt, flag", [
+        ("de", "de", "--tgt"), ("", "en", "--src"), ("de", "", "--tgt"),
+        ("a/b", "en", "--src"), ("de", "x/y", "--tgt"),
+    ], ids=["equal", "empty-src", "empty-tgt", "path-src", "path-tgt"])
+    def test_language_codes_must_name_two_files(self, runner, tmp_path, src, tgt,
+                                                flag):
+        # an input that is read ends in exit 1, so exit 2 means it was not
+        path = tmp_path / "bad.jsonl"
+        path.write_text("not json\n", encoding="utf-8")
+        out = tmp_path / "export"
+        result = runner.invoke(main, [
+            "export", "--input", str(path), "--src", src, "--tgt", tgt,
+            "--out-dir", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert f"Invalid value for '{flag}'" in result.output
+        assert not out.exists()
+
     def test_empty_corpus_refused(self, runner, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -697,3 +765,61 @@ class TestMalformedCheckpoints:
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"error: {path}:2: not valid UTF-8" in result.output
+
+
+class TestOutputDirectories:
+    """Every writer creates the directories its output goes in; one the OS
+    refuses ends in a configuration error: exit 3, no traceback, no temp file."""
+
+    LANGS = ["--src", "de", "--tgt", "en"]
+    # each writer's arguments, with {target} the directory it writes in, and
+    # a file it writes there
+    WRITERS = {
+        "bpe-train": (["bpe-train", "--input", "{nat_train}", *LANGS,
+                       "--vocab-size", "80", "--out", "{target}/model.bpe"],
+                      "model.bpe"),
+        "bpe-apply": (["bpe-apply", "--model", "{model}", "--input", "{text}",
+                       "--output", "{target}/out.txt"], "out.txt"),
+        "sample": (["sample", "--input", "{nat_train}", *LANGS,
+                    "--train-tokens", "100", "--valid-tokens", "40",
+                    "--out-dir", "{target}"], "valid.jsonl"),
+        "analyze": (["analyze", "--input", "{nat_train}", *LANGS,
+                     "--out-dir", "{target}"], "zipf.csv"),
+        "export": (["export", "--input", "{nat_train}", *LANGS,
+                    "--out-dir", "{target}"], "reference_transformer.json"),
+        "experiment": (["experiment", "--nat-train", "{nat_train}",
+                        "--syn-train", "{syn_train}", "--nat-valid", "{nat_valid}",
+                        "--test", "{test}", *LANGS, "--set", "em.iterations=1",
+                        "--out-dir", "{target}"], "models/aug.lexicon"),
+    }
+
+    def invoke(self, runner, tmp_path, fixture_paths, writer, target):
+        args, written = self.WRITERS[writer]
+        paths = dict(fixture_paths, target=target, model=tmp_path / "model.in",
+                     text=tmp_path / "text.in")
+        paths["model"].write_text("bpe-v1 10\ne s\n", encoding="utf-8")
+        paths["text"].write_text("esel\n", encoding="utf-8")
+        return runner.invoke(main, [a.format(**paths) for a in args]), written
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_missing_directories_are_created(self, runner, tmp_path, fixture_paths,
+                                             writer):
+        target = tmp_path / "new" / "deeper"
+        result, written = self.invoke(runner, tmp_path, fixture_paths, writer,
+                                      target)
+        assert result.exit_code == 0, result.output
+        assert (target / written).is_file()
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_file_where_a_directory_goes(self, runner, tmp_path, fixture_paths,
+                                         writer):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file\n", encoding="utf-8")
+        result, written = self.invoke(runner, tmp_path, fixture_paths, writer,
+                                      blocker / "deeper")
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert f"config error: cannot write {blocker / 'deeper'}" in result.output
+        assert blocker.read_text(encoding="utf-8") == "a file\n"
+        assert list(tmp_path.rglob("*.tmp")) == []

@@ -350,6 +350,15 @@ class TestHttpBackend:
         with pytest.raises(ProtocolError):
             backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
 
+    @pytest.mark.parametrize("content", [None, 5, ["a"]],
+                             ids=["null", "number", "list"])
+    def test_content_that_is_not_a_string_is_protocol_error(self, api_key_env,
+                                                            content):
+        backend, session = self.make([ok_response(content), ok_response()])
+        with pytest.raises(ProtocolError, match="content is not a string"):
+            backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
+        assert len(session.requests) == 1
+
     def test_default_session_maps_a_refused_connection(self, api_key_env,
                                                        monkeypatch):
         # a proxy from the environment would take the request elsewhere

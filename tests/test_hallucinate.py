@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import MockSession
 from corpus_forge import prompts
 from corpus_forge.corpus import SplitSpec
 from corpus_forge.errors import CorpusFormatError, InsufficientData, TransportError
-from corpus_forge.gateway import Gateway, MockBackend
+from corpus_forge.gateway import BackendConfig, Gateway, HttpBackend, MockBackend
 from corpus_forge.hallucinate import (
     GenerationPlan,
     PipelineReport,
@@ -294,6 +295,26 @@ class TestRunPipeline:
         run_pipeline(small_plan(), templates, Gateway(Exploding()), spec, run_dir,
                      mock_seed=0)
         assert report_path.read_bytes() == first
+
+    @pytest.mark.parametrize("content", [None, 5, ["a"]],
+                             ids=["null", "number", "list"])
+    def test_translation_content_not_a_string_is_a_failure(self, tmp_path,
+                                                          monkeypatch, content):
+        monkeypatch.setenv("LLM_API_KEY", "sk-test")
+        session = MockSession(content, lambda stage, request: (
+            stage == prompts.STAGE_TRANSLATION
+            and len(request.first_content("user")) % 2))
+        backend = HttpBackend(BackendConfig(max_retries=0), session=session)
+        templates = PromptTemplateSet.defaults()
+        spec = SplitSpec(train_token_threshold=20, valid_token_threshold=10,
+                         rng_seed=0)
+        _, report = run_pipeline(small_plan(), templates, Gateway(backend), spec,
+                                 tmp_path / "a", mock_seed=None)
+        checkpoints = tmp_path / "a" / "checkpoints"
+        load = lambda name: json.loads((checkpoints / name).read_text(encoding="utf-8"))
+        odd = [r for r in load("sentences.json") if len(r["sentence"]) % 2]
+        assert odd and report.translation_failures == len(odd)
+        assert all(len(r["src"]) % 2 == 0 for r in load("translations.json"))
 
     def test_report_keys(self, tmp_path):
         run_dir, _, _ = run_once(tmp_path, "a")
