@@ -1,12 +1,11 @@
 """corpus-forge: one binary with subcommands for every pipeline stage.
 
-Exit codes: 0 success, 2 usage (bad flags), 3 configuration, 4 transport,
-5 insufficient data, 1 internal error. Stages communicate only through the
+Exit codes: 0 success, 2 usage (bad flags), and for a CorpusForgeError the
+exit_code of its class in errors.py. Stages communicate only through the
 documented file formats, so each is independently rerunnable.
 """
 
 import csv
-import functools
 import logging
 import os
 import sys
@@ -26,20 +25,11 @@ from .corpus import (
     write_jsonl,
     write_plain_pair,
 )
-from .errors import (
-    ConfigError,
-    CorpusForgeError,
-    InsufficientData,
-    TransportError,
-)
+from .errors import ConfigError, CorpusForgeError
 from .gateway import Gateway, make_backend
 from .hallucinate import run_pipeline
 
 log = logging.getLogger(__name__)
-
-EXIT_CONFIG = 3
-EXIT_TRANSPORT = 4
-EXIT_INSUFFICIENT_DATA = 5
 
 # a directory given for a file, or a file for --out-dir, is a usage error
 IN_FILE = click.Path(exists=True, dir_okay=False)
@@ -59,25 +49,16 @@ REFERENCE_TRANSFORMER = {
 }
 
 
-def mapped_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
-        except InsufficientData as exc:
-            click.echo(f"insufficient data: {exc}", err=True)
-            sys.exit(EXIT_INSUFFICIENT_DATA)
-        except TransportError as exc:
-            click.echo(f"transport error: {exc}", err=True)
-            sys.exit(EXIT_TRANSPORT)
-        except CorpusForgeError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
+class _Commands(click.Group):
+    """A group whose commands end a CorpusForgeError in its class's exit code."""
 
-    return wrapper
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except CorpusForgeError as exc:
+            click.echo(f"{exc.label}: {exc}", err=True)
+            # not ctx.exit, whose code click returns under standalone_mode=False
+            sys.exit(exc.exit_code)
 
 
 def config_options(fn):
@@ -88,7 +69,7 @@ def config_options(fn):
     return fn
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.option("-v", "--verbose", is_flag=True, help="Debug logging.")
 def main(verbose):
     logging.basicConfig(
@@ -102,7 +83,6 @@ def main(verbose):
 @click.option("--backend", type=click.Choice(["http", "mock"]), default=None,
               help="Override the configured backend.")
 @click.option("--run-id", default=None, help="Run directory name.")
-@mapped_errors
 def hallucinate(config_path, overrides, backend, run_id):
     """Generate a synthetic parallel corpus via the three-stage pipeline."""
     cfg = load_config(config_path, overrides)
@@ -143,7 +123,6 @@ def hallucinate(config_path, overrides, backend, run_id):
 @click.option("--test-tokens", type=click.IntRange(min=1), default=None)
 @click.option("--rng-seed", type=int, default=0)
 @click.option("--out-dir", "out", required=True, type=DIR)
-@mapped_errors
 def sample(input_path, source_lang, target_lang, train_tokens, valid_tokens,
            test_tokens, rng_seed, out):
     """Sample train/valid(/test) splits from a JSON-lines corpus."""
@@ -168,7 +147,6 @@ def sample(input_path, source_lang, target_lang, train_tokens, valid_tokens,
 @click.option("--tgt", "target_lang", required=True)
 @click.option("--vocab-size", type=click.IntRange(min=1), default=16_000)
 @click.option("--out", "model_path", required=True, type=FILE)
-@mapped_errors
 def bpe_train(input_paths, source_lang, target_lang, vocab_size, model_path):
     """Train a joint source-target BPE model on training corpora."""
     corpora = [read_jsonl(p, source_lang, target_lang) for p in input_paths]
@@ -184,7 +162,6 @@ def bpe_train(input_paths, source_lang, target_lang, vocab_size, model_path):
 @click.option("--model", "model_path", required=True, type=IN_FILE)
 @click.option("--input", "input_path", required=True, type=IN_FILE)
 @click.option("--output", "output_path", required=True, type=FILE)
-@mapped_errors
 def bpe_apply(model_path, input_path, output_path):
     """Encode a plain-text file line by line with a trained BPE model.
 
@@ -257,7 +234,6 @@ def _write_analysis(corpora_by_label, out_dir):
 @click.option("--src", "source_lang", required=True)
 @click.option("--tgt", "target_lang", required=True)
 @click.option("--out-dir", "out", required=True, type=DIR)
-@mapped_errors
 def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_valid,
                test_path, source_lang, target_lang, out):
     """Train Nat/Synth/Aug baselines, cross-evaluate, and profile diversity."""
@@ -310,7 +286,6 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
 @click.option("--src", "source_lang", required=True)
 @click.option("--tgt", "target_lang", required=True)
 @click.option("--out-dir", "out", required=True, type=DIR)
-@mapped_errors
 def analyze(input_paths, source_lang, target_lang, out):
     """Emit TTR and rank-frequency statistics for one or more corpora."""
     corpora = {
@@ -335,7 +310,6 @@ def _file_suffix(ctx, param, value):
 @click.option("--src", "source_lang", required=True, callback=_file_suffix)
 @click.option("--tgt", "target_lang", required=True, callback=_file_suffix)
 @click.option("--out-dir", "out", required=True, type=DIR)
-@mapped_errors
 def export(input_paths, source_lang, target_lang, out):
     """Write line-aligned text pairs plus reference training metadata.
 

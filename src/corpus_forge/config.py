@@ -11,7 +11,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import SplitSpec
+from .corpus import SplitSpec, _refused
 from .errors import ConfigError
 from .gateway import BackendConfig, check_value
 from .hallucinate import GenerationPlan
@@ -136,9 +136,12 @@ def load_config(path=None, overrides=()) -> RunConfig:
         import yaml
 
         try:
-            raw = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
+            with _refused("read", path):
+                try:
+                    text = Path(path).read_text(encoding="utf-8")
+                except FileNotFoundError as exc:
+                    raise ConfigError(f"config file not found: {path}") from exc
+            raw = yaml.safe_load(text) or {}
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file is not UTF-8: {path}: {exc.reason}") from exc
         except yaml.YAMLError as exc:

@@ -32,11 +32,14 @@ class SentencePair:
     def __post_init__(self):
         if self.origin not in (ORIGIN_NATURAL, ORIGIN_SYNTHETIC):
             raise ValueError(f"bad origin: {self.origin!r}")
+        check_line(self.id, "pair ids")
         for side in (self.source, self.target):
             check_line(side, "source/target")
-        if self.origin == ORIGIN_SYNTHETIC and self.seed_word is None:
-            raise ValueError("synthetic pairs must carry a seed_word")
-        if self.origin == ORIGIN_NATURAL and self.seed_word is not None:
+        if self.origin == ORIGIN_SYNTHETIC:
+            if self.seed_word is None:
+                raise ValueError("synthetic pairs must carry a seed_word")
+            check_line(self.seed_word, "seed words")
+        elif self.seed_word is not None:
             raise ValueError("natural pairs must not carry a seed_word")
 
 
@@ -266,25 +269,23 @@ def read_jsonl(path, source_lang: str, target_lang: str) -> ParallelCorpus:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: missing fields {sorted(missing)}"
                 )
-            pair_id = str(record["id"])
-            if pair_id in first_line:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: pair id {pair_id!r} repeats line "
-                    f"{first_line[pair_id]}"
-                )
-            first_line[pair_id] = lineno
             try:
-                pairs.append(
-                    SentencePair(
-                        id=pair_id,
-                        source=record["src"],
-                        target=record["tgt"],
-                        origin=record["origin"],
-                        seed_word=record.get("seed_word"),
-                    )
+                pair = SentencePair(
+                    id=record["id"],
+                    source=record["src"],
+                    target=record["tgt"],
+                    origin=record["origin"],
+                    seed_word=record.get("seed_word"),
                 )
             except ValueError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+            if pair.id in first_line:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: pair id {pair.id!r} repeats line "
+                    f"{first_line[pair.id]}"
+                )
+            first_line[pair.id] = lineno
+            pairs.append(pair)
     return ParallelCorpus(pairs, source_lang, target_lang)
 
 

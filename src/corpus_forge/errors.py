@@ -2,11 +2,17 @@
 
 
 class CorpusForgeError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; the CLI exits with exit_code."""
+
+    exit_code = 1
+    label = "error"
 
 
 class InsufficientData(CorpusForgeError):
     """A corpus cannot satisfy a requested token threshold."""
+
+    exit_code = 5
+    label = "insufficient data"
 
 
 class CorpusFormatError(CorpusForgeError):
@@ -16,9 +22,15 @@ class CorpusFormatError(CorpusForgeError):
 class ConfigError(CorpusForgeError):
     """The run configuration is invalid or incomplete."""
 
+    exit_code = 3
+    label = "config error"
+
 
 class TransportError(CorpusForgeError):
     """Network-level failure talking to the chat backend."""
+
+    exit_code = 4
+    label = "transport error"
 
 
 class ProtocolError(CorpusForgeError):

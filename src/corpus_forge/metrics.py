@@ -159,19 +159,19 @@ def format_score(value: Optional[float]) -> str:
     return "-" if value is None else f"{value:.1f}"
 
 
+def _table(header, rows) -> str:
+    """A Markdown table: a header row, a "---" rule, then one line per row."""
+    line = lambda cells: "| " + " | ".join(cells) + " |\n"
+    return line(header) + "|" + "---|" * len(header) + "\n" + "".join(map(line, rows))
+
+
 def render_score_row_markdown(labels, scores) -> str:
     """One-row table: model labels as the header, one score per column."""
-    header = "| " + " | ".join(labels) + " |"
-    rule = "|" + "|".join(["---"] * len(labels)) + "|"
-    row = "| " + " | ".join(format_score(s) for s in scores) + " |"
-    return "\n".join([header, rule, row]) + "\n"
+    return _table(labels, [[format_score(s) for s in scores]])
 
 
 def render_matrix_markdown(matrix: EvalMatrix) -> str:
-    header = "| Model | " + " | ".join(matrix.columns) + " |"
-    rule = "|" + "|".join(["---"] * (len(matrix.columns) + 1)) + "|"
-    lines = [header, rule]
-    for row in matrix.rows:
-        scores = [format_score(matrix.get(row, col)) for col in matrix.columns]
-        lines.append("| " + row + " | " + " | ".join(scores) + " |")
-    return "\n".join(lines) + "\n"
+    return _table(["Model", *matrix.columns], [
+        [row, *(format_score(matrix.get(row, col)) for col in matrix.columns)]
+        for row in matrix.rows
+    ])

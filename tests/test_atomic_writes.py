@@ -12,7 +12,6 @@ from corpus_forge import bpe, em
 from corpus_forge.cli import _write_csv
 from corpus_forge.corpus import (
     ORIGIN_SYNTHETIC,
-    ParallelCorpus,
     SentencePair,
     open_atomic,
     write_jsonl,
@@ -24,15 +23,13 @@ PREVIOUS = "earlier contents\n"
 
 
 def failing_jsonl(tmp_path):
-    # the second record holds a seed word json cannot encode
-    corpus = ParallelCorpus(
-        [
-            SentencePair(id="0", source="a", target="b"),
-            SentencePair(id="1", source="c", target="d",
-                         origin=ORIGIN_SYNTHETIC, seed_word=object()),
-        ],
-        "de", "en",
-    )
+    # the second record holds a seed word json cannot encode, which a
+    # SentencePair refuses to hold
+    corpus = SimpleNamespace(pairs=[
+        SentencePair(id="0", source="a", target="b"),
+        SimpleNamespace(id="1", source="c", target="d", origin=ORIGIN_SYNTHETIC,
+                        seed_word=object()),
+    ])
     path = tmp_path / "corpus.jsonl"
     return path, lambda: write_jsonl(corpus, path)
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -8,12 +9,16 @@ from click.testing import CliRunner
 
 from conftest import MockSession, in_worker, make_corpus, make_experiment_fixture
 from corpus_forge import cli, em, prompts
-from corpus_forge.cli import (
-    EXIT_CONFIG,
-    EXIT_INSUFFICIENT_DATA,
-    main,
-)
+from corpus_forge.cli import main
 from corpus_forge.corpus import read_jsonl, write_jsonl
+from corpus_forge.errors import (
+    AuthError,
+    ConfigError,
+    CorpusForgeError,
+    InsufficientData,
+    RateLimited,
+    TransportError,
+)
 from corpus_forge.gateway import BackendConfig, HttpBackend, MockBackend
 
 
@@ -82,7 +87,7 @@ class TestHallucinate:
             hallucinate_args(tmp_path / "runs", extra=["--backend", "http"])[0:]
         )
         # --backend appears twice; the later http wins
-        assert result.exit_code == EXIT_CONFIG
+        assert result.exit_code == ConfigError.exit_code
 
     @pytest.mark.parametrize("setting", [
         "http.max_in_flight=2.5",
@@ -96,7 +101,7 @@ class TestHallucinate:
         result = runner.invoke(
             main, hallucinate_args(tmp_path / "runs", extra=["--set", setting])
         )
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         key = setting.split("=")[0]
@@ -118,7 +123,7 @@ class TestHallucinate:
         run_root = tmp_path / "runs"
         result = runner.invoke(main, hallucinate_args(
             run_root, extra=ALL_TEMPLATES + ["--set", setting]))
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         assert f"config error: invalid configuration: {message}" in result.output
@@ -159,7 +164,7 @@ class TestHallucinate:
         monkeypatch.chdir(tmp_path)  # a run_root of 5 would land here
         result = runner.invoke(main, hallucinate_args(
             tmp_path / "runs", extra=ALL_TEMPLATES + ["--set", setting]))
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         key = setting.split("=")[0]
@@ -179,7 +184,7 @@ class TestHallucinate:
         run_root = tmp_path / "runs"
         result = runner.invoke(main, hallucinate_args(
             run_root, extra=ALL_TEMPLATES + ["--set", setting]))
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         key = setting.split("=")[0]
         message = f"config error: invalid configuration: unknown setting {key}\n"
         assert message in result.output
@@ -191,7 +196,7 @@ class TestHallucinate:
         run_root = tmp_path / "runs"
         result = runner.invoke(main, hallucinate_args(
             run_root, extra=["--config", str(config)]))
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         assert "config error: config file is not valid YAML" in result.output
@@ -202,7 +207,7 @@ class TestHallucinate:
         run_dir.mkdir(parents=True)
         (run_dir / "checkpoints").write_text("not a directory\n", encoding="utf-8")
         result = runner.invoke(main, hallucinate_args(tmp_path / "runs"))
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         seeds = run_dir / "checkpoints" / "seeds.json"
@@ -222,7 +227,7 @@ class TestHallucinate:
 
         monkeypatch.setattr(cli, "make_backend", lambda *args, **kwargs: Counting())
         result = runner.invoke(main, hallucinate_args(tmp_path / "runs"))
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         assert f"config error: cannot read {seeds}: " in result.output
@@ -251,7 +256,23 @@ class TestHallucinate:
             extra=["--set", "splits.train_token_threshold=100000"],
         )
         result = runner.invoke(main, args)
-        assert result.exit_code == EXIT_INSUFFICIENT_DATA
+        assert result.exit_code == InsufficientData.exit_code
+
+    @pytest.mark.parametrize("refusal", ["symlink-loop", "name-too-long"])
+    def test_config_file_the_os_refuses(self, runner, tmp_path, refusal):
+        if refusal == "symlink-loop":
+            config = tmp_path / "loop.yaml"
+            config.symlink_to(config.name)
+        else:
+            config = tmp_path / ("a" * 300 + ".yaml")
+        run_root = tmp_path / "runs"
+        result = runner.invoke(main, hallucinate_args(
+            run_root, extra=["--config", str(config)]))
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert f"config error: cannot read {config}: " in result.output
+        assert not run_root.exists()
 
 
 @pytest.fixture
@@ -382,7 +403,7 @@ class TestExperiment:
         result = runner.invoke(
             main, self.experiment_args(fixture_paths, out, ["--set", setting])
         )
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         assert message in result.output
@@ -395,7 +416,7 @@ class TestExperiment:
         result = runner.invoke(
             main, self.experiment_args(fixture_paths, out, ["--config", str(config)])
         )
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"config error: config file is not UTF-8: {config}" in result.output
         assert not out.exists()
@@ -410,7 +431,7 @@ class TestExperiment:
             args = self.experiment_args(fixture_paths, out)
             args[args.index(flag) + 1] = str(fixture_paths[shared])
             result = runner.invoke(main, args)
-            assert result.exit_code == EXIT_CONFIG, (flag, result.output)
+            assert result.exit_code == ConfigError.exit_code, (flag, result.output)
             assert isinstance(result.exception, SystemExit), result.exception
             assert "Traceback" not in result.output
             assert "config error: input corpora share pair ids: " in result.output
@@ -474,13 +495,13 @@ class TestExport:
             "export", "--input", str(paths[0]), "--input", str(paths[1]),
             "--src", "de", "--tgt", "en", "--out-dir", str(out),
         ])
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         assert f"inputs {paths[0]} and {paths[1]} share a file stem" in result.output
         assert not out.exists()
 
     @pytest.mark.parametrize("bad, exit_code", [
         ('{"id": "a", "src": "x", "tgt": "u", "origin": "natural"}\n' * 2, 1),
-        ("", EXIT_CONFIG),
+        ("", ConfigError.exit_code),
     ], ids=["repeated-id", "empty"])
     def test_bad_later_input_writes_nothing(self, runner, tmp_path, fixture_paths,
                                             bad, exit_code):
@@ -546,7 +567,7 @@ class TestAnalyze:
             "analyze", "--input", str(paths[0]), "--input", str(paths[1]),
             "--src", "de", "--tgt", "en", "--out-dir", str(out),
         ])
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         assert f"inputs {paths[0]} and {paths[1]} share a file stem" in result.output
         assert not out.exists()
 
@@ -589,6 +610,29 @@ class TestMalformedInputs:
             "--out-dir", str(tmp_path / "out"),
         ])
         self.assert_clean_failure(result, f"{path}:2:")
+
+    @pytest.mark.parametrize("fields", [
+        '"id": null, "origin": "natural"',
+        '"id": 1, "origin": "natural"',
+        '"id": [1], "origin": "natural"',
+        '"id": "", "origin": "natural"',
+        '"id": "1", "origin": "synthetic", "seed_word": 5',
+        '"id": "1", "origin": "synthetic", "seed_word": ["x"]',
+        '"id": "1", "origin": "synthetic", "seed_word": ""',
+    ])
+    def test_jsonl_id_and_seed_word_are_lines(self, runner, tmp_path, fields):
+        # sample used to write such an id as str(id) and a seed word as given
+        path = tmp_path / "bad.jsonl"
+        good = '{"id": "0", "src": "a", "tgt": "b", "origin": "natural"}'
+        path.write_text(f'{good}\n{{"src": "c", "tgt": "d", {fields}}}\n',
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "sample", "--input", str(path), "--src", "de", "--tgt", "en",
+            "--train-tokens", "1", "--valid-tokens", "1", "--out-dir", str(out),
+        ])
+        self.assert_clean_failure(result, f"{path}:2: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "sample", "export"])
     def test_jsonl_repeated_pair_id(self, runner, tmp_path, command):
@@ -678,7 +722,7 @@ class TestMalformedInputs:
         (["experiment", "--nat-train", "{corpus}", "--syn-train", "{corpus}",
           "--nat-valid", "{corpus}", "--test", "{corpus}", *LANGS,
           "--out-dir", "{text}"], 2),
-        (hallucinate_args("{text}"), EXIT_CONFIG),
+        (hallucinate_args("{text}"), ConfigError.exit_code),
     ], ids=["analyze-input", "bpe-apply-model", "hallucinate-config",
             "bpe-train-out", "bpe-apply-output", "analyze-out-dir", "sample-out-dir",
             "export-out-dir", "experiment-out-dir", "hallucinate-run-root"])
@@ -696,7 +740,7 @@ class TestMalformedInputs:
         result = runner.invoke(main, [a.format(**paths) for a in args])
         assert result.exit_code == exit_code, result.output
         assert "Traceback" not in result.output
-        if exit_code == EXIT_CONFIG:
+        if exit_code == ConfigError.exit_code:
             assert "config error: paths.run_root: cannot create run directory" \
                 in result.output
         else:
@@ -817,9 +861,64 @@ class TestOutputDirectories:
         blocker.write_text("a file\n", encoding="utf-8")
         result, written = self.invoke(runner, tmp_path, fixture_paths, writer,
                                       blocker / "deeper")
-        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
         assert f"config error: cannot write {blocker / 'deeper'}" in result.output
         assert blocker.read_text(encoding="utf-8") == "a file\n"
         assert list(tmp_path.rglob("*.tmp")) == []
+
+
+class TestErrorHandler:
+    """main ends every command's CorpusForgeError in "<label>: <message>" and
+    its class's exit code, in standalone mode and out of it."""
+
+    ERRORS = [
+        (CorpusForgeError("boom"), 1, "error"),
+        (ConfigError("boom"), 3, "config error"),
+        (RateLimited("boom", retry_after=1.0), 4, "transport error"),
+        (InsufficientData("boom"), 5, "insufficient data"),
+        (AuthError("boom"), 1, "error"),
+    ]
+    IDS = [type(error).__name__ for error, _, _ in ERRORS]
+
+    @pytest.fixture
+    def raise_in_command(self):
+        """Register a command on main that raises the given error."""
+        def register(error):
+            @main.command("raise-error")
+            def raise_error():
+                raise error
+        yield register
+        main.commands.pop("raise-error", None)
+
+    @pytest.mark.parametrize("error, code, label", ERRORS, ids=IDS)
+    def test_cli_runner(self, runner, raise_in_command, error, code, label):
+        raise_in_command(error)
+        result = runner.invoke(main, ["raise-error"])
+        assert result.exit_code == code == type(error).exit_code
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert result.stderr == f"{label}: boom\n"
+
+    @pytest.mark.parametrize("error, code, label", ERRORS, ids=IDS)
+    def test_not_standalone(self, raise_in_command, capsys, error, code, label):
+        # a caller that runs main without standalone mode sees a failed
+        # command only as SystemExit
+        raise_in_command(error)
+        with pytest.raises(SystemExit) as info:
+            main.main(["raise-error"], prog_name="corpus-forge",
+                      standalone_mode=False)
+        assert info.value.code == code
+        assert capsys.readouterr().err == f"{label}: boom\n"
+
+    def test_readme_exit_codes_are_the_class_codes(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        paragraph = readme[readme.index("Exit codes:"):].split("\n\n")[0]
+        documented = {name: int(code)
+                      for code, name in re.findall(r"`(\d)` ([a-z ]+)", paragraph)}
+        assert documented["configuration"] == ConfigError.exit_code == 3
+        assert documented["transport"] == TransportError.exit_code == 4
+        assert documented["insufficient data"] == InsufficientData.exit_code == 5
+        assert documented["internal error"] == CorpusForgeError.exit_code == 1
