@@ -7,13 +7,26 @@ Ties between equally frequent pairs break lexicographically so two runs on
 the same corpus produce byte-identical models.
 
 Training builds three tallies once, over the word types weighted by their
-frequency: adjacent-pair counts, an index from each pair to the word types
-that hold it, and symbol counts. A merge rewrites only the word types the
-index lists for its pair and moves their old pairs and symbols out of the
-tallies and their new ones in, as learn_bpe.py of subword-nmt does (Sennrich
-et al. 2016). Each merge takes the most frequent pair, the lexicographically
-smallest among ties; training stops when the symbol vocabulary reaches the
-target size, or when no pair occurs at least twice.
+frequency: adjacent-pair counts, an index `where` from each pair to word
+types, and symbol counts. Each merge takes the most frequent pair, the
+lexicographically smallest among ties; training stops when the symbol
+vocabulary reaches the target size, or when no pair occurs at least twice.
+
+The pick comes from a heap of (-count, pair) entries. Tuple order is the tie
+rule: the smallest entry has the highest count and, among those, the
+smallest pair. A merge pushes a new entry for every pair whose count it
+changed and never removes the old ones; an entry whose count is no longer
+the pair's count is dropped when it reaches the top, so a stale entry costs
+one pop and is never picked.
+
+A merge rewrites only the word types `where` lists for its pair. It sums
+the change to each pair's count over those words first, the old word's
+pairs out and the new word's in, and applies each nonzero change once, as
+update_pair_statistics of subword-nmt does (Sennrich et al. 2016). `where`
+is a superset: an index is added for each new pair, which always holds the
+joined symbol, and is never removed while the pair still occurs somewhere.
+A stale index, a word type that no longer holds the pair, is harmless: the
+merge leaves that word unchanged in length, and it is skipped.
 
 Encoding applies the merge list in order: merge k joins every
 non-overlapping occurrence of its pair, left to right, in the word as merges
@@ -29,6 +42,7 @@ has encoded.
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .corpus import open_atomic, open_text, tokenize
 from .errors import CorpusFormatError, EmptyCorpus
@@ -59,38 +73,19 @@ def _word_symbols(word):
 
 
 def _merge_word(symbols, pair, joined):
+    left, right = pair
     out = []
     i = 0
-    while i < len(symbols):
-        if i + 1 < len(symbols) and (symbols[i], symbols[i + 1]) == pair:
+    last = len(symbols) - 1
+    while i <= last:
+        symbol = symbols[i]
+        if symbol == left and i < last and symbols[i + 1] == right:
             out.append(joined)
             i += 2
         else:
-            out.append(symbols[i])
+            out.append(symbol)
             i += 1
     return tuple(out)
-
-
-def _tally(index, symbols, freq, pairs, where, vocab):
-    """Add (freq > 0) or remove (freq < 0) one word type's pairs and symbols.
-
-    Counts that fall to zero are deleted, so the keys of pairs and where are
-    exactly the pairs some word type holds, and len(vocab) is the size of the
-    symbol vocabulary.
-    """
-    for symbol in symbols:
-        vocab[symbol] += freq
-        if not vocab[symbol]:
-            del vocab[symbol]
-    for pair in zip(symbols, symbols[1:]):
-        pairs[pair] += freq
-        if freq > 0:
-            where[pair].add(index)
-        elif pairs[pair]:
-            where[pair].discard(index)
-        else:
-            del pairs[pair]
-            del where[pair]
 
 
 def train_bpe(corpora, target_vocab_size):
@@ -110,23 +105,56 @@ def train_bpe(corpora, target_vocab_size):
     words = [_word_symbols(w) for w in freqs]
     word_freqs = list(freqs.values())
     pairs = Counter()  # pair -> occurrences, weighted by word frequency
-    where = defaultdict(set)  # pair -> indices of the word types holding it
+    where = defaultdict(set)  # pair -> indices of word types that may hold it
     vocab = Counter()  # symbol -> occurrences, weighted by word frequency
     for index, (symbols, freq) in enumerate(zip(words, word_freqs)):
-        _tally(index, symbols, freq, pairs, where, vocab)
+        for symbol in symbols:
+            vocab[symbol] += freq
+        for pair in zip(symbols, symbols[1:]):
+            pairs[pair] += freq
+            where[pair].add(index)
+    heap = [(-count, pair) for pair, count in pairs.items()]
+    heapify(heap)
 
     merges = []
-    while len(vocab) < target_vocab_size and pairs:
-        best_count = max(pairs.values())
-        if best_count < 2:
+    while len(vocab) < target_vocab_size and heap:
+        top_count, pair = heappop(heap)
+        if pairs.get(pair) != -top_count:
+            continue  # stale: the pair's count has changed since the push
+        if -top_count < 2:
             break
-        pair = min(p for p, c in pairs.items() if c == best_count)
-        joined = pair[0] + pair[1]
-        for index in list(where[pair]):
+        left, right = pair
+        joined = left + right
+        delta = defaultdict(int)  # pair -> change in its count by this merge
+        merged = 0  # occurrences of pair joined, weighted by word frequency
+        for index in where.pop(pair):
+            old = words[index]
+            new = _merge_word(old, pair, joined)
+            if len(new) == len(old):
+                continue  # stale: the word type no longer holds pair
+            words[index] = new
             freq = word_freqs[index]
-            _tally(index, words[index], -freq, pairs, where, vocab)
-            words[index] = _merge_word(words[index], pair, joined)
-            _tally(index, words[index], freq, pairs, where, vocab)
+            merged += (len(old) - len(new)) * freq
+            for p in zip(old, old[1:]):
+                delta[p] -= freq
+            for p in zip(new, new[1:]):
+                delta[p] += freq
+                if joined in p:
+                    where[p].add(index)
+        for p, change in delta.items():
+            if not change:
+                continue
+            count = pairs[p] + change
+            if count:
+                pairs[p] = count
+                heappush(heap, (-count, p))
+            else:
+                del pairs[p]
+                where.pop(p, None)
+        for symbol, change in ((left, -merged), (right, -merged), (joined, merged)):
+            vocab[symbol] += change
+            if not vocab[symbol]:
+                del vocab[symbol]
         merges.append(pair)
     return BpeModel(merges=merges, vocab=vocab, target_vocab_size=target_vocab_size)
 

@@ -17,6 +17,7 @@ from . import bpe, em, metrics
 from .config import load_config
 from .corpus import (
     SplitSpec,
+    check_writable,
     make_splits,
     open_atomic,
     open_text,
@@ -150,6 +151,7 @@ def sample(input_path, source_lang, target_lang, train_tokens, valid_tokens,
 def bpe_train(input_paths, source_lang, target_lang, vocab_size, model_path):
     """Train a joint source-target BPE model on training corpora."""
     corpora = [read_jsonl(p, source_lang, target_lang) for p in input_paths]
+    check_writable(model_path)
     model = bpe.train_bpe(corpora, vocab_size)
     bpe.save_model(model, model_path)
     click.echo(
@@ -249,7 +251,9 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         corpora["syn-valid"] = load(syn_valid)
 
     # run_experiment refuses overlapping corpora and returns once every fit
-    # has; nothing is written before it
+    # has; nothing is written before it, but an output directory the OS
+    # would refuse ends the command first (ttr.csv is the first file written)
+    check_writable(out / "ttr.csv")
     fits, matrix = em.run_experiment(
         corpora["nat-train"],
         corpora["syn-train"],

@@ -6,6 +6,7 @@ read as "first prefix reaching at least the threshold": the sentence that
 crosses the line is kept.
 """
 
+import errno
 import json
 import os
 import random
@@ -197,6 +198,27 @@ def open_atomic(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def check_writable(path):
+    """Raise the ConfigError open_atomic(path) would raise for a directory it
+    cannot create or write in, creating nothing.
+
+    A command that works long before it writes calls this first, so an output
+    under a file, or in a directory it may not write, costs no work.
+    """
+    path = Path(path)
+    directory = path.parent  # the nearest directory that exists decides
+    while not os.path.exists(directory) and directory != directory.parent:
+        directory = directory.parent
+    if not os.path.isdir(directory):
+        # as mkdir says: a file is in the way if it has the directory's name
+        reason = errno.EEXIST if directory == path.parent else errno.ENOTDIR
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        reason = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {os.strerror(reason)}")
 
 
 # the string encoder json.dumps uses when ensure_ascii is off

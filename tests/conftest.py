@@ -3,10 +3,14 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import settings
 
 from corpus_forge import prompts
 from corpus_forge.corpus import ParallelCorpus, SentencePair
 from corpus_forge.gateway import ChatMessage, ChatRequest, MockBackend
+
+# a deeper search than the default, selected with --hypothesis-profile=ci
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def make_corpus(sentences, source_lang="de", target_lang="en", prefix="p"):

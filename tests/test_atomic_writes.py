@@ -2,6 +2,7 @@
 part-way keeps the bytes a file held before and leaves no temp file, and the
 directories a file goes in are created with it."""
 
+import os
 import re
 from collections import Counter
 from types import SimpleNamespace
@@ -13,6 +14,7 @@ from corpus_forge.cli import _write_csv
 from corpus_forge.corpus import (
     ORIGIN_SYNTHETIC,
     SentencePair,
+    check_writable,
     open_atomic,
     write_jsonl,
     write_plain_pair,
@@ -101,3 +103,35 @@ def test_open_atomic_refused_is_a_config_error(tmp_path, arrange, where):
         with open_atomic(path) as fh:
             fh.write("text\n")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("where", ["a/out.txt", "a/b/c/out.txt"])
+def test_check_writable_says_what_open_atomic_would(tmp_path, where):
+    """Under a file, check_writable raises the ConfigError open_atomic
+    raises, and creates nothing."""
+    (tmp_path / "a").write_text("", encoding="utf-8")
+    path = tmp_path / where
+    with pytest.raises(ConfigError) as at_write:
+        with open_atomic(path):
+            pass
+    with pytest.raises(ConfigError) as at_check:
+        check_writable(path)
+    assert str(at_check.value) == str(at_write.value)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a"]
+
+
+@pytest.mark.parametrize("where", ["out.txt", "new/deeper/out.txt"])
+def test_check_writable_creates_nothing(tmp_path, where):
+    check_writable(tmp_path / where)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write any directory")
+def test_check_writable_refuses_a_read_only_directory(tmp_path):
+    locked = tmp_path / "locked"
+    locked.mkdir(mode=0o500)
+    try:
+        with pytest.raises(ConfigError, match="Permission denied"):
+            check_writable(locked / "new" / "out.txt")
+    finally:
+        locked.chmod(0o700)

@@ -1,8 +1,10 @@
+import hashlib
+import random
 import string
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_bpe
 from conftest import make_corpus
@@ -180,3 +182,111 @@ class TestAgainstSeedOracle:
                                ("abcd", ["abc@@", "d"])):
             assert reference_bpe.encode(model, word) == expected
             assert bpe.encode(model, word) == expected
+
+
+def word_corpus(words_with_freqs):
+    """A corpus holding each word, on both sides, the given number of times."""
+    line = " ".join(word for word, freq in words_with_freqs for _ in range(freq))
+    return make_corpus([(line, line)])
+
+
+@st.composite
+def equal_frequency_corpus(draw):
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    words = draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=8),
+                          min_size=1, max_size=12, unique=True))
+    freq = draw(st.integers(min_value=1, max_value=3))
+    return word_corpus([(word, freq) for word in words])
+
+
+@st.composite
+def corpus_of_pieces(draw, pieces):
+    word = st.lists(st.sampled_from(pieces), min_size=1, max_size=2).map("".join)
+    return word_corpus(draw(st.lists(
+        st.tuples(word, st.integers(min_value=1, max_value=3)),
+        min_size=1, max_size=6)))
+
+
+# A literal "</w>" in a word ends a symbol as the end-of-word boundary does.
+# So a later merge can rebuild a symbol an earlier merge consumed, and the
+# merged pair recurs: RECURS merges ("a", "b</w>") twice. And one joined
+# string can come from two pairs: TWO_ROUTES joins "w></w>" from ("w", "></w>")
+# and from ("w>", "</w>").
+RECURS = [("ab</w>a", 2), ("b</w>ab", 1), ("ab", 2)]
+TWO_ROUTES = [("aw>w>", 1), ("</w>", 1), ("w></w>a", 1), ("w></w>b", 1)]
+
+
+class TestHeapOrderAgainstSeedOracle:
+    """The heap's pick under ties, and its lazy re-checks, against the
+    reference trainer's full recount."""
+
+    def assert_same_as_oracle(self, corpus, target):
+        model = bpe.train_bpe([corpus], target)
+        expected = reference_bpe.train_bpe([corpus], target)
+        assert model.merges == expected.merges
+        assert sorted(model.vocab.items()) == sorted(expected.vocab.items())
+
+    @settings(deadline=None)
+    @given(equal_frequency_corpus(), st.integers(min_value=1, max_value=60))
+    def test_every_word_type_equally_frequent(self, corpus, target):
+        self.assert_same_as_oracle(corpus, target)
+
+    @settings(deadline=None)
+    @given(corpus_of_pieces([word for word, _ in RECURS]),
+           st.integers(min_value=1, max_value=60))
+    @example(word_corpus(RECURS), 60)
+    def test_merged_pair_recurs(self, corpus, target):
+        self.assert_same_as_oracle(corpus, target)
+
+    @settings(deadline=None)
+    @given(corpus_of_pieces([word for word, _ in TWO_ROUTES]),
+           st.integers(min_value=1, max_value=60))
+    @example(word_corpus(TWO_ROUTES), 60)
+    def test_joined_string_from_two_pairs(self, corpus, target):
+        self.assert_same_as_oracle(corpus, target)
+
+    def test_examples_hold_what_they_claim(self):
+        merges = reference_bpe.train_bpe([word_corpus(RECURS)], 60).merges
+        assert merges.count(("a", "b</w>")) == 2
+        merges = reference_bpe.train_bpe([word_corpus(TWO_ROUTES)], 60).merges
+        assert {("w", "></w>"), ("w>", "</w>")} <= set(merges)
+
+
+def syllable_corpus(seed=0, n_lines=2000):
+    """Zipfian lines over a lexicon of one- to three-syllable words, with a
+    second lexicon, one to one with the first, on the target side."""
+    rng = random.Random(seed)
+    onsets = ["", "b", "d", "f", "g", "k", "l", "m", "n", "r", "s", "t", "w",
+              "sch", "st", "tr", "pf"]
+    vowels = ["a", "e", "i", "o", "u", "ä", "ö", "ü", "ei", "au", "ie"]
+    codas = ["", "", "n", "r", "s", "t", "l", "ch", "ng", "ck"]
+
+    def lexicon(size):
+        words = set()
+        while len(words) < size:
+            words.add("".join(rng.choice(onsets) + rng.choice(vowels)
+                              + rng.choice(codas)
+                              for _ in range(rng.randint(1, 3))))
+        return sorted(words)
+
+    source, target = lexicon(1500), lexicon(1500)
+    rng.shuffle(target)
+    translation = dict(zip(source, target))
+    weights = [1 / rank for rank in range(1, len(source) + 1)]
+    sentences = []
+    for _ in range(n_lines):
+        words = rng.choices(source, weights, k=rng.randint(3, 12))
+        sentences.append((" ".join(words),
+                          " ".join(translation[w] for w in words)))
+    return make_corpus(sentences)
+
+
+def test_model_at_a_size_the_properties_never_reach(tmp_path):
+    """Pins the model trained on 2,000 lines to a vocabulary of 600, hundreds
+    of merges past what the hypothesis corpora reach."""
+    model = bpe.train_bpe([syllable_corpus()], 600)
+    path = tmp_path / "model.bpe"
+    bpe.save_model(model, path)
+    assert len(model.vocab) == 600
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "abed02094cb73765a11c5b6415c9ddb2d858dde0d4c04951569d7fd64afd42b8")

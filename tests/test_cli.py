@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import MockSession, in_worker, make_corpus, make_experiment_fixture
-from corpus_forge import cli, em, prompts
+from corpus_forge import bpe, cli, em, prompts
 from corpus_forge.cli import main
 from corpus_forge.corpus import read_jsonl, write_jsonl
 from corpus_forge.errors import (
@@ -856,7 +856,12 @@ class TestOutputDirectories:
 
     @pytest.mark.parametrize("writer", list(WRITERS))
     def test_file_where_a_directory_goes(self, runner, tmp_path, fixture_paths,
-                                         writer):
+                                         writer, monkeypatch):
+        # bpe-train and experiment refuse the output before they do the work
+        def work(*args, **kwargs):
+            pytest.fail("the command worked before it refused its output")
+        monkeypatch.setattr(bpe, "train_bpe", work)
+        monkeypatch.setattr(em, "run_experiment", work)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file\n", encoding="utf-8")
         result, written = self.invoke(runner, tmp_path, fixture_paths, writer,
