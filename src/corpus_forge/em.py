@@ -2,8 +2,11 @@
 
 The model holds t(e|f): for each source word f, a probability distribution
 over target words e (plus a reserved null target meaning "emit nothing").
-Training is classic lexical EM: expected-count collection with per-sentence
-normalization, then renormalization of t. Decoding is positional argmax.
+Training is classic lexical EM: each source token spreads one expected count
+over its sentence's candidates, then each row t(.|f) is renormalized. No row
+reads another, so the trainer fits one source word's row at a time through
+every iteration; the log-likelihood still sums over tokens in corpus order.
+Decoding is positional argmax.
 """
 
 import math
@@ -26,83 +29,67 @@ class LexiconModel:
     _best: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def _cells(bitext):
-    """Give every co-occurring (source word, candidate target) pair a cell id.
-
-    Returns (rows, spans, segments). rows maps each source word to
-    {candidate: cell id}; both levels are in first-seen order. Each row's ids
-    are consecutive, and spans holds its (first, end) ids. segments holds,
-    for every source token in corpus order, the cell ids of its sentence's
-    candidates: the target words, then the null target.
-    """
-    rows = {}
-    for src, tgt in bitext:
-        candidates = tgt + [NULL_TOKEN]
-        for f in src:
-            row = rows.get(f)
-            if row is None:
-                row = rows[f] = {}
-            for e in candidates:
-                row.setdefault(e, len(row))
-    spans = []
-    first = 0
-    for row in rows.values():
-        for e in row:
-            row[e] += first
-        spans.append((first, first + len(row)))
-        first += len(row)
-    segments = []
-    for src, tgt in bitext:
-        candidates = tgt + [NULL_TOKEN]
-        for f in src:
-            row = rows[f]
-            segments.append([row[e] for e in candidates])
-    return rows, spans, segments
-
-
 def train_em(corpus, iterations: int) -> LexiconModel:
     """Train t(e|f) on a parallel corpus for a fixed number of EM iterations.
 
-    t and the expected counts are flat tables indexed by cell id. z and each
-    row total come from builtin sum() over values in candidate order and in
-    first-seen order; counts and the log-likelihood grow by += in corpus
-    order. Keep each as it is: Python 3.12 made float sum() compensated, so
-    trading a sum() for a += loop or math.fsum, or the reverse, moves low
-    bits of t and can flip the exact ties that best_target breaks.
+    Each row t(.|f) is its own EM problem: a token of f reads and writes
+    only row f, and the M-step normalizes each row alone. So the rows are
+    fitted one after another, each through every iteration, from the
+    tokens of f in corpus order. z and each row total come from builtin
+    sum() over values in candidate order and in first-seen order; counts
+    grow by += in corpus order, and so does each log-likelihood, from the
+    per-token terms stored by corpus position. Keep each as it is: Python
+    3.12 made float sum() compensated, so trading a sum() for a += loop or
+    math.fsum, or the reverse, or summing the log terms row by row, moves
+    low bits of t and of the log-likelihoods and can flip the exact ties
+    that best_target breaks.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    bitext = [(tokenize(p.source), tokenize(p.target)) for p in corpus.pairs]
-    n_targets = len({e for _, tgt in bitext for e in tgt}) + 1  # + the null target
-    rows, spans, segments = _cells(bitext)
-    del bitext  # the token lists are not needed past this point
-    n_cells = spans[-1][1]
-    t = [1.0 / n_targets] * n_cells
+    tokens = {}  # source word -> ([corpus positions], [candidate lists])
+    targets = set()
+    n_tokens = 0
+    for p in corpus.pairs:
+        tgt = tokenize(p.target)
+        targets.update(tgt)
+        candidates = tgt + [NULL_TOKEN]  # shared by the sentence's tokens
+        for f in tokenize(p.source):
+            positions, sentences = tokens.setdefault(f, ([], []))
+            positions.append(n_tokens)
+            sentences.append(candidates)
+            n_tokens += 1
+    uniform = 1.0 / (len(targets) + 1)  # + the null target
 
-    sizes = [len(cells) for cells in segments]
     log = math.log
-    log_likelihoods = []
-    for _ in range(iterations):
-        counts = array("d", [0.0]) * n_cells
-        log_likelihood = 0.0
-        for cells, size in zip(segments, sizes):
-            z = sum(map(t.__getitem__, cells))
-            log_likelihood += log(z / size)
-            for c in cells:
-                counts[c] += t[c] / z
-        for first, end in spans:
-            row_counts = counts[first:end]
-            total = sum(row_counts)
-            t[first:end] = [n / total for n in row_counts]
-        log_likelihoods.append(log_likelihood)
+    terms = [array("d", [0.0]) * n_tokens for _ in range(iterations)]
+    t = {}
+    for f, (positions, sentences) in tokens.items():
+        ids = {}  # candidate -> its index in the row, in first-seen order
+        segments = [[ids.setdefault(e, len(ids)) for e in candidates]
+                    for candidates in sentences]
+        row = [uniform] * len(ids)
+        for log_terms in terms:
+            counts = [0.0] * len(ids)
+            get = row.__getitem__
+            for position, cells in zip(positions, segments):
+                z = sum(map(get, cells))
+                log_terms[position] = log(z / len(cells))
+                for c in cells:
+                    counts[c] += row[c] / z
+            total = sum(counts)
+            row = [n / total for n in counts]
+        t[f] = dict(zip(ids, row))
 
-    for row in rows.values():  # cell ids become probabilities in place
-        for e, c in row.items():
-            row[e] = t[c]
-    return LexiconModel(rows, log_likelihoods)
+    log_likelihoods = []
+    for log_terms in terms:
+        log_likelihood = 0.0
+        for term in log_terms:
+            log_likelihood += term
+        log_likelihoods.append(log_likelihood)
+    return LexiconModel(t, log_likelihoods)
 
 
 def best_target(model: LexiconModel, f: str):

@@ -92,6 +92,88 @@ def experiment_fixture():
     return make_experiment_fixture()
 
 
+def _syllable_lexicons(rng, size):
+    """Two lexicons of size one- to three-syllable words, one to one:
+    (the source words in sorted order, {source word: target word})."""
+    onsets = ["", "b", "d", "f", "g", "k", "l", "m", "n", "r", "s", "t", "w",
+              "sch", "st", "tr", "pf"]
+    vowels = ["a", "e", "i", "o", "u", "ä", "ö", "ü", "ei", "au", "ie"]
+    codas = ["", "", "n", "r", "s", "t", "l", "ch", "ng", "ck"]
+
+    def lexicon():
+        words = set()
+        while len(words) < size:
+            words.add("".join(rng.choice(onsets) + rng.choice(vowels)
+                              + rng.choice(codas)
+                              for _ in range(rng.randint(1, 3))))
+        return sorted(words)
+
+    source, target = lexicon(), lexicon()
+    rng.shuffle(target)
+    return source, dict(zip(source, target))
+
+
+def _zipfian_pairs(rng, source, translation, count):
+    """count pairs of 3-12 words drawn with weight 1/rank from source."""
+    weights = [1 / rank for rank in range(1, len(source) + 1)]
+    pairs = []
+    for _ in range(count):
+        words = rng.choices(source, weights, k=rng.randint(3, 12))
+        pairs.append((" ".join(words), " ".join(translation[w] for w in words)))
+    return pairs
+
+
+def syllable_corpus(seed=0, n_lines=2000):
+    """Zipfian lines over a lexicon of one- to three-syllable words, with a
+    second lexicon, one to one with the first, on the target side."""
+    rng = random.Random(seed)
+    source, translation = _syllable_lexicons(rng, 1500)
+    return make_corpus(_zipfian_pairs(rng, source, translation, n_lines))
+
+
+# six fixed frames around one seed word: synthetic text repeats far more
+# than natural text
+STUDY_TEMPLATES = [
+    ("der {w} ist gut", "the {t} is good"),
+    ("ich sehe den {w} heute", "i see the {t} today"),
+    ("das {w} ist hier", "the {t} is here"),
+    ("wir mögen das {w} sehr", "we like the {t} very much"),
+    ("ein {w} kommt morgen", "a {t} comes tomorrow"),
+    ("mein {w} ist alt", "my {t} is old"),
+]
+
+
+def study_corpora():
+    """experiment's five inputs at a size no property reaches.
+
+    Natural train, valid and test hold 3,000, 500 and 500 Zipfian pairs over
+    a 1,500-word syllable lexicon. Synthetic train fills every template with
+    each of 500 seed words (3,000 pairs); synthetic valid holds 500 pairs
+    whose seed words come from those 500 and 100 others.
+    """
+    rng = random.Random(0)
+    source, translation = _syllable_lexicons(rng, 1500)
+    seeds = rng.sample(source, 600)
+
+    def natural(count, prefix):
+        return make_corpus(_zipfian_pairs(rng, source, translation, count),
+                           prefix=prefix)
+
+    def synthetic(pairs, prefix):
+        return make_corpus([(src.format(w=w), tgt.format(t=translation[w]))
+                            for w, (src, tgt) in pairs], prefix=prefix)
+
+    return {
+        "nat_train": natural(3000, "nt"),
+        "nat_valid": natural(500, "nv"),
+        "test": natural(500, "te"),
+        "syn_train": synthetic([(w, template) for w in seeds[:500]
+                                for template in STUDY_TEMPLATES], "st"),
+        "syn_valid": synthetic([(rng.choice(seeds), rng.choice(STUDY_TEMPLATES))
+                                for _ in range(500)], "sv"),
+    }
+
+
 def in_worker(train_em, fail):
     """train_em that calls fail() in any forked worker; the caller trains as usual."""
     caller = os.getpid()

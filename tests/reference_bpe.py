@@ -9,6 +9,7 @@ from collections import Counter
 
 from corpus_forge.bpe import BOUNDARY, MARKER, BpeModel
 from corpus_forge.corpus import normalize
+from corpus_forge.errors import EmptyCorpus
 
 
 def _word_symbols(word):

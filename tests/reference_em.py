@@ -1,7 +1,7 @@
 """Reference lexical EM: the original per-iteration dict trainer and decoder.
 
 Kept verbatim as the oracle for the differential tests in test_em.py; the
-package's flat-table trainer and memoized decoder must reproduce these
+package's row-at-a-time trainer and memoized decoder must reproduce these
 probabilities, log-likelihoods, translations and lexicon files exactly.
 Tokens here are raw ``str.split()`` units, so feed it NFC-normalized text.
 """

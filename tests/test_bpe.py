@@ -2,12 +2,13 @@ import hashlib
 import random
 import string
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import reference_bpe
-from conftest import make_corpus
+from conftest import make_corpus, syllable_corpus
 from corpus_forge import bpe
 from corpus_forge.errors import CorpusFormatError, EmptyCorpus
 
@@ -44,6 +45,15 @@ class TestTrain:
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
             bpe.train_bpe([], 10)
+
+    @pytest.mark.parametrize("train", [bpe.train_bpe, reference_bpe.train_bpe],
+                             ids=["package", "oracle"])
+    def test_whitespace_lines_rejected(self, train):
+        # a SentencePair refuses such lines, so a stand-in serves them
+        corpus = SimpleNamespace(source_lines=lambda: [" ", "\t\u3000"],
+                                 target_lines=lambda: ["\u2003 "])
+        with pytest.raises(EmptyCorpus, match="no tokens in training corpora"):
+            train([corpus], 10)
 
     def test_joint_training_sees_both_sides(self):
         corpus = make_corpus([("aaa aaa", "zzz zzz")])
@@ -250,35 +260,6 @@ class TestHeapOrderAgainstSeedOracle:
         assert merges.count(("a", "b</w>")) == 2
         merges = reference_bpe.train_bpe([word_corpus(TWO_ROUTES)], 60).merges
         assert {("w", "></w>"), ("w>", "</w>")} <= set(merges)
-
-
-def syllable_corpus(seed=0, n_lines=2000):
-    """Zipfian lines over a lexicon of one- to three-syllable words, with a
-    second lexicon, one to one with the first, on the target side."""
-    rng = random.Random(seed)
-    onsets = ["", "b", "d", "f", "g", "k", "l", "m", "n", "r", "s", "t", "w",
-              "sch", "st", "tr", "pf"]
-    vowels = ["a", "e", "i", "o", "u", "ä", "ö", "ü", "ei", "au", "ie"]
-    codas = ["", "", "n", "r", "s", "t", "l", "ch", "ng", "ck"]
-
-    def lexicon(size):
-        words = set()
-        while len(words) < size:
-            words.add("".join(rng.choice(onsets) + rng.choice(vowels)
-                              + rng.choice(codas)
-                              for _ in range(rng.randint(1, 3))))
-        return sorted(words)
-
-    source, target = lexicon(1500), lexicon(1500)
-    rng.shuffle(target)
-    translation = dict(zip(source, target))
-    weights = [1 / rank for rank in range(1, len(source) + 1)]
-    sentences = []
-    for _ in range(n_lines):
-        words = rng.choices(source, weights, k=rng.randint(3, 12))
-        sentences.append((" ".join(words),
-                          " ".join(translation[w] for w in words)))
-    return make_corpus(sentences)
 
 
 def test_model_at_a_size_the_properties_never_reach(tmp_path):

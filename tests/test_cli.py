@@ -1,13 +1,16 @@
 import csv
+import hashlib
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from conftest import MockSession, in_worker, make_corpus, make_experiment_fixture
+from conftest import (MockSession, in_worker, make_corpus, make_experiment_fixture,
+                      study_corpora)
 from corpus_forge import bpe, cli, em, prompts
 from corpus_forge.cli import main
 from corpus_forge.corpus import read_jsonl, write_jsonl
@@ -463,6 +466,41 @@ class TestExperiment:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output == "error: cannot train on an empty corpus\n"
         assert not out.exists()
+
+    # sha256 of each output, computed with the flat-table trainer that the
+    # row-at-a-time trainer replaced; two lexicons print differently since
+    # Python 3.12 made float sum() compensated, and the BLEU scores do not
+    COMPENSATED_SUM = sys.version_info >= (3, 12)
+    PINNED = {
+        "models/nat.lexicon": (
+            "48fc64b1913ba88fe8c98a9defd23288eca3c7add4603e3bde29be1b39560d6b"
+            if COMPENSATED_SUM else
+            "8b58200006c6a1b4af05dacd4abaa7d15eb20c967e1e40bb2d3a60361d88162b"),
+        "models/synth.lexicon": "2bcb223a105696ab613ce5a8ca3d08ec281fa720aee927184685398201e2c65d",
+        "models/aug.lexicon": (
+            "c654642492de75792be399d766db31d223a0b9faf5c5203ada7ad3b5993d8198"
+            if COMPENSATED_SUM else
+            "0aa85a4f267cf83c327f8b0239bd343bb1d36d01abc5c5bb2590439cb252f70f"),
+        "results.json": "1f98994692650b962fed05d942399bddb2d1e64d150cce61d6693ad7979a8dd1",
+        "results.md": "529acf4a56e6c07f2176582e0c6031760283a1713019d6916aefad487c5b142c",
+        "ttr.csv": "1581b4150c35651f0b828acc5155458fb699cfdaaa87fec5144fe498e6515999",
+        "zipf.csv": "054254ed7a03d9daf616e9176c43643ceffca08415cb55eb5012dd47fca94d04",
+    }
+
+    def test_outputs_at_a_size_the_properties_never_reach(self, runner, tmp_path):
+        """Pins experiment, 10 iterations, on 3,000 natural and 3,000
+        synthetic training pairs: 35,415 source tokens."""
+        paths = {}
+        for name, corpus in study_corpora().items():
+            paths[name] = tmp_path / f"{name}.jsonl"
+            write_jsonl(corpus, paths[name])
+        out = tmp_path / "results"
+        result = runner.invoke(main, self.experiment_args(
+            paths, out, ["--set", "em.iterations=10"]))
+        assert result.exit_code == 0, result.output
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.PINNED}
+        assert digests == self.PINNED
 
 
 class TestExport:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_em
-from conftest import in_worker, make_corpus
+from conftest import in_worker, make_corpus, syllable_corpus
 from corpus_forge import em
 from corpus_forge.corpus import tokenize
 from corpus_forge.errors import ConfigError, CorpusForgeError, EmptyCorpus
@@ -170,6 +170,25 @@ class TestMatchesReference:
         for f in expected.t:
             assert em.best_target(model, f) == reference_em.best_target(expected, f)
         assert lexicon_bytes(model) == lexicon_bytes(expected)
+
+    def test_at_a_size_the_properties_never_reach(self):
+        """2,000 Zipfian lines over 1,500-word lexicons, 10 iterations: rows
+        met by hundreds of tokens, where the hypothesis corpora stop at 8 pairs."""
+        corpus = syllable_corpus()
+        model = em.train_em(corpus, 10)
+        expected = reference_em.train_em(corpus, 10)
+        lines = corpus.source_lines()
+        # rows come in first-seen order; the oracle's follow a set's
+        assert list(model.t) == list(dict.fromkeys(
+            f for line in lines for f in tokenize(line)))
+        assert model.t.keys() == expected.t.keys()
+        for f, dist in expected.t.items():
+            assert list(model.t[f].items()) == list(dist.items())
+        assert model.log_likelihoods == expected.log_likelihoods
+        # each source word once: the oracle decodes a token in time linear
+        # in its row, and the frequent words' rows are long
+        assert em.translate(model, list(model.t)) == reference_em.translate(
+            expected, list(model.t))
 
 
 class TestRunExperiment:
