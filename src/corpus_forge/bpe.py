@@ -221,7 +221,7 @@ def load_model(path):
             if not line:
                 continue
             parts = line.split(" ")
-            if len(parts) != 2:
+            if len(parts) != 2 or not all(parts):  # two non-empty symbols
                 raise CorpusFormatError(f"{path}:{lineno}: bad merge line")
             merges.append((parts[0], parts[1]))
     return BpeModel(merges=merges, vocab=Counter(), target_vocab_size=target)

@@ -254,7 +254,7 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
     # has; nothing is written before it, but an output directory the OS
     # would refuse ends the command first (ttr.csv is the first file written)
     check_writable(out / "ttr.csv")
-    fits, matrix = em.run_experiment(
+    models, matrix = em.run_experiment(
         corpora["nat-train"],
         corpora["syn-train"],
         corpora["nat-valid"],
@@ -263,9 +263,9 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         syn_valid=corpora.get("syn-valid"),
     )
     _write_analysis(corpora, out)
-    for label, fit in fits.items():
+    for label, model in models.items():
         with open_atomic(out / "models" / f"{label.lower()}.lexicon") as fh:
-            fh.write(fit.lexicon)
+            fh.write(model.lexicon)
 
     test_scores = [matrix.get(m, "Test") for m in ("Synth", "Nat", "Aug")]
     results_md = (

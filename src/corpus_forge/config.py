@@ -8,7 +8,7 @@ when there is a file or an override to parse.
 """
 
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .corpus import SplitSpec, _refused
@@ -148,5 +148,11 @@ def load_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"config file is not valid YAML: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a mapping")
+    settings = {f.name for f in fields(RunConfig)}
+    for override in overrides:
+        # a file's unknown sections are ignored; an override must set something
+        key, equals, _ = override.partition("=")
+        if equals and key.split(".")[0] not in settings:
+            raise ConfigError(f"invalid configuration: unknown setting {key}")
     apply_overrides(raw, overrides)
     return RunConfig.from_mapping(raw)

@@ -6,13 +6,14 @@ Training is classic lexical EM: each source token spreads one expected count
 over its sentence's candidates, then each row t(.|f) is renormalized. No row
 reads another, so the trainer fits one source word's row at a time through
 every iteration; the log-likelihood still sums over tokens in corpus order.
-Decoding is positional argmax.
+A fitted model keeps of each row only its lexicon-v1 lines and its argmax;
+decoding is positional argmax.
 """
 
 import math
 import os
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, open_atomic, tokenize
 from .errors import ConfigError, CorpusForgeError, EmptyCorpus
@@ -23,26 +24,28 @@ NULL_TOKEN = "<null>"
 
 @dataclass
 class LexiconModel:
-    t: dict  # source word -> {target word: probability}
+    # lexicon-v1: a one-line header, then f<TAB>e<TAB>prob lines sorted by f, then e
+    lexicon: str
+    best: dict  # source word -> the argmax target of its row (render_row)
     log_likelihoods: list  # one per iteration
-    # source word -> best_target's answer, filled as words are decoded
-    _best: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def train_em(corpus, iterations: int) -> LexiconModel:
-    """Train t(e|f) on a parallel corpus for a fixed number of EM iterations.
+def fit_rows(corpus, iterations: int, keep) -> list:
+    """Fit t(e|f) on a parallel corpus for a fixed number of EM iterations.
 
     Each row t(.|f) is its own EM problem: a token of f reads and writes
     only row f, and the M-step normalizes each row alone. So the rows are
-    fitted one after another, each through every iteration, from the
-    tokens of f in corpus order. z and each row total come from builtin
-    sum() over values in candidate order and in first-seen order; counts
-    grow by += in corpus order, and so does each log-likelihood, from the
-    per-token terms stored by corpus position. Keep each as it is: Python
-    3.12 made float sum() compensated, so trading a sum() for a += loop or
-    math.fsum, or the reverse, or summing the log terms row by row, moves
-    low bits of t and of the log-likelihoods and can flip the exact ties
-    that best_target breaks.
+    fitted one after another in sorted source-word order, each through every
+    iteration, from the tokens of f in corpus order; keep(f, dist) receives
+    each finished row, a {target word: probability} dict in first-seen
+    order. z and each row total come from builtin sum() over values in
+    candidate order and in first-seen order; counts grow by += in corpus
+    order, and so does each log-likelihood, from the per-token terms stored
+    by corpus position. Keep each as it is: Python 3.12 made float sum()
+    compensated, so trading a sum() for a += loop or math.fsum, or the
+    reverse, or summing the log terms row by row, moves low bits of t and of
+    the log-likelihoods and can flip the exact ties that render_row breaks.
+    Returns the log-likelihoods, one per iteration.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
@@ -65,8 +68,8 @@ def train_em(corpus, iterations: int) -> LexiconModel:
 
     log = math.log
     terms = [array("d", [0.0]) * n_tokens for _ in range(iterations)]
-    t = {}
-    for f, (positions, sentences) in tokens.items():
+    for f in sorted(tokens):
+        positions, sentences = tokens.pop(f)
         ids = {}  # candidate -> its index in the row, in first-seen order
         segments = [[ids.setdefault(e, len(ids)) for e in candidates]
                     for candidates in sentences]
@@ -81,7 +84,7 @@ def train_em(corpus, iterations: int) -> LexiconModel:
                     counts[c] += row[c] / z
             total = sum(counts)
             row = [n / total for n in counts]
-        t[f] = dict(zip(ids, row))
+        keep(f, dict(zip(ids, row)))
 
     log_likelihoods = []
     for log_terms in terms:
@@ -89,25 +92,35 @@ def train_em(corpus, iterations: int) -> LexiconModel:
         for term in log_terms:
             log_likelihood += term
         log_likelihoods.append(log_likelihood)
-    return LexiconModel(t, log_likelihoods)
+    return log_likelihoods
 
 
-def best_target(model: LexiconModel, f: str):
-    """Argmax of t(.|f); ties break lexicographically among real words.
+def render_row(f: str, dist: dict):
+    """Row f's lexicon-v1 lines, sorted by target word, and its argmax.
 
-    The null target is a candidate in every sentence, so it frequently ends
-    up exactly tied with a word's true translation; it only wins the argmax
-    when strictly more probable. Returns None when f is unseen. The answer
-    is computed once per source word and kept on the model.
+    The argmax breaks ties lexicographically among real words. The null
+    target is a candidate in every sentence, so it frequently ends up
+    exactly tied with a word's true translation; it only wins when strictly
+    more probable.
     """
-    cache = model._best
-    if f not in cache:
-        dist = model.t.get(f)
-        cache[f] = (
-            min(dist, key=lambda e: (-dist[e], e == NULL_TOKEN, e))
-            if dist else None
-        )
-    return cache[f]
+    targets = sorted(dist)
+    top = max(dist.values())
+    best = next((e for e in targets if dist[e] == top and e != NULL_TOKEN),
+                NULL_TOKEN)
+    return "".join([f"{f}\t{e}\t{dist[e]:.12g}\n" for e in targets]), best
+
+
+def train_em(corpus, iterations: int) -> LexiconModel:
+    """Fit t(e|f) with fit_rows, keeping of each row its lines and its argmax."""
+    lines = [f"lexicon-v1 iterations={iterations}\n"]
+    best = {}
+
+    def keep(f, dist):
+        text, best[f] = render_row(f, dist)
+        lines.append(text)
+
+    log_likelihoods = fit_rows(corpus, iterations, keep)
+    return LexiconModel("".join(lines), best, log_likelihoods)
 
 
 def translate(model: LexiconModel, source_lines):
@@ -116,7 +129,7 @@ def translate(model: LexiconModel, source_lines):
     for line in source_lines:
         words = []
         for f in tokenize(line):
-            e = best_target(model, f)
+            e = model.best.get(f)
             if e is None:
                 words.append(f)  # out-of-vocabulary: copy through
             elif e != NULL_TOKEN:
@@ -125,26 +138,16 @@ def translate(model: LexiconModel, source_lines):
     return out
 
 
-@dataclass
-class Fit:
-    """What run_experiment's caller keeps of one fitted model."""
-
-    lexicon: str  # the lexicon-v1 text that save_model writes
-    log_likelihoods: list  # one per iteration
-
-
 def _fit(label, corpus, iterations, eval_sets):
-    """Train one model, score it on every eval set and render its lexicon.
-
-    Returns (Fit, the model's one-row EvalMatrix).
-    """
+    """Train one model and score it on every eval set: returns
+    (LexiconModel, the model's one-row EvalMatrix)."""
     model = train_em(corpus, iterations)
     row = cross_evaluate({label: lambda lines: translate(model, lines)}, eval_sets)
-    return Fit(lexicon_text(model), model.log_likelihoods), row
+    return model, row
 
 
 def _fit_in_worker(sender, job):
-    """Forked worker body: fit Aug and send (Fit, row), or the exception."""
+    """Forked worker body: fit Aug and send (LexiconModel, row), or the exception."""
     try:
         outcome = _fit("Aug", *job)
     except Exception as exc:  # the caller raises it
@@ -177,13 +180,13 @@ def run_experiment(
     """Fit Nat / Synth / Aug lexicon models and cross-evaluate them.
 
     Aug trains on the concatenation of both training corpora. Each model is
-    trained, scored on every provided eval set and rendered as lexicon-v1
-    text. A forked worker fits Aug while the caller fits Nat and then Synth:
-    the E-step's cost is additive over sentences, so the two sides take
-    about as long. With one CPU, or no fork, the caller fits all three.
-    Returns ({label: Fit}, EvalMatrix) once every fit has returned. Raises
-    ConfigError when a pair id is in two of the input corpora, and
-    CorpusForgeError when the worker dies.
+    trained and scored on every provided eval set. A forked worker fits Aug
+    while the caller fits Nat and then Synth: the E-step's cost is additive
+    over sentences, so the two sides take about as long. With one CPU, or no
+    fork, the caller fits all three. Returns ({label: LexiconModel},
+    EvalMatrix) once every fit has returned. Raises ConfigError when a pair
+    id is in two of the input corpora, and CorpusForgeError when the worker
+    dies.
     """
     seen, shared = set(), set()
     for corpus in filter(None, (nat_train, syn_train, nat_valid, test, syn_valid)):
@@ -241,20 +244,10 @@ def run_experiment(
         cells={key: v for row in rows for key, v in row.cells.items()},
         failures={key: v for row in rows for key, v in row.failures.items()},
     )
-    return {label: fit for label, (fit, _) in results.items()}, matrix
-
-
-def lexicon_text(model: LexiconModel) -> str:
-    """lexicon-v1: a one-line header, then sorted f<TAB>e<TAB>prob lines."""
-    rows = [f"lexicon-v1 iterations={len(model.log_likelihoods)}\n"]
-    for f in sorted(model.t):
-        dist = model.t[f]
-        rows.append("".join([f"{f}\t{e}\t{dist[e]:.12g}\n" for e in sorted(dist)]))
-    return "".join(rows)
+    return {label: model for label, (model, _) in results.items()}, matrix
 
 
 def save_model(model: LexiconModel, path) -> None:
-    """Write model's lexicon_text to path, atomically."""
-    text = lexicon_text(model)
+    """Write model's lexicon-v1 text to path, atomically."""
     with open_atomic(path) as fh:
-        fh.write(text)
+        fh.write(model.lexicon)

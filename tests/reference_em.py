@@ -1,16 +1,23 @@
 """Reference lexical EM: the original per-iteration dict trainer and decoder.
 
 Kept verbatim as the oracle for the differential tests in test_em.py; the
-package's row-at-a-time trainer and memoized decoder must reproduce these
-probabilities, log-likelihoods, translations and lexicon files exactly.
+package's row-at-a-time trainer and argmax table must reproduce these
+probabilities, log-likelihoods, argmaxes and translations exactly.
 Tokens here are raw ``str.split()`` units, so feed it NFC-normalized text.
 """
 
 import math
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 
-from corpus_forge.em import NULL_TOKEN, LexiconModel
+from corpus_forge.em import NULL_TOKEN
 from corpus_forge.errors import EmptyCorpus
+
+
+@dataclass
+class LexiconModel:
+    t: dict  # source word -> {target word: probability}
+    log_likelihoods: list  # one per iteration
 
 
 def _tokenized(corpus):

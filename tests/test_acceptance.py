@@ -129,11 +129,13 @@ def test_criterion_3_em_suite():
              ("ein Buch", "a book")]
         )
         model = em.train_em(corpus, 10)
-        assert em.best_target(model, "Buch") == "book"
+        assert model.best["Buch"] == "book"
         for earlier, later in zip(model.log_likelihoods,
                                   model.log_likelihoods[1:]):
             assert later >= earlier - 1e-9
-        for f, dist in model.t.items():
+        rows = {}
+        em.fit_rows(corpus, 10, rows.__setitem__)
+        for dist in rows.values():
             assert abs(sum(dist.values()) - 1.0) <= 1e-9
 
 

@@ -61,8 +61,8 @@ def failing_bpe_model(tmp_path):
 
 
 def failing_lexicon(tmp_path):
-    model = em.LexiconModel(t={"a": {"b": 0.5, "c": "not a number"}},
-                            log_likelihoods=[0.0])
+    # not text, so the write inside open_atomic fails
+    model = em.LexiconModel(lexicon=None, best={}, log_likelihoods=[0.0])
     path = tmp_path / "model.lexicon"
     return path, lambda: em.save_model(model, path)
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import string
 from collections import Counter
 from types import SimpleNamespace
@@ -133,6 +134,16 @@ class TestSerialization:
         with pytest.raises(CorpusFormatError) as caught:
             bpe.load_model(path)
         assert str(path) in str(caught.value)
+
+    @pytest.mark.parametrize("merge", ["a b c", "a  b", " b", "c "],
+                             ids=["three-symbols", "two-spaces", "empty-left",
+                                  "empty-right"])
+    def test_bad_merge_line_rejected(self, tmp_path, merge):
+        path = tmp_path / "bad.bpe"
+        path.write_text(f"bpe-v1 10\ne s\n{merge}\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError,
+                           match="^" + re.escape(f"{path}:3: bad merge line")):
+            bpe.load_model(path)
 
 
 ALPHABETS = ("ab", "aab", "lowenstid")

@@ -182,6 +182,8 @@ class TestHallucinate:
         "paths.root=x",
         "http.retries=2",
         "plan.nouns=3",
+        "iterations=3",  # em.iterations
+        "bakend=http",
     ])
     def test_unknown_settings_are_config_errors(self, runner, tmp_path, setting):
         run_root = tmp_path / "runs"

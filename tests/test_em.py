@@ -23,6 +23,14 @@ def toy_corpus():
     )
 
 
+def fitted_rows(corpus, iterations):
+    """fit_rows's rows, {f: {e: probability}} in the order it fits them, and
+    its log-likelihoods."""
+    rows = {}
+    log_likelihoods = em.fit_rows(corpus, iterations, rows.__setitem__)
+    return rows, log_likelihoods
+
+
 class TestTrainEm:
     def test_uniform_initialization(self):
         model = em.train_em(toy_corpus(), 1)
@@ -32,7 +40,7 @@ class TestTrainEm:
 
     def test_buch_learns_book(self):
         model = em.train_em(toy_corpus(), 10)
-        assert em.best_target(model, "Buch") == "book"
+        assert model.best["Buch"] == "book"
 
     def test_log_likelihood_non_decreasing(self):
         rng = random.Random(4)
@@ -48,8 +56,8 @@ class TestTrainEm:
             assert later >= earlier - 1e-9
 
     def test_distributions_normalized(self):
-        model = em.train_em(toy_corpus(), 10)
-        for f, dist in model.t.items():
+        rows, _ = fitted_rows(toy_corpus(), 10)
+        for dist in rows.values():
             assert abs(sum(dist.values()) - 1.0) <= 1e-9
             assert all(p >= 0 for p in dist.values())
 
@@ -95,12 +103,6 @@ class TestTranslate:
         model = em.train_em(corpus, 10)
         assert em.translate(model, [nfd, f"{nfd} gut"]) == ["coffee", "coffee good"]
 
-    def test_argmax_cache_left_out_of_comparisons(self):
-        decoded, fresh = em.train_em(toy_corpus(), 5), em.train_em(toy_corpus(), 5)
-        em.translate(decoded, ["das Buch ein Haus"])
-        assert decoded._best and not fresh._best
-        assert decoded == fresh
-
     def test_length_bounded(self):
         model = em.train_em(toy_corpus(), 5)
         for line in ["das Buch ein Haus", "das das das"]:
@@ -109,26 +111,46 @@ class TestTranslate:
 
 class TestSerialization:
     def test_save_model_bytes(self, tmp_path):
-        # rows sort by source word, then by target word, in code-point order
-        model = em.LexiconModel(
-            t={
-                "ä": {"é": 0.5},
-                "b": {"y": 0.0, em.NULL_TOKEN: 1.0},
-                "a": {"z": 1 / 3, "x": 2 / 3, "Z": 1e-20},
-            },
-            log_likelihoods=[0.0] * 7,  # seven iterations
-        )
+        # every row is {y: 0.5, <null>: 0.5}; rows sort by source word, then
+        # by target word, in code-point order
+        model = em.train_em(make_corpus([("b ä a", "y")]), 7)
         path = tmp_path / "model.lexicon"
         em.save_model(model, path)
         assert path.read_bytes() == (
             "lexicon-v1 iterations=7\n"
-            "a\tZ\t1e-20\n"
-            "a\tx\t0.666666666667\n"
-            "a\tz\t0.333333333333\n"
-            "b\t<null>\t1\n"
-            "b\ty\t0\n"
-            "ä\té\t0.5\n"
+            "a\t<null>\t0.5\n"
+            "a\ty\t0.5\n"
+            "b\t<null>\t0.5\n"
+            "b\ty\t0.5\n"
+            "ä\t<null>\t0.5\n"
+            "ä\ty\t0.5\n"
         ).encode("utf-8")
+
+
+class TestRenderRow:
+    @pytest.mark.parametrize("f, dist, lines", [
+        # targets sort in code-point order; probabilities print as .12g
+        ("a", {"z": 1 / 3, "x": 2 / 3, "Z": 1e-20},
+         "a\tZ\t1e-20\na\tx\t0.666666666667\na\tz\t0.333333333333\n"),
+        ("b", {"y": 0.0, em.NULL_TOKEN: 1.0}, "b\t<null>\t1\nb\ty\t0\n"),
+        ("ä", {"é": 0.5}, "ä\té\t0.5\n"),
+    ])
+    def test_lines(self, f, dist, lines):
+        assert em.render_row(f, dist)[0] == lines
+
+    @pytest.mark.parametrize("dist, best", [
+        ({em.NULL_TOKEN: 0.5, "w": 0.5}, "w"),  # null tied with a word
+        ({"y": 0.4, em.NULL_TOKEN: 0.4, "x": 0.2}, "y"),
+        ({"é": 0.5, "z": 0.5}, "z"),  # two words tied: the smaller wins
+        ({"y": 0.3, "x": 0.3, em.NULL_TOKEN: 0.3, "w": 0.1}, "x"),
+        ({"w": 0.25, em.NULL_TOKEN: 0.5, "a": 0.25}, em.NULL_TOKEN),  # null on top
+        ({em.NULL_TOKEN: 1.0}, em.NULL_TOKEN),
+        ({"x": 0.0, em.NULL_TOKEN: 1.0}, em.NULL_TOKEN),
+    ])
+    def test_argmax(self, dist, best):
+        assert em.render_row("f", dist)[1] == best
+        oracle = reference_em.LexiconModel(t={"f": dist}, log_likelihoods=[])
+        assert reference_em.best_target(oracle, "f") == best
 
 
 # Few word types, so words repeat within sentences; one-word sentences give
@@ -141,6 +163,31 @@ def sentences(words):
     return st.lists(words, min_size=1, max_size=5).map(" ".join)
 
 
+def reference_lexicon(model, iterations):
+    """The oracle's t as lexicon-v1 text, sorted by f, then e."""
+    return f"lexicon-v1 iterations={iterations}\n" + "".join(
+        f"{f}\t{e}\t{model.t[f][e]:.12g}\n"
+        for f in sorted(model.t) for e in sorted(model.t[f]))
+
+
+def assert_matches_reference(corpus, iterations, lines):
+    """fit_rows's rows, and train_em's model, against the oracle's."""
+    rows, log_likelihoods = fitted_rows(corpus, iterations)
+    expected = reference_em.train_em(corpus, iterations)
+    # rows come in sorted order; the oracle's follow a set's
+    assert list(rows) == sorted(expected.t)
+    for f, dist in expected.t.items():
+        assert list(rows[f].items()) == list(dist.items())
+    assert log_likelihoods == expected.log_likelihoods
+    model = em.train_em(corpus, iterations)
+    assert model.log_likelihoods == expected.log_likelihoods
+    assert list(model.best) == list(rows)
+    for f in rows:
+        assert model.best[f] == reference_em.best_target(expected, f)
+    assert em.translate(model, lines) == reference_em.translate(expected, lines)
+    assert model.lexicon == reference_lexicon(expected, iterations)
+
+
 def lexicon_bytes(model):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.lexicon"
@@ -149,7 +196,8 @@ def lexicon_bytes(model):
 
 
 class TestMatchesReference:
-    """train_em, best_target and translate against the original dict-based EM."""
+    """fit_rows, train_em's argmaxes and lexicon, and translate against the
+    original dict-based EM."""
 
     @settings(deadline=None)
     @given(
@@ -159,36 +207,17 @@ class TestMatchesReference:
     )
     def test_bit_identical(self, pairs, iterations):
         corpus = make_corpus(pairs)
-        model = em.train_em(corpus, iterations)
-        expected = reference_em.train_em(corpus, iterations)
-        assert model.t.keys() == expected.t.keys()
-        for f, dist in expected.t.items():
-            assert list(model.t[f].items()) == list(dist.items())
-        assert model.log_likelihoods == expected.log_likelihoods
-        lines = corpus.source_lines() + ["a e b", "e"]
-        assert em.translate(model, lines) == reference_em.translate(expected, lines)
-        for f in expected.t:
-            assert em.best_target(model, f) == reference_em.best_target(expected, f)
-        assert lexicon_bytes(model) == lexicon_bytes(expected)
+        assert_matches_reference(corpus, iterations,
+                                 corpus.source_lines() + ["a e b", "e"])
 
     def test_at_a_size_the_properties_never_reach(self):
         """2,000 Zipfian lines over 1,500-word lexicons, 10 iterations: rows
         met by hundreds of tokens, where the hypothesis corpora stop at 8 pairs."""
         corpus = syllable_corpus()
-        model = em.train_em(corpus, 10)
-        expected = reference_em.train_em(corpus, 10)
-        lines = corpus.source_lines()
-        # rows come in first-seen order; the oracle's follow a set's
-        assert list(model.t) == list(dict.fromkeys(
-            f for line in lines for f in tokenize(line)))
-        assert model.t.keys() == expected.t.keys()
-        for f, dist in expected.t.items():
-            assert list(model.t[f].items()) == list(dist.items())
-        assert model.log_likelihoods == expected.log_likelihoods
+        words = sorted({f for line in corpus.source_lines() for f in tokenize(line)})
         # each source word once: the oracle decodes a token in time linear
         # in its row, and the frequent words' rows are long
-        assert em.translate(model, list(model.t)) == reference_em.translate(
-            expected, list(model.t))
+        assert_matches_reference(corpus, 10, words)
 
 
 class TestRunExperiment:
@@ -320,7 +349,7 @@ class TestParallelExperiment:
 
         def failing(model, lines):
             # Nat knows only quell*, Synth only neu*, Aug both
-            vocab = ("quell0" in model.t, "neu0" in model.t)
+            vocab = ("quell0" in model.best, "neu0" in model.best)
             if vocab == {"Synth": (False, True), "Aug": (True, True)}[label]:
                 raise ValueError(f"no decoding for {label}")
             return translate(model, lines)
