@@ -175,8 +175,10 @@ def _encode_word(model, word):
             break
         symbols = _merge_word(symbols, best_pair, best_pair[0] + best_pair[1])
         last = best_rank
-    pieces = [s.removesuffix(BOUNDARY) for s in symbols]
-    return tuple(p + MARKER for p in pieces[:-1]) + (pieces[-1],)
+    # merges only join symbols, so the final one alone carries the boundary;
+    # a "</w>" ending any other is the word's own text
+    *pieces, final = symbols
+    return tuple(p + MARKER for p in pieces) + (final.removesuffix(BOUNDARY),)
 
 
 def encode(model, text):

@@ -79,11 +79,23 @@ def main(verbose):
     )
 
 
+def _file_name(ctx, param, value):
+    """A value that is one file or directory name, or None when not given:
+    non-empty, no path separator, neither "." nor ".."."""
+    if value is not None and (value in ("", ".", "..") or "/" in value
+                              or os.sep in value):
+        raise click.BadParameter(
+            f"{value!r} cannot be a file name: it must be non-empty, hold no "
+            "path separator and be neither . nor ..")
+    return value
+
+
 @main.command()
 @config_options
 @click.option("--backend", type=click.Choice(["http", "mock"]), default=None,
               help="Override the configured backend.")
-@click.option("--run-id", default=None, help="Run directory name.")
+@click.option("--run-id", default=None, callback=_file_name,
+              help="Run directory name.")
 def hallucinate(config_path, overrides, backend, run_id):
     """Generate a synthetic parallel corpus via the three-stage pipeline."""
     cfg = load_config(config_path, overrides)
@@ -99,12 +111,6 @@ def hallucinate(config_path, overrides, backend, run_id):
     if run_id is None:
         run_id = f"run-s{cfg.rng_seed}-m{cfg.mock_seed}"
     run_dir = Path(cfg.paths.run_root) / run_id
-    try:
-        run_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(
-            f"paths.run_root: cannot create run directory {run_dir}: {exc.strerror}"
-        ) from None
     click.echo(f"run directory: {run_dir}")
     click.echo(f"seeds: rng_seed={cfg.rng_seed} mock_seed={cfg.mock_seed}")
     splits, _ = run_pipeline(
@@ -250,10 +256,7 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
     if syn_valid:
         corpora["syn-valid"] = load(syn_valid)
 
-    # run_experiment refuses overlapping corpora and returns once every fit
-    # has; nothing is written before it, but an output directory the OS
-    # would refuse ends the command first (ttr.csv is the first file written)
-    check_writable(out / "ttr.csv")
+    check_writable(out / "ttr.csv", out / "models" / "nat.lexicon")
     models, matrix = em.run_experiment(
         corpora["nat-train"],
         corpora["syn-train"],
@@ -299,20 +302,11 @@ def analyze(input_paths, source_lang, target_lang, out):
     _write_analysis(corpora, out)
 
 
-def _file_suffix(ctx, param, value):
-    """A language code that ends a file name: non-empty, no path separator."""
-    if not value or "/" in value or os.sep in value:
-        raise click.BadParameter(
-            f"{value!r} cannot end a file name: it must be non-empty and "
-            "hold no path separator")
-    return value
-
-
 @main.command()
 @click.option("--input", "input_paths", multiple=True, required=True,
               type=IN_FILE, help="JSON-lines corpora.")
-@click.option("--src", "source_lang", required=True, callback=_file_suffix)
-@click.option("--tgt", "target_lang", required=True, callback=_file_suffix)
+@click.option("--src", "source_lang", required=True, callback=_file_name)
+@click.option("--tgt", "target_lang", required=True, callback=_file_name)
 @click.option("--out-dir", "out", required=True, type=DIR)
 def export(input_paths, source_lang, target_lang, out):
     """Write line-aligned text pairs plus reference training metadata.

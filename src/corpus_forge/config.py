@@ -8,7 +8,7 @@ when there is a file or an override to parse.
 """
 
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import SplitSpec, _refused
@@ -62,8 +62,9 @@ class RunConfig:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "RunConfig":
-        # top-level keys other than these three and the sections are ignored
-        top = {k: raw[k] for k in ("backend", "mock_seed", "rng_seed") if k in raw}
+        # every other top-level key, unknown ones included, is checked here
+        top = {k: v for k, v in raw.items()
+               if k not in ("http", "plan", "templates", "splits", "em", "paths")}
         try:
             cfg = _settings(cls, "", top)
             if cfg.backend not in ("mock", "http"):
@@ -148,11 +149,5 @@ def load_config(path=None, overrides=()) -> RunConfig:
             raise ConfigError(f"config file is not valid YAML: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a mapping")
-    settings = {f.name for f in fields(RunConfig)}
-    for override in overrides:
-        # a file's unknown sections are ignored; an override must set something
-        key, equals, _ = override.partition("=")
-        if equals and key.split(".")[0] not in settings:
-            raise ConfigError(f"invalid configuration: unknown setting {key}")
     apply_overrides(raw, overrides)
     return RunConfig.from_mapping(raw)

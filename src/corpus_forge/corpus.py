@@ -200,25 +200,26 @@ def open_atomic(path):
         raise
 
 
-def check_writable(path):
-    """Raise the ConfigError open_atomic(path) would raise for a directory it
-    cannot create or write in, creating nothing.
+def check_writable(*paths):
+    """Raise the ConfigError open_atomic would raise for the first of paths
+    whose directory it cannot create or write in, creating nothing.
 
-    A command that works long before it writes calls this first, so an output
-    under a file, or in a directory it may not write, costs no work.
+    A command that works long before it writes calls this first, with one
+    path in each directory it writes, so an output under a file, or in a
+    directory it may not write, costs no work.
     """
-    path = Path(path)
-    directory = path.parent  # the nearest directory that exists decides
-    while not os.path.exists(directory) and directory != directory.parent:
-        directory = directory.parent
-    if not os.path.isdir(directory):
-        # as mkdir says: a file is in the way if it has the directory's name
-        reason = errno.EEXIST if directory == path.parent else errno.ENOTDIR
-    elif not os.access(directory, os.W_OK | os.X_OK):
-        reason = errno.EACCES
-    else:
-        return
-    raise ConfigError(f"cannot write {path}: {os.strerror(reason)}")
+    for path in map(Path, paths):
+        directory = path.parent  # the nearest directory that exists decides
+        while not os.path.exists(directory) and directory != directory.parent:
+            directory = directory.parent
+        if not os.path.isdir(directory):
+            # as mkdir says: a file is in the way if it has the directory's name
+            reason = errno.EEXIST if directory == path.parent else errno.ENOTDIR
+        elif not os.access(directory, os.W_OK | os.X_OK):
+            reason = errno.EACCES
+        else:
+            continue
+        raise ConfigError(f"cannot write {path}: {os.strerror(reason)}")
 
 
 # the string encoder json.dumps uses when ensure_ascii is off

@@ -22,6 +22,7 @@ from .corpus import (
     SentencePair,
     SplitSpec,
     check_line,
+    check_writable,
     dedup,
     make_splits,
     normalize,
@@ -250,10 +251,14 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
 
     Returns (splits, report). Raises InsufficientData when the generated
     corpus cannot meet the split thresholds; the report is written first.
+    A directory of the run that could not be written ends it before the
+    first request.
     """
     run_dir = Path(run_dir)
     checkpoints = run_dir / "checkpoints"
+    corpora = run_dir / "corpora"
     report_path = run_dir / "reports" / "report.json"
+    check_writable(checkpoints / "seeds.json", corpora / "train.jsonl", report_path)
 
     report = PipelineReport(
         seeds_requested=plan.n_nouns + plan.n_verbs,
@@ -298,7 +303,7 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
 
     report.pairs_sampled = sum(len(split) for split in splits.values())
     for name, split in splits.items():
-        write_jsonl(split, run_dir / "corpora" / f"{name}.jsonl")
+        write_jsonl(split, corpora / f"{name}.jsonl")
     write_json(report_path, asdict(report))
     log.info("pipeline finished in %.2fs", time.monotonic() - started)
     return splits, report

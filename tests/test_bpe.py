@@ -273,6 +273,17 @@ class TestHeapOrderAgainstSeedOracle:
         assert {("w", "></w>"), ("w>", "</w>")} <= set(merges)
 
 
+def test_literal_boundary_round_trips_under_every_prefix():
+    """A "</w>" inside a word is the word's own text: only the final symbol
+    carries the end-of-word boundary, however many merges have applied."""
+    merges = bpe.train_bpe([word_corpus(RECURS)], 60).merges
+    assert len(merges) == 8
+    for k in range(len(merges) + 1):
+        model = bpe.BpeModel(merges=merges[:k], vocab=Counter(), target_vocab_size=60)
+        for word, _ in RECURS:
+            assert bpe.decode(bpe.encode(model, word)) == word, merges[:k]
+
+
 def test_model_at_a_size_the_properties_never_reach(tmp_path):
     """Pins the model trained on 2,000 lines to a vocabulary of 600, hundreds
     of merges past what the hypothesis corpora reach."""

@@ -57,6 +57,20 @@ def hallucinate_args(run_root, run_id="r1", extra=()):
     )
 
 
+@pytest.fixture
+def requests_sent(monkeypatch):
+    """The requests that hallucinate sends to its mock backend."""
+    sent = []
+
+    class Counting(MockBackend):
+        def complete(self, request):
+            sent.append(request)
+            return super().complete(request)
+
+    monkeypatch.setattr(cli, "make_backend", lambda *args, **kwargs: Counting())
+    return sent
+
+
 def snapshot(root):
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -207,7 +221,8 @@ class TestHallucinate:
         assert "config error: config file is not valid YAML" in result.output
         assert not run_root.exists()
 
-    def test_file_named_checkpoints_is_a_config_error(self, runner, tmp_path):
+    def test_file_named_checkpoints_is_a_config_error(self, runner, tmp_path,
+                                                      requests_sent):
         run_dir = tmp_path / "runs" / "r1"
         run_dir.mkdir(parents=True)
         (run_dir / "checkpoints").write_text("not a directory\n", encoding="utf-8")
@@ -218,6 +233,49 @@ class TestHallucinate:
         seeds = run_dir / "checkpoints" / "seeds.json"
         assert f"config error: cannot write {seeds}: " in result.output
         assert snapshot(run_dir) == {"checkpoints": b"not a directory\n"}
+        assert requests_sent == []
+
+    @pytest.mark.parametrize("directory, written", [
+        ("corpora", "train.jsonl"), ("reports", "report.json")])
+    def test_file_named_like_a_later_directory(self, runner, tmp_path,
+                                               requests_sent, directory, written):
+        """Each directory of the run is checked before the first request, not
+        only the one written first."""
+        run_dir = tmp_path / "runs" / "r1"
+        run_dir.mkdir(parents=True)
+        (run_dir / directory).write_text("not a directory\n", encoding="utf-8")
+        result = runner.invoke(main, hallucinate_args(tmp_path / "runs"))
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert "Traceback" not in result.output
+        path = run_dir / directory / written
+        assert f"config error: cannot write {path}: File exists\n" in result.output
+        assert requests_sent == []
+        assert snapshot(tmp_path / "runs") == {f"r1/{directory}": b"not a directory\n"}
+        assert sorted(run_dir.iterdir()) == [run_dir / directory]
+
+    def test_failed_seed_request_leaves_no_run_directory(self, runner, tmp_path,
+                                                         monkeypatch):
+        class Unreachable(MockBackend):
+            def complete(self, request):
+                raise TransportError("connection refused")
+
+        monkeypatch.setattr(cli, "make_backend",
+                            lambda *args, **kwargs: Unreachable())
+        result = runner.invoke(main, hallucinate_args(tmp_path / "runs"))
+        assert result.exit_code == TransportError.exit_code, result.output
+        assert "transport error: connection refused\n" in result.output
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("run_id", ["", ".", "..", "a/b", "../r1"])
+    def test_run_id_that_is_not_one_name(self, runner, tmp_path, requests_sent,
+                                         run_id):
+        run_root = tmp_path / "runs"
+        run_root.mkdir()
+        result = runner.invoke(main, hallucinate_args(run_root, run_id))
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--run-id'" in result.output
+        assert requests_sent == []
+        assert sorted(tmp_path.rglob("*")) == [run_root]
 
     def test_unreadable_checkpoint_is_a_config_error(self, runner, tmp_path,
                                                      monkeypatch):
@@ -781,8 +839,7 @@ class TestMalformedInputs:
         assert result.exit_code == exit_code, result.output
         assert "Traceback" not in result.output
         if exit_code == ConfigError.exit_code:
-            assert "config error: paths.run_root: cannot create run directory" \
-                in result.output
+            assert "config error: cannot write" in result.output
         else:
             assert "Invalid value" in result.output
         assert (snapshot(tmp_path), sorted(tmp_path.rglob("*"))) == before
@@ -912,6 +969,21 @@ class TestOutputDirectories:
         assert f"config error: cannot write {blocker / 'deeper'}" in result.output
         assert blocker.read_text(encoding="utf-8") == "a file\n"
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    def test_experiment_models_directory_is_a_file(self, runner, tmp_path,
+                                                   fixture_paths, monkeypatch):
+        def work(*args, **kwargs):
+            pytest.fail("the command worked before it refused its output")
+        monkeypatch.setattr(em, "run_experiment", work)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "models").write_text("a file\n", encoding="utf-8")
+        result, _ = self.invoke(runner, tmp_path, fixture_paths, "experiment", out)
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert "Traceback" not in result.output
+        lexicon = out / "models" / "nat.lexicon"
+        assert f"config error: cannot write {lexicon}: File exists\n" in result.output
+        assert snapshot(out) == {"models": b"a file\n"}
 
 
 class TestErrorHandler:

@@ -52,10 +52,17 @@ class TestLoadConfig:
         assert cfg.plan.n_nouns == 9
         assert cfg.mock_seed == 2
 
-    def test_unknown_sections_ignored(self, tmp_path):
-        # bpe-train takes its vocabulary size as --vocab-size, not from here
-        path = write_config(tmp_path, {"bpe": "not a mapping", "extra": {"x": 1}})
-        assert load_config(path) == load_config()
+    def test_unknown_sections_are_errors(self, tmp_path):
+        # bpe-train takes its vocabulary size as --vocab-size, not from a
+        # bpe section; htpp is a misspelled http that would leave the
+        # endpoint at its default
+        for section in ({"bpe": {"vocab_size": 100}}, {"extra": {"x": 1}},
+                        {"htpp": {"endpoint_url": "http://127.0.0.1:9/v1"}}):
+            path = write_config(tmp_path, {"backend": "http", **section})
+            key, = section
+            with pytest.raises(ConfigError, match=f"^invalid configuration: "
+                                                  f"unknown setting {key}$"):
+                load_config(path)
 
     def test_bad_backend(self, tmp_path):
         path = write_config(tmp_path, {"backend": "telepathy"})
