@@ -256,7 +256,9 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
     if syn_valid:
         corpora["syn-valid"] = load(syn_valid)
 
-    check_writable(out / "ttr.csv", out / "models" / "nat.lexicon")
+    check_writable(out / "ttr.csv", out / "zipf.csv", out / "results.md",
+                   out / "results.json", out / "models" / "nat.lexicon",
+                   out / "models" / "synth.lexicon", out / "models" / "aug.lexicon")
     models, matrix = em.run_experiment(
         corpora["nat-train"],
         corpora["syn-train"],

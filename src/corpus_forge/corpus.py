@@ -202,11 +202,13 @@ def open_atomic(path):
 
 def check_writable(*paths):
     """Raise the ConfigError open_atomic would raise for the first of paths
-    whose directory it cannot create or write in, creating nothing.
+    that it cannot write, creating nothing.
 
-    A command that works long before it writes calls this first, with one
-    path in each directory it writes, so an output under a file, or in a
-    directory it may not write, costs no work.
+    A path cannot be written when its directory cannot be created or written
+    in, or when the path is itself a directory. A command that works long
+    before it writes calls this first, with every path it writes, so an
+    output under a file, in a directory it may not write, or in a
+    directory's place costs no work.
     """
     for path in map(Path, paths):
         directory = path.parent  # the nearest directory that exists decides
@@ -217,6 +219,9 @@ def check_writable(*paths):
             reason = errno.EEXIST if directory == path.parent else errno.ENOTDIR
         elif not os.access(directory, os.W_OK | os.X_OK):
             reason = errno.EACCES
+        elif os.path.isdir(path) and not os.path.islink(path):
+            # os.replace puts a file in place of a link, never of a directory
+            reason = errno.EISDIR
         else:
             continue
         raise ConfigError(f"cannot write {path}: {os.strerror(reason)}")
@@ -224,6 +229,8 @@ def check_writable(*paths):
 
 # the string encoder json.dumps uses when ensure_ascii is off
 _encode_str = json.encoder.encode_basestring
+# json.dumps(obj, ensure_ascii=False), without a new encoder for each call
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _is_flat_record(record) -> bool:
@@ -269,7 +276,7 @@ def write_jsonl(corpus: ParallelCorpus, path) -> None:
                 "origin": p.origin,
                 "seed_word": p.seed_word,
             }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(_encode_json(record) + "\n")
 
 
 def read_jsonl(path, source_lang: str, target_lang: str) -> ParallelCorpus:

@@ -208,8 +208,10 @@ class MockBackend:
 
     Classifies each request by matching its system message against the
     configured templates, then answers from bundled word lists, repetitive
-    sentence templates, and a toy word-by-word lexicon. Identical
-    (request, mock_seed) always yields identical bytes.
+    sentence templates, and a toy word-by-word lexicon. The match is cached
+    by prompts.classify_system_text, so each distinct system message is
+    classified once per template set. Identical (request, mock_seed) always
+    yields identical bytes.
     """
 
     def __init__(self, templates: prompts.PromptTemplateSet = None, mock_seed: int = 0):

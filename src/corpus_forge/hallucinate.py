@@ -104,9 +104,15 @@ def parse_delimited(text: str, delimiter: str):
 
 
 def _request(plan, temperature, system, user=None, assistant=None):
-    """A stage's request: a system message, then the user and assistant ones given."""
-    turns = (("system", system), ("user", user), ("assistant", assistant))
-    messages = tuple(ChatMessage(role, text) for role, text in turns if text is not None)
+    """A stage's request: its system message, then the user text and the
+    assistant message given.
+
+    system and assistant are ChatMessages that a stage builds once and puts
+    in each of its requests; only the user message is built per request.
+    """
+    messages = (system,) if user is None else (system, ChatMessage("user", user))
+    if assistant is not None:
+        messages += (assistant,)
     return ChatRequest(messages, plan.model_name, temperature)
 
 
@@ -126,7 +132,8 @@ def generate_seed_words(plan, templates, gateway):
     Returns the seed words; a failed request aborts the stage."""
     requests = [
         _request(plan, plan.generation_temperature,
-                 prompts.render(templates.system_for(stage), n=n))
+                 ChatMessage("system",
+                             prompts.render(templates.system_for(stage), n=n)))
         for stage, n in ((prompts.STAGE_SEED_NOUNS, plan.n_nouns),
                          (prompts.STAGE_SEED_VERBS, plan.n_verbs))
     ]
@@ -145,12 +152,12 @@ def generate_seed_words(plan, templates, gateway):
 def generate_sentences(seeds, plan, templates, gateway, report=None):
     """One request per seed; global sentence dedup. Returns {"seed", "sentence"}
     records, each sentence kept under the first seed that produced it."""
-    system = prompts.render(templates.sentences_system, n=plan.sentences_per_seed)
-    requests = [
-        _request(plan, plan.generation_temperature, system, seed,
-                 templates.sentences_fewshot or None)
-        for seed in seeds
-    ]
+    system = ChatMessage("system", prompts.render(templates.sentences_system,
+                                                  n=plan.sentences_per_seed))
+    fewshot = (ChatMessage("assistant", templates.sentences_fewshot)
+               if templates.sentences_fewshot else None)
+    requests = [_request(plan, plan.generation_temperature, system, seed, fewshot)
+                for seed in seeds]
     answers = _answers(gateway, requests, "sentence generation", seeds)
     # each distinct sentence once, under the first seed that produced it: the
     # mock, like the chat models it stands in for, repeats itself heavily
@@ -179,8 +186,9 @@ def translate_sentences(sentences, plan, templates, gateway):
     """One translation call per sentence record; failures dropped with a logged
     count. Returns {"id", "src", "tgt", "seed_word"} records, ids numbering
     the sentences."""
-    system = prompts.render(templates.translation_system,
-                            src=plan.source_lang, tgt=plan.target_lang)
+    system = ChatMessage("system", prompts.render(templates.translation_system,
+                                                  src=plan.source_lang,
+                                                  tgt=plan.target_lang))
     sources = [record["sentence"] for record in sentences]
     requests = [_request(plan, plan.translation_temperature, system, source)
                 for source in sources]
@@ -251,14 +259,16 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
 
     Returns (splits, report). Raises InsufficientData when the generated
     corpus cannot meet the split thresholds; the report is written first.
-    A directory of the run that could not be written ends it before the
-    first request.
+    A file of the run that could not be written ends it before the first
+    request.
     """
     run_dir = Path(run_dir)
     checkpoints = run_dir / "checkpoints"
     corpora = run_dir / "corpora"
     report_path = run_dir / "reports" / "report.json"
-    check_writable(checkpoints / "seeds.json", corpora / "train.jsonl", report_path)
+    check_writable(checkpoints / "seeds.json", checkpoints / "sentences.json",
+                   checkpoints / "translations.json", corpora / "train.jsonl",
+                   corpora / "valid.jsonl", report_path)
 
     report = PipelineReport(
         seeds_requested=plan.n_nouns + plan.n_verbs,

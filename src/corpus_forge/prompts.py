@@ -64,13 +64,8 @@ def render(template: str, **values) -> str:
     return out
 
 
-@functools.lru_cache(maxsize=32)
 def template_pattern(template: str) -> re.Pattern:
-    """Regex matching any rendering of a template; {n} captures the count.
-
-    Cached on the template text, so an edited PromptTemplateSet is matched
-    by its current templates.
-    """
+    """Regex matching any rendering of a template; {n} captures the count."""
     escaped = re.escape(template)
     escaped = escaped.replace(re.escape("{n}"), r"(?P<n>\d+)")
     for placeholder in ("{seed}", "{src}", "{tgt}", "{sentence}"):
@@ -79,15 +74,27 @@ def template_pattern(template: str) -> re.Pattern:
 
 
 def classify_system_text(templates: PromptTemplateSet, system_text: str):
-    """Match a rendered system message back to (stage, requested n or None)."""
+    """Match a rendered system message back to (stage, requested n or None).
+
+    Cached on the four system templates and the text, so a run classifies
+    each of its few distinct system messages once, and an edited
+    PromptTemplateSet is matched by its current templates.
+    """
+    return _classify(templates.seed_nouns_system, templates.seed_verbs_system,
+                     templates.sentences_system, templates.translation_system,
+                     system_text)
+
+
+@functools.lru_cache(maxsize=256)
+def _classify(seed_nouns, seed_verbs, sentences, translation, system_text):
     stages = (
-        STAGE_SEED_NOUNS,
-        STAGE_SEED_VERBS,
-        STAGE_SENTENCES,
-        STAGE_TRANSLATION,
+        (STAGE_SEED_NOUNS, seed_nouns),
+        (STAGE_SEED_VERBS, seed_verbs),
+        (STAGE_SENTENCES, sentences),
+        (STAGE_TRANSLATION, translation),
     )
-    for stage in stages:
-        match = template_pattern(templates.system_for(stage)).fullmatch(system_text)
+    for stage, template in stages:
+        match = template_pattern(template).fullmatch(system_text)
         if match:
             n = match.groupdict().get("n")
             return stage, int(n) if n is not None else None

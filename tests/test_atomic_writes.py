@@ -120,6 +120,30 @@ def test_check_writable_says_what_open_atomic_would(tmp_path, where):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["a"]
 
 
+def test_check_writable_refuses_a_directory_as_open_atomic_does(tmp_path):
+    path = tmp_path / "out.txt"
+    path.mkdir()
+    with pytest.raises(ConfigError) as at_write:
+        with open_atomic(path) as fh:
+            fh.write("text\n")
+    with pytest.raises(ConfigError) as at_check:
+        check_writable(path)
+    assert str(at_check.value) == str(at_write.value)
+    assert str(at_check.value) == f"cannot write {path}: Is a directory"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_check_writable_passes_a_link_that_open_atomic_replaces(tmp_path):
+    (tmp_path / "d").mkdir()
+    link = tmp_path / "out.txt"
+    link.symlink_to(tmp_path / "d")
+    check_writable(link)
+    with open_atomic(link) as fh:
+        fh.write("text\n")
+    assert not link.is_symlink()
+    assert link.read_text(encoding="utf-8") == "text\n"
+
+
 @pytest.mark.parametrize("where", ["out.txt", "new/deeper/out.txt"])
 def test_check_writable_creates_nothing(tmp_path, where):
     check_writable(tmp_path / where)

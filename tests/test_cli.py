@@ -293,7 +293,7 @@ class TestHallucinate:
         assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
-        assert f"config error: cannot read {seeds}: " in result.output
+        assert f"config error: cannot write {seeds}: Is a directory\n" in result.output
         assert requests == []
 
     @pytest.mark.parametrize("content", [None, 5, ["a"]],
@@ -969,6 +969,39 @@ class TestOutputDirectories:
         assert f"config error: cannot write {blocker / 'deeper'}" in result.output
         assert blocker.read_text(encoding="utf-8") == "a file\n"
         assert list(tmp_path.rglob("*.tmp")) == []
+
+    # every file that hallucinate (in runs/r1) and experiment (in out) write
+    OUTPUTS = [("hallucinate", f"runs/r1/{name}") for name in (
+        "checkpoints/seeds.json", "checkpoints/sentences.json",
+        "checkpoints/translations.json", "corpora/train.jsonl",
+        "corpora/valid.jsonl", "reports/report.json")] + [
+        ("experiment", f"out/{name}") for name in (
+            "ttr.csv", "zipf.csv", "results.md", "results.json",
+            "models/nat.lexicon", "models/synth.lexicon", "models/aug.lexicon")]
+
+    @pytest.mark.parametrize("command, output", OUTPUTS)
+    def test_directory_in_an_outputs_place(self, runner, tmp_path, fixture_paths,
+                                           requests_sent, monkeypatch, command,
+                                           output):
+        """A directory where a long command writes a file ends the command
+        before its first request or fit."""
+        def work(*args, **kwargs):
+            pytest.fail("the command worked before it refused its output")
+        monkeypatch.setattr(em, "run_experiment", work)
+        path = tmp_path / output
+        path.mkdir(parents=True)
+        if command == "hallucinate":
+            result = runner.invoke(main, hallucinate_args(tmp_path / "runs"))
+        else:
+            result, _ = self.invoke(runner, tmp_path, fixture_paths, command,
+                                    tmp_path / "out")
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert f"config error: cannot write {path}: Is a directory\n" in result.output
+        assert requests_sent == []
+        root = tmp_path / output.split("/")[0]
+        assert all(p == path or p in path.parents for p in root.rglob("*"))
 
     def test_experiment_models_directory_is_a_file(self, runner, tmp_path,
                                                    fixture_paths, monkeypatch):

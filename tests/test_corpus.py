@@ -1,3 +1,4 @@
+import json
 import unicodedata
 
 import pytest
@@ -189,6 +190,22 @@ class TestSentencePairInvariants:
 
 
 class TestOnDiskFormats:
+    def test_jsonl_lines_are_json_dumps(self, tmp_path):
+        pairs = [
+            SentencePair(id="n-1", source="Grüße aus Köln", target='say "hi"'),
+            SentencePair(id="s-1", source="a\\b \u2028 c", target="ünd\u2029",
+                         origin="synthetic", seed_word="Straße"),
+        ]
+        path = tmp_path / "c.jsonl"
+        write_jsonl(ParallelCorpus(pairs, "de", "en"), path)
+        expected = "".join(
+            json.dumps({"id": p.id, "src": p.source, "tgt": p.target,
+                        "origin": p.origin, "seed_word": p.seed_word},
+                       ensure_ascii=False) + "\n"
+            for p in pairs)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert '"seed_word": null' in expected
+
     def test_jsonl_round_trip(self, tmp_path):
         corpus = make_corpus([("ein Haus", "a house"), ("zwei Hunde", "two dogs")])
         path = tmp_path / "c.jsonl"

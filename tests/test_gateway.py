@@ -121,6 +121,21 @@ class TestMockBackend:
         with pytest.raises(UnclassifiableRequest):
             mock.complete(bad)
 
+    def test_template_edited_after_first_complete(self):
+        """Classification is cached on the templates' texts, so the mock
+        follows an edit made after it has answered."""
+        mock = MockBackend(mock_seed=0)
+        request = translation_request("Eine Eule ruft")
+        assert mock.complete(request) == "An owl calls"
+        mock.templates.translation_system = "Übersetze von {src} nach {tgt}"
+        with pytest.raises(UnclassifiableRequest):
+            mock.complete(request)
+        edited = ChatRequest(messages=(
+            ChatMessage("system", "Übersetze von de nach en"),
+            ChatMessage("user", "Eine Eule ruft"),
+        ))
+        assert mock.complete(edited) == "An owl calls"
+
 
 class FlakyBackend:
     """Fails a fixed number of times before succeeding."""

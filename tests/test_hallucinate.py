@@ -393,3 +393,66 @@ def test_golden_digests(tmp_path):
     digests = {name: hashlib.sha256(data).hexdigest()
                for name, data in dir_snapshot(run_dir).items()}
     assert digests == GOLDEN
+
+
+class RecordingSession(MockSession):
+    """A MockSession that keeps the bytes of each body posted to it, as
+    requests serialises a json= body."""
+
+    def __init__(self):
+        super().__init__(None, lambda stage, request: False)
+        self.bodies = []
+
+    def post(self, url, **kwargs):
+        self.bodies.append(json.dumps(kwargs["json"], allow_nan=False).encode())
+        return super().post(url, **kwargs)
+
+
+# sha256 of the sorted, newline-joined bodies that HttpBackend posts in
+# test_wire_bodies_unchanged, as the code posted them before each stage
+# built its shared messages once
+WIRE_DIGEST = "762099984fff350477182736f3fde5371cae107a8f052b5c8dd1a8ee8a11842c"
+
+
+class TestSharedStageMessages:
+    """Each stage builds its system message, and the sentence stage its
+    few-shot message, once; only the user message is built per request."""
+
+    def test_wire_bodies_unchanged(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("LLM_API_KEY", "sk-test")
+        session = RecordingSession()
+        backend = HttpBackend(BackendConfig(max_retries=0), session=session)
+        spec = SplitSpec(train_token_threshold=20, valid_token_threshold=10,
+                         rng_seed=0)
+        _, report = run_pipeline(small_plan(), PromptTemplateSet.defaults(),
+                                 Gateway(backend), spec, tmp_path / "a")
+        assert len(session.bodies) == (2 + report.seeds_parsed
+                                       + report.sentences_deduplicated)
+        digest = hashlib.sha256(b"\n".join(sorted(session.bodies))).hexdigest()
+        assert digest == WIRE_DIGEST
+
+    def test_requests_of_a_stage_share_their_messages(self, tmp_path, templates):
+        sent = []
+
+        class Recording(MockBackend):
+            def complete(self, request):
+                sent.append(request)
+                return super().complete(request)
+
+        spec = SplitSpec(train_token_threshold=60, valid_token_threshold=20)
+        run_pipeline(small_plan(), templates, Gateway(Recording(templates)), spec,
+                     tmp_path / "a")
+        by_stage = {}
+        for request in sent:
+            stage, _ = prompts.classify_system_text(
+                templates, request.first_content("system"))
+            by_stage.setdefault(stage, []).append(request)
+        sentences = by_stage[prompts.STAGE_SENTENCES]
+        translations = by_stage[prompts.STAGE_TRANSLATION]
+        assert len(sentences) > 1 and len(translations) > 1
+        for requests, shared in ((sentences, (0, 2)), (translations, (0,))):
+            for position in shared:
+                assert len({id(r.messages[position]) for r in requests}) == 1
+            assert len({id(r.messages[1]) for r in requests}) == len(requests)
+        assert [m.role for m in sentences[0].messages] == [
+            "system", "user", "assistant"]
