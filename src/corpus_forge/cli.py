@@ -26,7 +26,7 @@ from .corpus import (
     write_jsonl,
     write_plain_pair,
 )
-from .errors import ConfigError, CorpusForgeError
+from .errors import ConfigError, CorpusForgeError, EmptyCorpus
 from .gateway import Gateway, make_backend
 from .hallucinate import run_pipeline
 
@@ -67,6 +67,13 @@ def config_options(fn):
                       help="YAML run configuration.")(fn)
     fn = click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
                       help="Override a config key (dotted path).")(fn)
+    return fn
+
+
+def ignored_language_options(fn):
+    """Accept --src and --tgt, which older scripts pass, and ignore them."""
+    for flag in ("--src", "--tgt"):
+        fn = click.option(flag, hidden=True, expose_value=False)(fn)
     return fn
 
 
@@ -123,17 +130,15 @@ def hallucinate(config_path, overrides, backend, run_id):
 
 @main.command()
 @click.option("--input", "input_path", required=True, type=IN_FILE)
-@click.option("--src", "source_lang", required=True)
-@click.option("--tgt", "target_lang", required=True)
+@ignored_language_options
 @click.option("--train-tokens", type=click.IntRange(min=1), required=True)
 @click.option("--valid-tokens", type=click.IntRange(min=1), required=True)
 @click.option("--test-tokens", type=click.IntRange(min=1), default=None)
 @click.option("--rng-seed", type=int, default=0)
 @click.option("--out-dir", "out", required=True, type=DIR)
-def sample(input_path, source_lang, target_lang, train_tokens, valid_tokens,
-           test_tokens, rng_seed, out):
+def sample(input_path, train_tokens, valid_tokens, test_tokens, rng_seed, out):
     """Sample train/valid(/test) splits from a JSON-lines corpus."""
-    corpus = read_jsonl(input_path, source_lang, target_lang)
+    corpus = read_jsonl(input_path)
     spec = SplitSpec(
         train_token_threshold=train_tokens,
         valid_token_threshold=valid_tokens,
@@ -150,13 +155,12 @@ def sample(input_path, source_lang, target_lang, train_tokens, valid_tokens,
 @main.command("bpe-train")
 @click.option("--input", "input_paths", multiple=True, required=True,
               type=IN_FILE, help="Training corpora (JSON lines).")
-@click.option("--src", "source_lang", required=True)
-@click.option("--tgt", "target_lang", required=True)
+@ignored_language_options
 @click.option("--vocab-size", type=click.IntRange(min=1), default=16_000)
 @click.option("--out", "model_path", required=True, type=FILE)
-def bpe_train(input_paths, source_lang, target_lang, vocab_size, model_path):
+def bpe_train(input_paths, vocab_size, model_path):
     """Train a joint source-target BPE model on training corpora."""
-    corpora = [read_jsonl(p, source_lang, target_lang) for p in input_paths]
+    corpora = [read_jsonl(p) for p in input_paths]
     check_writable(model_path)
     model = bpe.train_bpe(corpora, vocab_size)
     bpe.save_model(model, model_path)
@@ -201,6 +205,15 @@ def _by_stem(input_paths):
     return by_stem
 
 
+def _read_nonempty(path):
+    """read_jsonl(path); a file of no pairs is EmptyCorpus naming it, since
+    no model can be fitted, nor frequencies profiled, on no pairs."""
+    corpus = read_jsonl(path)
+    if len(corpus) == 0:
+        raise EmptyCorpus(f"empty corpus: {path}")
+    return corpus
+
+
 def _write_analysis(corpora_by_label, out_dir):
     ttr_path = out_dir / "ttr.csv"
     zipf_path = out_dir / "zipf.csv"
@@ -239,22 +252,20 @@ def _write_analysis(corpora_by_label, out_dir):
 @click.option("--nat-valid", required=True, type=IN_FILE)
 @click.option("--syn-valid", default=None, type=IN_FILE)
 @click.option("--test", "test_path", required=True, type=IN_FILE)
-@click.option("--src", "source_lang", required=True)
-@click.option("--tgt", "target_lang", required=True)
+@ignored_language_options
 @click.option("--out-dir", "out", required=True, type=DIR)
 def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_valid,
-               test_path, source_lang, target_lang, out):
+               test_path, out):
     """Train Nat/Synth/Aug baselines, cross-evaluate, and profile diversity."""
     cfg = load_config(config_path, overrides)
-    load = lambda p: read_jsonl(p, source_lang, target_lang)
     corpora = {
-        "nat-train": load(nat_train),
-        "syn-train": load(syn_train),
-        "nat-valid": load(nat_valid),
-        "test": load(test_path),
+        "nat-train": _read_nonempty(nat_train),
+        "syn-train": _read_nonempty(syn_train),
+        "nat-valid": _read_nonempty(nat_valid),
+        "test": _read_nonempty(test_path),
     }
     if syn_valid:
-        corpora["syn-valid"] = load(syn_valid)
+        corpora["syn-valid"] = _read_nonempty(syn_valid)
 
     check_writable(out / "ttr.csv", out / "zipf.csv", out / "results.md",
                    out / "results.json", out / "models" / "nat.lexicon",
@@ -292,13 +303,12 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
 @main.command()
 @click.option("--input", "input_paths", multiple=True, required=True,
               type=IN_FILE)
-@click.option("--src", "source_lang", required=True)
-@click.option("--tgt", "target_lang", required=True)
+@ignored_language_options
 @click.option("--out-dir", "out", required=True, type=DIR)
-def analyze(input_paths, source_lang, target_lang, out):
+def analyze(input_paths, out):
     """Emit TTR and rank-frequency statistics for one or more corpora."""
     corpora = {
-        stem: read_jsonl(p, source_lang, target_lang)
+        stem: _read_nonempty(p)
         for stem, p in _by_stem(input_paths).items()
     }
     _write_analysis(corpora, out)
@@ -321,11 +331,11 @@ def export(input_paths, source_lang, target_lang, out):
     by_stem = _by_stem(input_paths)
     corpora = {}
     for stem, path in by_stem.items():
-        corpora[stem] = read_jsonl(path, source_lang, target_lang)
+        corpora[stem] = read_jsonl(path)
         if len(corpora[stem]) == 0:
             raise ConfigError(f"refusing to export empty corpus: {path}")
     for stem, corpus in corpora.items():
-        write_plain_pair(corpus, out / stem)
+        write_plain_pair(corpus, out / stem, source_lang, target_lang)
         click.echo(f"exported {by_stem[stem]} ({len(corpus)} pairs)")
     write_json(out / "reference_transformer.json", REFERENCE_TRANSFORMER)
 

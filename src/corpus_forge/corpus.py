@@ -58,8 +58,6 @@ def check_line(text, what: str) -> None:
 @dataclass
 class ParallelCorpus:
     pairs: list
-    source_lang: str
-    target_lang: str
 
     def __post_init__(self):
         ids = [p.id for p in self.pairs]
@@ -131,11 +129,10 @@ def make_splits(corpus: ParallelCorpus, spec: SplitSpec):
     random.Random(spec.rng_seed).shuffle(shuffled)
     train, rest = _take_until(shuffled, spec.train_token_threshold)
     valid, rest = _take_until(rest, spec.valid_token_threshold)
-    make = lambda pairs: ParallelCorpus(pairs, corpus.source_lang, corpus.target_lang)
-    splits = {"train": make(train), "valid": make(valid)}
+    splits = {"train": ParallelCorpus(train), "valid": ParallelCorpus(valid)}
     if spec.test_token_threshold is not None:
         test, rest = _take_until(rest, spec.test_token_threshold)
-        splits["test"] = make(test)
+        splits["test"] = ParallelCorpus(test)
     return splits
 
 
@@ -279,7 +276,7 @@ def write_jsonl(corpus: ParallelCorpus, path) -> None:
             fh.write(_encode_json(record) + "\n")
 
 
-def read_jsonl(path, source_lang: str, target_lang: str) -> ParallelCorpus:
+def read_jsonl(path) -> ParallelCorpus:
     """A corpus from JSON lines; a pair id that repeats is a CorpusFormatError."""
     pairs = []
     first_line = {}  # pair id -> the line that gave it first
@@ -316,15 +313,16 @@ def read_jsonl(path, source_lang: str, target_lang: str) -> ParallelCorpus:
                 )
             first_line[pair.id] = lineno
             pairs.append(pair)
-    return ParallelCorpus(pairs, source_lang, target_lang)
+    return ParallelCorpus(pairs)
 
 
-def write_plain_pair(corpus: ParallelCorpus, stem) -> None:
-    """Write <stem>.<srclang> and <stem>.<tgtlang>, line i aligned to line i."""
+def write_plain_pair(corpus: ParallelCorpus, stem, source_lang: str,
+                     target_lang: str) -> None:
+    """Write <stem>.<source_lang> and <stem>.<target_lang>, line i aligned to line i."""
     stem = Path(stem)
     for suffix, lines in (
-        (corpus.source_lang, corpus.source_lines()),
-        (corpus.target_lang, corpus.target_lines()),
+        (source_lang, corpus.source_lines()),
+        (target_lang, corpus.target_lines()),
     ):
         with open_atomic(f"{stem}.{suffix}") as fh:
             for line in lines:

@@ -198,7 +198,7 @@ def run_experiment(
         raise ConfigError(f"input corpora share pair ids: {sorted(shared)[:5]}{more}")
 
     aug_pairs = list(nat_train.pairs) + list(syn_train.pairs)
-    aug = ParallelCorpus(aug_pairs, nat_train.source_lang, nat_train.target_lang)
+    aug = ParallelCorpus(aug_pairs)
     eval_sets = {}
     if syn_valid is not None:
         eval_sets["Synth-val"] = (syn_valid.source_lines(), syn_valid.target_lines())

@@ -300,7 +300,7 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
         pairs = [SentencePair(id=r["id"], source=r["src"], target=r["tgt"],
                               origin=ORIGIN_SYNTHETIC, seed_word=r["seed_word"])
                  for r in translations]
-        corpus = ParallelCorpus(pairs, plan.source_lang, plan.target_lang)
+        corpus = ParallelCorpus(pairs)
     report.sentences_translated = len(corpus)
     report.translation_failures = len(sentences) - len(corpus)
 

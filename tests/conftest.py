@@ -13,12 +13,12 @@ from corpus_forge.gateway import ChatMessage, ChatRequest, MockBackend
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
-def make_corpus(sentences, source_lang="de", target_lang="en", prefix="p"):
+def make_corpus(sentences, prefix="p"):
     pairs = [
         SentencePair(id=f"{prefix}-{i}", source=s, target=t)
         for i, (s, t) in enumerate(sentences)
     ]
-    return ParallelCorpus(pairs, source_lang, target_lang)
+    return ParallelCorpus(pairs)
 
 
 # Two disjoint toy vocabularies with one-to-one translations. The "natural"

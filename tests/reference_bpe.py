@@ -1,6 +1,6 @@
 """Reference BPE: the original full-recount trainer and merge-list encoder.
 
-Kept verbatim as the oracle for the differential tests in test_bpe.py; the
+Kept as the oracle for the differential tests in test_bpe.py; the
 package's incremental trainer and rank-indexed encoder must reproduce these
 merges, symbol vocabularies and encodings exactly.
 """
@@ -96,7 +96,9 @@ def encode(model, text):
             if len(symbols) == 1:
                 break
             symbols = _merge_word(symbols, pair, pair[0] + pair[1])
-        pieces = [s.removesuffix(BOUNDARY) for s in symbols]
-        tokens.extend(p + MARKER for p in pieces[:-1])
-        tokens.append(pieces[-1])
+        # only the final symbol carries the boundary; a "</w>" ending any
+        # other is the word's own text
+        *pieces, final = symbols
+        tokens.extend(p + MARKER for p in pieces)
+        tokens.append(final.removesuffix(BOUNDARY))
     return tokens

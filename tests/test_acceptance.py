@@ -173,7 +173,7 @@ def test_criterion_5_overfitting_and_diversity():
         assert matrix.get("Synth", "Synth-val") > matrix.get("Synth", "Test")
 
         synthetic = mock_synthetic_lines()
-        natural = read_jsonl(NATURAL_SAMPLE, "de", "en")
+        natural = read_jsonl(NATURAL_SAMPLE)
         for side in ("source_lines", "target_lines"):
             syn_ttr = frequency_profile(synthetic[side]).ttr
             nat_ttr = frequency_profile(getattr(natural, side)()).ttr

@@ -146,7 +146,8 @@ class TestSerialization:
             bpe.load_model(path)
 
 
-ALPHABETS = ("ab", "aab", "lowenstid")
+# the last holds the characters of the end-of-word boundary "</w>"
+ALPHABETS = ("ab", "aab", "lowenstid", "ab</w>")
 
 
 @st.composite
@@ -282,6 +283,14 @@ def test_literal_boundary_round_trips_under_every_prefix():
         model = bpe.BpeModel(merges=merges[:k], vocab=Counter(), target_vocab_size=60)
         for word, _ in RECURS:
             assert bpe.decode(bpe.encode(model, word)) == word, merges[:k]
+
+
+def test_literal_boundary_encodes_as_the_oracle_does_under_every_prefix():
+    merges = bpe.train_bpe([word_corpus(RECURS)], 60).merges
+    for k in range(len(merges) + 1):
+        model = bpe.BpeModel(merges=merges[:k], vocab=Counter(), target_vocab_size=60)
+        for word, _ in RECURS:
+            assert bpe.encode(model, word) == reference_bpe.encode(model, word), k
 
 
 def test_model_at_a_size_the_properties_never_reach(tmp_path):

@@ -11,9 +11,9 @@ from click.testing import CliRunner
 
 from conftest import (MockSession, in_worker, make_corpus, make_experiment_fixture,
                       study_corpora)
-from corpus_forge import bpe, cli, em, prompts
+from corpus_forge import bpe, cli, em, hallucinate, prompts
 from corpus_forge.cli import main
-from corpus_forge.corpus import read_jsonl, write_jsonl
+from corpus_forge.corpus import check_writable, read_jsonl, write_jsonl
 from corpus_forge.errors import (
     AuthError,
     ConfigError,
@@ -354,13 +354,12 @@ class TestSample:
         out = tmp_path / "splits"
         result = runner.invoke(main, [
             "sample", "--input", str(fixture_paths["nat_train"]),
-            "--src", "de", "--tgt", "en",
             "--train-tokens", "100", "--valid-tokens", "40",
             "--rng-seed", "1", "--out-dir", str(out),
         ])
         assert result.exit_code == 0, result.output
-        train = read_jsonl(out / "train.jsonl", "de", "en")
-        valid = read_jsonl(out / "valid.jsonl", "de", "en")
+        train = read_jsonl(out / "train.jsonl")
+        valid = read_jsonl(out / "valid.jsonl")
         assert train.source_token_count() >= 100
         assert valid.source_token_count() >= 40
         assert not {p.id for p in train.pairs} & {p.id for p in valid.pairs}
@@ -378,7 +377,7 @@ class TestSample:
                   "--test-tokens": "20", flag: value}
         result = runner.invoke(main, [
             "sample", "--input", str(fixture_paths["nat_train"]),
-            "--src", "de", "--tgt", "en", "--out-dir", str(out),
+            "--out-dir", str(out),
         ] + [arg for item in tokens.items() for arg in item])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit), result.exception
@@ -391,7 +390,6 @@ class TestBpeCommands:
         model_path = tmp_path / "model.bpe"
         result = runner.invoke(main, [
             "bpe-train", "--input", str(fixture_paths["nat_train"]),
-            "--src", "de", "--tgt", "en",
             "--vocab-size", "80", "--out", str(model_path),
         ])
         assert result.exit_code == 0, result.output
@@ -412,7 +410,6 @@ class TestBpeCommands:
         model_path = tmp_path / "model.bpe"
         result = runner.invoke(main, [
             "bpe-train", "--input", str(fixture_paths["nat_train"]),
-            "--src", "de", "--tgt", "en",
             "--vocab-size", vocab_size, "--out", str(model_path),
         ])
         assert result.exit_code == 2, result.output
@@ -430,7 +427,6 @@ class TestExperiment:
             "--nat-valid", str(fixture_paths["nat_valid"]),
             "--syn-valid", str(fixture_paths["syn_valid"]),
             "--test", str(fixture_paths["test"]),
-            "--src", "de", "--tgt", "en",
             "--out-dir", str(out_dir),
             "--set", "em.iterations=8",
         ] + list(extra)
@@ -515,17 +511,33 @@ class TestExperiment:
             "error: a worker process died while fitting Aug\n")
         assert not out.exists()
 
-    def test_empty_synthetic_training_set(self, runner, tmp_path, fixture_paths):
+    def assert_empty_input_refused(self, runner, tmp_path, fixture_paths,
+                                   monkeypatch, flag):
+        """An empty input ends experiment, naming it, before the first fit."""
+        def fit(*args, **kwargs):
+            pytest.fail("a model was fitted")
+        monkeypatch.setattr(em, "train_em", fit)
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
         out = tmp_path / "results"
         args = self.experiment_args(fixture_paths, out)
-        args[args.index("--syn-train") + 1] = str(empty)
+        args[args.index(flag) + 1] = str(empty)
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit), result.exception
-        assert result.output == "error: cannot train on an empty corpus\n"
+        assert result.output == f"error: empty corpus: {empty}\n"
         assert not out.exists()
+
+    def test_empty_synthetic_training_set(self, runner, tmp_path, fixture_paths,
+                                          monkeypatch):
+        self.assert_empty_input_refused(runner, tmp_path, fixture_paths,
+                                        monkeypatch, "--syn-train")
+
+    @pytest.mark.parametrize("flag", ["--test", "--nat-valid", "--syn-valid"])
+    def test_empty_evaluation_set(self, runner, tmp_path, fixture_paths,
+                                  monkeypatch, flag):
+        self.assert_empty_input_refused(runner, tmp_path, fixture_paths,
+                                        monkeypatch, flag)
 
     # sha256 of each output, computed with the flat-table trainer that the
     # row-at-a-time trainer replaced; two lexicons print differently since
@@ -649,7 +661,7 @@ class TestAnalyze:
         out = tmp_path / "analysis"
         result = runner.invoke(main, [
             "analyze", "--input", str(fixture_paths["syn_train"]),
-            "--src", "de", "--tgt", "en", "--out-dir", str(out),
+            "--out-dir", str(out),
         ])
         assert result.exit_code == 0, result.output
         header = (out / "ttr.csv").read_text(encoding="utf-8").splitlines()[0]
@@ -663,10 +675,23 @@ class TestAnalyze:
         out = tmp_path / "analysis"
         result = runner.invoke(main, [
             "analyze", "--input", str(paths[0]), "--input", str(paths[1]),
-            "--src", "de", "--tgt", "en", "--out-dir", str(out),
+            "--out-dir", str(out),
         ])
         assert result.exit_code == ConfigError.exit_code, result.output
         assert f"inputs {paths[0]} and {paths[1]} share a file stem" in result.output
+        assert not out.exists()
+
+    def test_empty_input_refused(self, runner, tmp_path, fixture_paths):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "analysis"
+        result = runner.invoke(main, [
+            "analyze", "--input", str(fixture_paths["syn_train"]),
+            "--input", str(empty), "--out-dir", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: empty corpus: {empty}\n"
         assert not out.exists()
 
     def test_tokens_with_commas_and_quotes_read_back_intact(self, runner, tmp_path):
@@ -674,8 +699,7 @@ class TestAnalyze:
         write_jsonl(make_corpus([('gar, nicht "so"', "not, at all")]), path)
         out = tmp_path / "analysis"
         result = runner.invoke(main, [
-            "analyze", "--input", str(path),
-            "--src", "de", "--tgt", "en", "--out-dir", str(out),
+            "analyze", "--input", str(path), "--out-dir", str(out),
         ])
         assert result.exit_code == 0, result.output
         with open(out / "zipf.csv", encoding="utf-8", newline="") as fh:
@@ -704,8 +728,7 @@ class TestMalformedInputs:
         good = '{"id": "0", "src": "a", "tgt": "b", "origin": "natural"}'
         path.write_text(f"{good}\n{bad_line}\n", encoding="utf-8")
         result = runner.invoke(main, [
-            "analyze", "--input", str(path), "--src", "de", "--tgt", "en",
-            "--out-dir", str(tmp_path / "out"),
+            "analyze", "--input", str(path), "--out-dir", str(tmp_path / "out"),
         ])
         self.assert_clean_failure(result, f"{path}:2:")
 
@@ -726,8 +749,8 @@ class TestMalformedInputs:
                         encoding="utf-8")
         out = tmp_path / "out"
         result = runner.invoke(main, [
-            "sample", "--input", str(path), "--src", "de", "--tgt", "en",
-            "--train-tokens", "1", "--valid-tokens", "1", "--out-dir", str(out),
+            "sample", "--input", str(path), "--train-tokens", "1",
+            "--valid-tokens", "1", "--out-dir", str(out),
         ])
         self.assert_clean_failure(result, f"{path}:2: ")
         assert not out.exists()
@@ -745,8 +768,8 @@ class TestMalformedInputs:
             "analyze": ["analyze", "--input", str(path)],
             "sample": ["sample", "--input", str(path), "--train-tokens", "1",
                        "--valid-tokens", "1"],
-            "export": ["export", "--input", str(path)],
-        }[command] + ["--src", "de", "--tgt", "en", "--out-dir", str(out)]
+            "export": ["export", "--input", str(path), "--src", "de", "--tgt", "en"],
+        }[command] + ["--out-dir", str(out)]
         result = runner.invoke(main, args)
         self.assert_clean_failure(result, f"{path}:3: pair id 'a' repeats line 1")
         assert not out.exists()
@@ -757,8 +780,7 @@ class TestMalformedInputs:
         path.write_bytes(good + b'{"id": "1", "src": "\xff", "tgt": "b", '
                          b'"origin": "natural"}\n')
         result = runner.invoke(main, [
-            "analyze", "--input", str(path), "--src", "de", "--tgt", "en",
-            "--out-dir", str(tmp_path / "out"),
+            "analyze", "--input", str(path), "--out-dir", str(tmp_path / "out"),
         ])
         self.assert_clean_failure(result, f"{path}:2: not valid UTF-8")
 
@@ -804,22 +826,21 @@ class TestMalformedInputs:
         ])
         self.assert_clean_failure(result, f"{model_path}:")
 
-    LANGS = ["--src", "de", "--tgt", "en"]
-
     @pytest.mark.parametrize("args, exit_code", [
-        (["analyze", "--input", "{dir}", *LANGS, "--out-dir", "{new}"], 2),
+        (["analyze", "--input", "{dir}", "--out-dir", "{new}"], 2),
         (["bpe-apply", "--model", "{dir}", "--input", "{text}", "--output", "{new}"], 2),
         (hallucinate_args("{new}", extra=["--config", "{dir}"]), 2),
-        (["bpe-train", "--input", "{corpus}", *LANGS, "--out", "{dir}"], 2),
+        (["bpe-train", "--input", "{corpus}", "--out", "{dir}"], 2),
         (["bpe-apply", "--model", "{model}", "--input", "{text}", "--output", "{dir}"],
          2),
-        (["analyze", "--input", "{corpus}", *LANGS, "--out-dir", "{text}"], 2),
-        (["sample", "--input", "{corpus}", *LANGS, "--train-tokens", "1",
+        (["analyze", "--input", "{corpus}", "--out-dir", "{text}"], 2),
+        (["sample", "--input", "{corpus}", "--train-tokens", "1",
           "--valid-tokens", "1", "--out-dir", "{text}"], 2),
-        (["export", "--input", "{corpus}", *LANGS, "--out-dir", "{text}"], 2),
-        (["experiment", "--nat-train", "{corpus}", "--syn-train", "{corpus}",
-          "--nat-valid", "{corpus}", "--test", "{corpus}", *LANGS,
+        (["export", "--input", "{corpus}", "--src", "de", "--tgt", "en",
           "--out-dir", "{text}"], 2),
+        (["experiment", "--nat-train", "{corpus}", "--syn-train", "{corpus}",
+          "--nat-valid", "{corpus}", "--test", "{corpus}", "--out-dir", "{text}"],
+         2),
         (hallucinate_args("{text}"), ConfigError.exit_code),
     ], ids=["analyze-input", "bpe-apply-model", "hallucinate-config",
             "bpe-train-out", "bpe-apply-output", "analyze-out-dir", "sample-out-dir",
@@ -912,25 +933,24 @@ class TestOutputDirectories:
     """Every writer creates the directories its output goes in; one the OS
     refuses ends in a configuration error: exit 3, no traceback, no temp file."""
 
-    LANGS = ["--src", "de", "--tgt", "en"]
     # each writer's arguments, with {target} the directory it writes in, and
     # a file it writes there
     WRITERS = {
-        "bpe-train": (["bpe-train", "--input", "{nat_train}", *LANGS,
+        "bpe-train": (["bpe-train", "--input", "{nat_train}",
                        "--vocab-size", "80", "--out", "{target}/model.bpe"],
                       "model.bpe"),
         "bpe-apply": (["bpe-apply", "--model", "{model}", "--input", "{text}",
                        "--output", "{target}/out.txt"], "out.txt"),
-        "sample": (["sample", "--input", "{nat_train}", *LANGS,
+        "sample": (["sample", "--input", "{nat_train}",
                     "--train-tokens", "100", "--valid-tokens", "40",
                     "--out-dir", "{target}"], "valid.jsonl"),
-        "analyze": (["analyze", "--input", "{nat_train}", *LANGS,
+        "analyze": (["analyze", "--input", "{nat_train}",
                      "--out-dir", "{target}"], "zipf.csv"),
-        "export": (["export", "--input", "{nat_train}", *LANGS,
+        "export": (["export", "--input", "{nat_train}", "--src", "de", "--tgt", "en",
                     "--out-dir", "{target}"], "reference_transformer.json"),
         "experiment": (["experiment", "--nat-train", "{nat_train}",
                         "--syn-train", "{syn_train}", "--nat-valid", "{nat_valid}",
-                        "--test", "{test}", *LANGS, "--set", "em.iterations=1",
+                        "--test", "{test}", "--set", "em.iterations=1",
                         "--out-dir", "{target}"], "models/aug.lexicon"),
     }
 
@@ -1017,6 +1037,67 @@ class TestOutputDirectories:
         lexicon = out / "models" / "nat.lexicon"
         assert f"config error: cannot write {lexicon}: File exists\n" in result.output
         assert snapshot(out) == {"models": b"a file\n"}
+
+    @pytest.mark.parametrize("command", ["hallucinate", "experiment", "bpe-train"])
+    def test_checked_paths_are_the_written_files(self, runner, tmp_path,
+                                                 fixture_paths, monkeypatch, command):
+        """A command that checks its outputs before its work checks each file
+        it writes, and only those: an output added without a check fails here."""
+        checked = []
+
+        def record(*paths):
+            checked.extend(map(Path, paths))
+            check_writable(*paths)
+        monkeypatch.setattr(cli, "check_writable", record)
+        monkeypatch.setattr(hallucinate, "check_writable", record)
+        if command == "hallucinate":
+            root = tmp_path / "runs"
+            result = runner.invoke(main, hallucinate_args(root))
+        else:
+            root = tmp_path / "out"
+            result, _ = self.invoke(runner, tmp_path, fixture_paths, command, root)
+        assert result.exit_code == 0, result.output
+        assert sorted(checked) == sorted(p for p in root.rglob("*") if p.is_file())
+
+
+class TestIgnoredLanguageCodes:
+    """sample, bpe-train, experiment and analyze accept --src and --tgt, do
+    not list them, and ignore them: only export names files by language code."""
+
+    COMMANDS = {
+        "sample": ["sample", "--input", "{nat_train}", "--train-tokens", "100",
+                   "--valid-tokens", "40", "--test-tokens", "40",
+                   "--out-dir", "{out}"],
+        "bpe-train": ["bpe-train", "--input", "{nat_train}", "--input", "{syn_train}",
+                      "--vocab-size", "80", "--out", "{out}/model.bpe"],
+        "experiment": ["experiment", "--nat-train", "{nat_train}",
+                       "--syn-train", "{syn_train}", "--nat-valid", "{nat_valid}",
+                       "--syn-valid", "{syn_valid}", "--test", "{test}",
+                       "--set", "em.iterations=2", "--out-dir", "{out}"],
+        "analyze": ["analyze", "--input", "{nat_train}", "--input", "{syn_train}",
+                    "--out-dir", "{out}"],
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_outputs_do_not_depend_on_them(self, runner, tmp_path, fixture_paths,
+                                           command):
+        outputs = []
+        for langs in ([], ["--src", "de", "--tgt", "en"],
+                      ["--src", "xx", "--tgt", "yy"]):
+            out = tmp_path / f"out{len(outputs)}"
+            args = [a.format(out=out, **fixture_paths) for a in self.COMMANDS[command]]
+            result = runner.invoke(main, args + langs)
+            assert result.exit_code == 0, (langs, result.output)
+            outputs.append(snapshot(out))
+        assert outputs[0]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_does_not_list_them(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        assert "--src" not in result.output
+        assert "--tgt" not in result.output
 
 
 class TestErrorHandler:

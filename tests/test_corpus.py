@@ -186,7 +186,7 @@ class TestSentencePairInvariants:
     def test_duplicate_ids_rejected(self):
         pair = SentencePair(id="x", source="a", target="b")
         with pytest.raises(ValueError):
-            ParallelCorpus([pair, pair], "de", "en")
+            ParallelCorpus([pair, pair])
 
 
 class TestOnDiskFormats:
@@ -197,7 +197,7 @@ class TestOnDiskFormats:
                          origin="synthetic", seed_word="Straße"),
         ]
         path = tmp_path / "c.jsonl"
-        write_jsonl(ParallelCorpus(pairs, "de", "en"), path)
+        write_jsonl(ParallelCorpus(pairs), path)
         expected = "".join(
             json.dumps({"id": p.id, "src": p.source, "tgt": p.target,
                         "origin": p.origin, "seed_word": p.seed_word},
@@ -210,7 +210,7 @@ class TestOnDiskFormats:
         corpus = make_corpus([("ein Haus", "a house"), ("zwei Hunde", "two dogs")])
         path = tmp_path / "c.jsonl"
         write_jsonl(corpus, path)
-        loaded = read_jsonl(path, "de", "en")
+        loaded = read_jsonl(path)
         assert [(p.source, p.target) for p in loaded.pairs] == [
             (p.source, p.target) for p in corpus.pairs
         ]
@@ -219,11 +219,11 @@ class TestOnDiskFormats:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "1", "src": "a"}\n', encoding="utf-8")
         with pytest.raises(CorpusFormatError):
-            read_jsonl(path, "de", "en")
+            read_jsonl(path)
 
     def test_plain_pair_round_trip(self, tmp_path):
         corpus = make_corpus([("ein Haus", "a house"), ("zwei Hunde", "two dogs")])
-        write_plain_pair(corpus, tmp_path / "c")
+        write_plain_pair(corpus, tmp_path / "c", "de", "en")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.de", "c.en"]
         assert (tmp_path / "c.de").read_bytes() == b"ein Haus\nzwei Hunde\n"
         assert (tmp_path / "c.en").read_bytes() == b"a house\ntwo dogs\n"

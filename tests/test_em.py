@@ -249,7 +249,7 @@ class TestRunExperiment:
             type(p)(id=p.id + "-dup", source=p.source, target=p.target)
             for p in nat.pairs
         ]
-        doubled = type(nat)(doubled_pairs, nat.source_lang, nat.target_lang)
+        doubled = type(nat)(doubled_pairs)
         single = em.train_em(nat, 5)
         twice = em.train_em(doubled, 5)
         lines = fx["test"].source_lines()
@@ -280,8 +280,7 @@ class TestRunExperiment:
 def serial_experiment(nat_train, syn_train, nat_valid, test, iterations,
                       syn_valid=None):
     """run_experiment as one process composes it: train, translate, score, save."""
-    aug = type(nat_train)(list(nat_train.pairs) + list(syn_train.pairs),
-                          nat_train.source_lang, nat_train.target_lang)
+    aug = type(nat_train)(list(nat_train.pairs) + list(syn_train.pairs))
     models = {label: em.train_em(corpus, iterations)
               for label, corpus in (("Nat", nat_train), ("Synth", syn_train),
                                     ("Aug", aug))}
