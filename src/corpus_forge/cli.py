@@ -22,11 +22,12 @@ from .corpus import (
     open_atomic,
     open_text,
     read_jsonl,
+    split_thresholds,
     write_json,
     write_jsonl,
     write_plain_pair,
 )
-from .errors import ConfigError, CorpusForgeError, EmptyCorpus
+from .errors import ConfigError, CorpusForgeError
 from .gateway import Gateway, make_backend
 from .hallucinate import run_pipeline
 
@@ -145,9 +146,11 @@ def sample(input_path, train_tokens, valid_tokens, test_tokens, rng_seed, out):
         test_token_threshold=test_tokens,
         rng_seed=rng_seed,
     )
+    files = {name: out / f"{name}.jsonl" for name in split_thresholds(spec)}
+    check_writable(*files.values())
     splits = make_splits(corpus, spec)
     for name, split in splits.items():
-        write_jsonl(split, out / f"{name}.jsonl")
+        write_jsonl(split, files[name])
         click.echo(f"{name}: {len(split)} pairs, "
                    f"{split.source_token_count()} source tokens")
 
@@ -205,18 +208,7 @@ def _by_stem(input_paths):
     return by_stem
 
 
-def _read_nonempty(path):
-    """read_jsonl(path); a file of no pairs is EmptyCorpus naming it, since
-    no model can be fitted, nor frequencies profiled, on no pairs."""
-    corpus = read_jsonl(path)
-    if len(corpus) == 0:
-        raise EmptyCorpus(f"empty corpus: {path}")
-    return corpus
-
-
-def _write_analysis(corpora_by_label, out_dir):
-    ttr_path = out_dir / "ttr.csv"
-    zipf_path = out_dir / "zipf.csv"
+def _write_analysis(corpora_by_label, ttr_path, zipf_path):
     profiles = [
         (label, side, metrics.frequency_profile(lines))
         for label, corpus in corpora_by_label.items()
@@ -259,17 +251,18 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
     """Train Nat/Synth/Aug baselines, cross-evaluate, and profile diversity."""
     cfg = load_config(config_path, overrides)
     corpora = {
-        "nat-train": _read_nonempty(nat_train),
-        "syn-train": _read_nonempty(syn_train),
-        "nat-valid": _read_nonempty(nat_valid),
-        "test": _read_nonempty(test_path),
+        "nat-train": read_jsonl(nat_train),
+        "syn-train": read_jsonl(syn_train),
+        "nat-valid": read_jsonl(nat_valid),
+        "test": read_jsonl(test_path),
     }
     if syn_valid:
-        corpora["syn-valid"] = _read_nonempty(syn_valid)
+        corpora["syn-valid"] = read_jsonl(syn_valid)
 
-    check_writable(out / "ttr.csv", out / "zipf.csv", out / "results.md",
-                   out / "results.json", out / "models" / "nat.lexicon",
-                   out / "models" / "synth.lexicon", out / "models" / "aug.lexicon")
+    files = {name: out / name for name in (
+        "ttr.csv", "zipf.csv", "results.md", "results.json",
+        "models/nat.lexicon", "models/synth.lexicon", "models/aug.lexicon")}
+    check_writable(*files.values())
     models, matrix = em.run_experiment(
         corpora["nat-train"],
         corpora["syn-train"],
@@ -278,9 +271,9 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         cfg.em.iterations,
         syn_valid=corpora.get("syn-valid"),
     )
-    _write_analysis(corpora, out)
+    _write_analysis(corpora, files["ttr.csv"], files["zipf.csv"])
     for label, model in models.items():
-        with open_atomic(out / "models" / f"{label.lower()}.lexicon") as fh:
+        with open_atomic(files[f"models/{label.lower()}.lexicon"]) as fh:
             fh.write(model.lexicon)
 
     test_scores = [matrix.get(m, "Test") for m in ("Synth", "Nat", "Aug")]
@@ -291,10 +284,10 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         + "\n## Cross-method validation\n\n"
         + metrics.render_matrix_markdown(matrix)
     )
-    with open_atomic(out / "results.md") as fh:
+    with open_atomic(files["results.md"]) as fh:
         fh.write(results_md)
     write_json(
-        out / "results.json",
+        files["results.json"],
         {"em_iterations": cfg.em.iterations, "matrix": matrix.to_dict()},
     )
     click.echo(results_md)
@@ -307,11 +300,10 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
 @click.option("--out-dir", "out", required=True, type=DIR)
 def analyze(input_paths, out):
     """Emit TTR and rank-frequency statistics for one or more corpora."""
-    corpora = {
-        stem: _read_nonempty(p)
-        for stem, p in _by_stem(input_paths).items()
-    }
-    _write_analysis(corpora, out)
+    corpora = {stem: read_jsonl(p) for stem, p in _by_stem(input_paths).items()}
+    files = {name: out / name for name in ("ttr.csv", "zipf.csv")}
+    check_writable(*files.values())
+    _write_analysis(corpora, files["ttr.csv"], files["zipf.csv"])
 
 
 @main.command()
@@ -329,15 +321,15 @@ def export(input_paths, source_lang, target_lang, out):
         raise click.BadParameter("must differ from --src: each names one file "
                                  "of a pair", param_hint="'--tgt'")
     by_stem = _by_stem(input_paths)
-    corpora = {}
-    for stem, path in by_stem.items():
-        corpora[stem] = read_jsonl(path)
-        if len(corpora[stem]) == 0:
-            raise ConfigError(f"refusing to export empty corpus: {path}")
+    corpora = {stem: read_jsonl(path) for stem, path in by_stem.items()}
+    names = [f"{stem}.{lang}" for stem in corpora for lang in (source_lang, target_lang)]
+    files = {name: out / name for name in names + ["reference_transformer.json"]}
+    check_writable(*files.values())
     for stem, corpus in corpora.items():
-        write_plain_pair(corpus, out / stem, source_lang, target_lang)
+        write_plain_pair(corpus, files[f"{stem}.{source_lang}"],
+                         files[f"{stem}.{target_lang}"])
         click.echo(f"exported {by_stem[stem]} ({len(corpus)} pairs)")
-    write_json(out / "reference_transformer.json", REFERENCE_TRANSFORMER)
+    write_json(files["reference_transformer.json"], REFERENCE_TRANSFORMER)
 
 
 if __name__ == "__main__":

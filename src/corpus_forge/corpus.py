@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .errors import ConfigError, CorpusFormatError, InsufficientData
+from .errors import ConfigError, CorpusFormatError, EmptyCorpus, InsufficientData
 
 ORIGIN_NATURAL = "natural"
 ORIGIN_SYNTHETIC = "synthetic"
@@ -118,21 +118,24 @@ def _take_until(pairs, threshold):
     )
 
 
-def make_splits(corpus: ParallelCorpus, spec: SplitSpec):
-    """Draw train / valid / optional test sequentially from one seeded shuffle.
+def split_thresholds(spec: SplitSpec):
+    """Each split that make_splits draws, in order, mapped to its threshold:
+    "train", "valid" and, when spec has a test threshold, "test"."""
+    thresholds = {"train": spec.train_token_threshold,
+                  "valid": spec.valid_token_threshold,
+                  "test": spec.test_token_threshold}
+    return {name: t for name, t in thresholds.items() if t is not None}
 
-    Sequential prefix consumption guarantees the splits are disjoint by id.
-    Returns a dict with keys "train", "valid" and, when spec has a test
-    threshold, "test".
-    """
-    shuffled = list(corpus.pairs)
-    random.Random(spec.rng_seed).shuffle(shuffled)
-    train, rest = _take_until(shuffled, spec.train_token_threshold)
-    valid, rest = _take_until(rest, spec.valid_token_threshold)
-    splits = {"train": ParallelCorpus(train), "valid": ParallelCorpus(valid)}
-    if spec.test_token_threshold is not None:
-        test, rest = _take_until(rest, spec.test_token_threshold)
-        splits["test"] = ParallelCorpus(test)
+
+def make_splits(corpus: ParallelCorpus, spec: SplitSpec):
+    """Draw the splits of split_thresholds(spec), keyed by name, sequentially
+    from one seeded shuffle: prefix consumption keeps them disjoint by id."""
+    rest = list(corpus.pairs)
+    random.Random(spec.rng_seed).shuffle(rest)
+    splits = {}
+    for name, threshold in split_thresholds(spec).items():
+        split, rest = _take_until(rest, threshold)
+        splits[name] = ParallelCorpus(split)
     return splits
 
 
@@ -202,10 +205,10 @@ def check_writable(*paths):
     that it cannot write, creating nothing.
 
     A path cannot be written when its directory cannot be created or written
-    in, or when the path is itself a directory. A command that works long
-    before it writes calls this first, with every path it writes, so an
-    output under a file, in a directory it may not write, or in a
-    directory's place costs no work.
+    in, or when the path is itself a directory. Each command calls this
+    first, with every path it writes, so an output under a file, in a
+    directory it may not write, or in a directory's place costs no work and
+    leaves no earlier output behind.
     """
     for path in map(Path, paths):
         directory = path.parent  # the nearest directory that exists decides
@@ -277,7 +280,8 @@ def write_jsonl(corpus: ParallelCorpus, path) -> None:
 
 
 def read_jsonl(path) -> ParallelCorpus:
-    """A corpus from JSON lines; a pair id that repeats is a CorpusFormatError."""
+    """A corpus from JSON lines; a pair id that repeats is a CorpusFormatError,
+    and a file of no pairs, which no command can work on, is EmptyCorpus."""
     pairs = []
     first_line = {}  # pair id -> the line that gave it first
     with open_text(path) as fh:
@@ -313,17 +317,16 @@ def read_jsonl(path) -> ParallelCorpus:
                 )
             first_line[pair.id] = lineno
             pairs.append(pair)
+    if not pairs:
+        raise EmptyCorpus(f"empty corpus: {path}")
     return ParallelCorpus(pairs)
 
 
-def write_plain_pair(corpus: ParallelCorpus, stem, source_lang: str,
-                     target_lang: str) -> None:
-    """Write <stem>.<source_lang> and <stem>.<target_lang>, line i aligned to line i."""
-    stem = Path(stem)
-    for suffix, lines in (
-        (source_lang, corpus.source_lines()),
-        (target_lang, corpus.target_lines()),
-    ):
-        with open_atomic(f"{stem}.{suffix}") as fh:
+def write_plain_pair(corpus: ParallelCorpus, source_path, target_path) -> None:
+    """Write the source sides to source_path and the target sides to
+    target_path, line i aligned to line i."""
+    for path, lines in ((source_path, corpus.source_lines()),
+                        (target_path, corpus.target_lines())):
+        with open_atomic(path) as fh:
             for line in lines:
                 fh.write(line + "\n")

@@ -27,6 +27,7 @@ from .corpus import (
     make_splits,
     normalize,
     open_text,
+    split_thresholds,
     write_json,
     write_jsonl,
 )
@@ -262,13 +263,13 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
     A file of the run that could not be written ends it before the first
     request.
     """
-    run_dir = Path(run_dir)
-    checkpoints = run_dir / "checkpoints"
-    corpora = run_dir / "corpora"
-    report_path = run_dir / "reports" / "report.json"
-    check_writable(checkpoints / "seeds.json", checkpoints / "sentences.json",
-                   checkpoints / "translations.json", corpora / "train.jsonl",
-                   corpora / "valid.jsonl", report_path)
+    # every file the run writes, by its path in the run directory
+    files = {name: Path(run_dir) / name for name in [
+        "checkpoints/seeds.json", "checkpoints/sentences.json",
+        "checkpoints/translations.json",
+        *(f"corpora/{split}.jsonl" for split in split_thresholds(split_spec)),
+        "reports/report.json"]}
+    check_writable(*files.values())
 
     report = PipelineReport(
         seeds_requested=plan.n_nouns + plan.n_verbs,
@@ -277,12 +278,12 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
     )
     started = time.monotonic()
 
-    seeds, _ = _stage(checkpoints / "seeds.json",
+    seeds, _ = _stage(files["checkpoints/seeds.json"],
                       lambda: generate_seed_words(plan, templates, gateway))
     report.seeds_parsed = len(seeds)
 
     sentences, resumed = _stage(
-        checkpoints / "sentences.json",
+        files["checkpoints/sentences.json"],
         lambda: generate_sentences(seeds, plan, templates, gateway, report),
         keys=("seed", "sentence"),
     )
@@ -290,7 +291,7 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
     if resumed:
         report.sentences_parsed = len(sentences)
 
-    translations_path = checkpoints / "translations.json"
+    translations_path = files["checkpoints/translations.json"]
     translations, _ = _stage(
         translations_path,
         lambda: translate_sentences(sentences, plan, templates, gateway),
@@ -308,12 +309,12 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
         splits = make_splits(corpus, split_spec)
     except InsufficientData:
         report.insufficient_data = True
-        write_json(report_path, asdict(report))
+        write_json(files["reports/report.json"], asdict(report))
         raise
 
     report.pairs_sampled = sum(len(split) for split in splits.values())
     for name, split in splits.items():
-        write_jsonl(split, corpora / f"{name}.jsonl")
-    write_json(report_path, asdict(report))
+        write_jsonl(split, files[f"corpora/{name}.jsonl"])
+    write_json(files["reports/report.json"], asdict(report))
     log.info("pipeline finished in %.2fs", time.monotonic() - started)
     return splits, report

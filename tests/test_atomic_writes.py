@@ -39,8 +39,8 @@ def failing_jsonl(tmp_path):
 def failing_plain_pair(tmp_path):
     corpus = SimpleNamespace(source_lines=lambda: ["a", None],
                              target_lines=lambda: ["b", "d"])
-    return tmp_path / "pair.de", lambda: write_plain_pair(corpus, tmp_path / "pair",
-                                                          "de", "en")
+    return tmp_path / "pair.de", lambda: write_plain_pair(
+        corpus, tmp_path / "pair.de", tmp_path / "pair.en")
 
 
 def failing_csv(tmp_path):

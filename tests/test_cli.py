@@ -611,7 +611,7 @@ class TestExport:
 
     @pytest.mark.parametrize("bad, exit_code", [
         ('{"id": "a", "src": "x", "tgt": "u", "origin": "natural"}\n' * 2, 1),
-        ("", ConfigError.exit_code),
+        ("", 1),
     ], ids=["repeated-id", "empty"])
     def test_bad_later_input_writes_nothing(self, runner, tmp_path, fixture_paths,
                                             bad, exit_code):
@@ -645,15 +645,6 @@ class TestExport:
         assert isinstance(result.exception, SystemExit), result.exception
         assert f"Invalid value for '{flag}'" in result.output
         assert not out.exists()
-
-    def test_empty_corpus_refused(self, runner, tmp_path):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("", encoding="utf-8")
-        result = runner.invoke(main, [
-            "export", "--input", str(empty),
-            "--src", "de", "--tgt", "en", "--out-dir", str(tmp_path / "out"),
-        ])
-        assert result.exit_code != 0
 
 
 class TestAnalyze:
@@ -753,6 +744,41 @@ class TestMalformedInputs:
             "--valid-tokens", "1", "--out-dir", str(out),
         ])
         self.assert_clean_failure(result, f"{path}:2: ")
+        assert not out.exists()
+
+    # each command reading an empty file, as its first input or, for
+    # bpe-train-second, after a non-empty one; it writes in {out} alone
+    EMPTY_INPUT = {
+        "sample": ["sample", "--input", "{empty}", "--train-tokens", "1",
+                   "--valid-tokens", "1", "--out-dir", "{out}"],
+        "bpe-train": ["bpe-train", "--input", "{empty}", "--out", "{out}/model.bpe"],
+        "bpe-train-second": ["bpe-train", "--input", "{nat_train}",
+                             "--input", "{empty}", "--out", "{out}/model.bpe"],
+        "experiment": ["experiment", "--nat-train", "{empty}",
+                       "--syn-train", "{syn_train}", "--nat-valid", "{nat_valid}",
+                       "--test", "{test}", "--out-dir", "{out}"],
+        "analyze": ["analyze", "--input", "{empty}", "--out-dir", "{out}"],
+        "export": ["export", "--input", "{empty}", "--src", "de", "--tgt", "en",
+                   "--out-dir", "{out}"],
+    }
+
+    @pytest.mark.parametrize("command", list(EMPTY_INPUT))
+    def test_empty_corpus_refused(self, runner, tmp_path, fixture_paths,
+                                  monkeypatch, command):
+        """A corpus of no pairs ends every command that reads one alike,
+        before any work or write."""
+        def work(*args, **kwargs):
+            pytest.fail("the command worked on an empty corpus")
+        monkeypatch.setattr(bpe, "train_bpe", work)
+        monkeypatch.setattr(em, "run_experiment", work)
+        empty, out = tmp_path / "empty.jsonl", tmp_path / "out"
+        empty.write_text("", encoding="utf-8")
+        result = runner.invoke(main, [
+            a.format(empty=empty, out=out, **fixture_paths)
+            for a in self.EMPTY_INPUT[command]])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: empty corpus: {empty}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["analyze", "sample", "export"])
@@ -990,21 +1016,26 @@ class TestOutputDirectories:
         assert blocker.read_text(encoding="utf-8") == "a file\n"
         assert list(tmp_path.rglob("*.tmp")) == []
 
-    # every file that hallucinate (in runs/r1) and experiment (in out) write
+    # every file that hallucinate (in runs/r1) and each writer of more than
+    # one file (in out) write
     OUTPUTS = [("hallucinate", f"runs/r1/{name}") for name in (
         "checkpoints/seeds.json", "checkpoints/sentences.json",
         "checkpoints/translations.json", "corpora/train.jsonl",
         "corpora/valid.jsonl", "reports/report.json")] + [
         ("experiment", f"out/{name}") for name in (
             "ttr.csv", "zipf.csv", "results.md", "results.json",
-            "models/nat.lexicon", "models/synth.lexicon", "models/aug.lexicon")]
+            "models/nat.lexicon", "models/synth.lexicon", "models/aug.lexicon")] + [
+        ("sample", "out/train.jsonl"), ("sample", "out/valid.jsonl"),
+        ("analyze", "out/ttr.csv"), ("analyze", "out/zipf.csv"),
+        ("export", "out/nat_train.de"), ("export", "out/nat_train.en"),
+        ("export", "out/reference_transformer.json")]
 
     @pytest.mark.parametrize("command, output", OUTPUTS)
     def test_directory_in_an_outputs_place(self, runner, tmp_path, fixture_paths,
                                            requests_sent, monkeypatch, command,
                                            output):
-        """A directory where a long command writes a file ends the command
-        before its first request or fit."""
+        """A directory where a command writes a file ends the command before
+        its first request, fit or write."""
         def work(*args, **kwargs):
             pytest.fail("the command worked before it refused its output")
         monkeypatch.setattr(em, "run_experiment", work)
@@ -1038,7 +1069,8 @@ class TestOutputDirectories:
         assert f"config error: cannot write {lexicon}: File exists\n" in result.output
         assert snapshot(out) == {"models": b"a file\n"}
 
-    @pytest.mark.parametrize("command", ["hallucinate", "experiment", "bpe-train"])
+    @pytest.mark.parametrize("command", ["hallucinate", "experiment", "bpe-train",
+                                         "sample", "analyze", "export"])
     def test_checked_paths_are_the_written_files(self, runner, tmp_path,
                                                  fixture_paths, monkeypatch, command):
         """A command that checks its outputs before its work checks each file

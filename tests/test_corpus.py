@@ -1,4 +1,5 @@
 import json
+import re
 import unicodedata
 
 import pytest
@@ -17,7 +18,7 @@ from corpus_forge.corpus import (
     write_jsonl,
     write_plain_pair,
 )
-from corpus_forge.errors import CorpusFormatError, InsufficientData
+from corpus_forge.errors import CorpusFormatError, EmptyCorpus, InsufficientData
 
 
 def count_tokens(text):
@@ -221,9 +222,17 @@ class TestOnDiskFormats:
         with pytest.raises(CorpusFormatError):
             read_jsonl(path)
 
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"],
+                             ids=["no-lines", "blank-line", "blank-lines"])
+    def test_jsonl_of_no_pairs_is_an_empty_corpus(self, tmp_path, text):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(EmptyCorpus, match=f"^empty corpus: {re.escape(str(path))}$"):
+            read_jsonl(path)
+
     def test_plain_pair_round_trip(self, tmp_path):
         corpus = make_corpus([("ein Haus", "a house"), ("zwei Hunde", "two dogs")])
-        write_plain_pair(corpus, tmp_path / "c", "de", "en")
+        write_plain_pair(corpus, tmp_path / "c.de", tmp_path / "c.en")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.de", "c.en"]
         assert (tmp_path / "c.de").read_bytes() == b"ein Haus\nzwei Hunde\n"
         assert (tmp_path / "c.en").read_bytes() == b"a house\ntwo dogs\n"
