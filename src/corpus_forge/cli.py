@@ -259,22 +259,23 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
     if syn_valid:
         corpora["syn-valid"] = read_jsonl(syn_valid)
 
+    lexicons = {label: f"models/{label.lower()}.lexicon" for label in em.LABELS}
     files = {name: out / name for name in (
-        "ttr.csv", "zipf.csv", "results.md", "results.json",
-        "models/nat.lexicon", "models/synth.lexicon", "models/aug.lexicon")}
+        "ttr.csv", "zipf.csv", "results.md", "results.json", *lexicons.values())}
     check_writable(*files.values())
-    models, matrix = em.run_experiment(
-        corpora["nat-train"],
-        corpora["syn-train"],
-        corpora["nat-valid"],
-        corpora["test"],
-        cfg.em.iterations,
-        syn_valid=corpora.get("syn-valid"),
-    )
+    # each fit streams its lexicon into a temp file; all three replace
+    # their targets once every fit has returned, and none on an error
+    with open_atomic(*(files[name] for name in lexicons.values())) as streams:
+        _, matrix = em.run_experiment(
+            corpora["nat-train"],
+            corpora["syn-train"],
+            corpora["nat-valid"],
+            corpora["test"],
+            cfg.em.iterations,
+            syn_valid=corpora.get("syn-valid"),
+            lexicons=dict(zip(lexicons, streams)),
+        )
     _write_analysis(corpora, files["ttr.csv"], files["zipf.csv"])
-    for label, model in models.items():
-        with open_atomic(files[f"models/{label.lower()}.lexicon"]) as fh:
-            fh.write(model.lexicon)
 
     test_scores = [matrix.get(m, "Test") for m in ("Synth", "Nat", "Aug")]
     results_md = (
@@ -321,9 +322,13 @@ def export(input_paths, source_lang, target_lang, out):
         raise click.BadParameter("must differ from --src: each names one file "
                                  "of a pair", param_hint="'--tgt'")
     by_stem = _by_stem(input_paths)
+    names = [f"{stem}.{lang}" for stem in by_stem
+             for lang in (source_lang, target_lang)] + ["reference_transformer.json"]
+    files = {name: out / name for name in names}
+    if len(files) < len(names):
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ConfigError(f"two outputs would be written to {files[repeated]}")
     corpora = {stem: read_jsonl(path) for stem, path in by_stem.items()}
-    names = [f"{stem}.{lang}" for stem in corpora for lang in (source_lang, target_lang)]
-    files = {name: out / name for name in names + ["reference_transformer.json"]}
     check_writable(*files.values())
     for stem, corpus in corpora.items():
         write_plain_pair(corpus, files[f"{stem}.{source_lang}"],

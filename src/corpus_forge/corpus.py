@@ -11,7 +11,7 @@ import json
 import os
 import random
 import unicodedata
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional
@@ -177,26 +177,39 @@ def open_text(path):
 
 
 @contextmanager
-def open_atomic(path):
-    """Open path for writing UTF-8 text through a temp file beside it,
-    creating its directory first.
+def open_atomic(*paths):
+    """Open each of paths for writing UTF-8 text through a temp file beside
+    it, <path>.tmp, creating its directory first. Yields the file of a
+    single path, or a tuple of files in the order of paths.
 
-    The temp file replaces path only when the block ends without an error.
-    On an error it is deleted, so path keeps whatever it held before. A
+    The temp files replace their paths only when the block ends without an
+    error, and only after every one of them is closed. On an error, a
+    KeyboardInterrupt included, every temp file opened and every directory
+    created here is deleted, so each path keeps whatever it held before. A
     directory, temp file or replacement the OS refuses is a ConfigError.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with _refused("write", path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(tmp, "w", encoding="utf-8", newline="\n")
+    paths = [Path(p) for p in paths]
+    made, tmps, files = [], [], []  # made: directories, outermost first
     try:
-        with fh:
-            yield fh
-        with _refused("write", path):
-            os.replace(tmp, path)
+        with ExitStack() as stack:
+            for path in paths:
+                tmp = path.with_name(path.name + ".tmp")
+                with _refused("write", path):
+                    made += reversed([d for d in path.parents if not d.exists()])
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    files.append(stack.enter_context(
+                        open(tmp, "w", encoding="utf-8", newline="\n")))
+                tmps.append(tmp)
+            yield files[0] if len(files) == 1 else tuple(files)
+        for path, tmp in zip(paths, tmps):
+            with _refused("write", path):
+                os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        for directory in reversed(made):
+            with suppress(OSError):  # not empty: another writer's file is in it
+                directory.rmdir()
         raise
 
 
@@ -324,9 +337,8 @@ def read_jsonl(path) -> ParallelCorpus:
 
 def write_plain_pair(corpus: ParallelCorpus, source_path, target_path) -> None:
     """Write the source sides to source_path and the target sides to
-    target_path, line i aligned to line i."""
-    for path, lines in ((source_path, corpus.source_lines()),
-                        (target_path, corpus.target_lines())):
-        with open_atomic(path) as fh:
+    target_path, line i aligned to line i, both or neither."""
+    with open_atomic(source_path, target_path) as files:
+        for fh, lines in zip(files, (corpus.source_lines(), corpus.target_lines())):
             for line in lines:
                 fh.write(line + "\n")

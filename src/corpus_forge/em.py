@@ -6,8 +6,9 @@ Training is classic lexical EM: each source token spreads one expected count
 over its sentence's candidates, then each row t(.|f) is renormalized. No row
 reads another, so the trainer fits one source word's row at a time through
 every iteration; the log-likelihood still sums over tokens in corpus order.
-A fitted model keeps of each row only its lexicon-v1 lines and its argmax;
-decoding is positional argmax.
+Each finished row's lexicon-v1 lines go straight to the stream the caller
+gives, and a fitted model keeps of each row only its argmax; decoding is
+positional argmax.
 """
 
 import math
@@ -20,12 +21,11 @@ from .errors import ConfigError, CorpusForgeError, EmptyCorpus
 from .metrics import EvalMatrix, cross_evaluate
 
 NULL_TOKEN = "<null>"
+LABELS = ("Nat", "Synth", "Aug")  # run_experiment's models, in fitting order
 
 
 @dataclass
 class LexiconModel:
-    # lexicon-v1: a one-line header, then f<TAB>e<TAB>prob lines sorted by f, then e
-    lexicon: str
     best: dict  # source word -> the argmax target of its row (render_row)
     log_likelihoods: list  # one per iteration
 
@@ -110,17 +110,19 @@ def render_row(f: str, dist: dict):
     return "".join([f"{f}\t{e}\t{dist[e]:.12g}\n" for e in targets]), best
 
 
-def train_em(corpus, iterations: int) -> LexiconModel:
-    """Fit t(e|f) with fit_rows, keeping of each row its lines and its argmax."""
-    lines = [f"lexicon-v1 iterations={iterations}\n"]
+def train_em(corpus, iterations: int, out) -> LexiconModel:
+    """Fit t(e|f) with fit_rows, writing its lexicon-v1 text to the text
+    stream out as the rows are fitted: a one-line header, then
+    f<TAB>e<TAB>prob lines sorted by f, then e. The model keeps of each row
+    its argmax alone."""
+    out.write(f"lexicon-v1 iterations={iterations}\n")
     best = {}
 
     def keep(f, dist):
         text, best[f] = render_row(f, dist)
-        lines.append(text)
+        out.write(text)
 
-    log_likelihoods = fit_rows(corpus, iterations, keep)
-    return LexiconModel("".join(lines), best, log_likelihoods)
+    return LexiconModel(best, fit_rows(corpus, iterations, keep))
 
 
 def translate(model: LexiconModel, source_lines):
@@ -138,18 +140,22 @@ def translate(model: LexiconModel, source_lines):
     return out
 
 
-def _fit(label, corpus, iterations, eval_sets):
-    """Train one model and score it on every eval set: returns
-    (LexiconModel, the model's one-row EvalMatrix)."""
-    model = train_em(corpus, iterations)
+def _fit(label, corpus, iterations, eval_sets, out):
+    """Train one model, writing its lexicon to out, and score it on every
+    eval set: returns (LexiconModel, the model's one-row EvalMatrix)."""
+    model = train_em(corpus, iterations, out)
     row = cross_evaluate({label: lambda lines: translate(model, lines)}, eval_sets)
     return model, row
 
 
 def _fit_in_worker(sender, job):
-    """Forked worker body: fit Aug and send (LexiconModel, row), or the exception."""
+    """Forked worker body: fit Aug into its lexicon file, close the worker's
+    handle on it, and send (LexiconModel, row), or the exception. The worker
+    ends in os._exit, which flushes no Python buffer, so the close is what
+    puts the last rows on disk."""
     try:
-        outcome = _fit("Aug", *job)
+        with job[-1]:  # the lexicon file
+            outcome = _fit("Aug", *job)
     except Exception as exc:  # the caller raises it
         outcome = exc
     sender.send(outcome)
@@ -176,13 +182,17 @@ def run_experiment(
     test,
     iterations: int,
     syn_valid=None,
+    *,
+    lexicons,
 ):
     """Fit Nat / Synth / Aug lexicon models and cross-evaluate them.
 
     Aug trains on the concatenation of both training corpora. Each model is
-    trained and scored on every provided eval set. A forked worker fits Aug
-    while the caller fits Nat and then Synth: the E-step's cost is additive
-    over sentences, so the two sides take about as long. With one CPU, or no
+    trained and scored on every provided eval set, and writes its lexicon to
+    lexicons[label], a text file opened for writing and not yet written to.
+    A forked worker fits Aug, writing to its own handle on Aug's file, while
+    the caller fits Nat and then Synth: the E-step's cost is additive over
+    sentences, so the two sides take about as long. With one CPU, or no
     fork, the caller fits all three. Returns ({label: LexiconModel},
     EvalMatrix) once every fit has returned. Raises ConfigError when a pair
     id is in two of the input corpora, and CorpusForgeError when the worker
@@ -204,9 +214,8 @@ def run_experiment(
         eval_sets["Synth-val"] = (syn_valid.source_lines(), syn_valid.target_lines())
     eval_sets["Nat-val"] = (nat_valid.source_lines(), nat_valid.target_lines())
     eval_sets["Test"] = (test.source_lines(), test.target_lines())
-    jobs = {label: (corpus, iterations, eval_sets)
-            for label, corpus in (("Nat", nat_train), ("Synth", syn_train),
-                                  ("Aug", aug))}
+    jobs = {label: (corpus, iterations, eval_sets, lexicons[label])
+            for label, corpus in zip(LABELS, (nat_train, syn_train, aug))}
 
     if not _use_worker():
         results = {label: _fit(label, *job) for label, job in jobs.items()}
@@ -247,7 +256,7 @@ def run_experiment(
     return {label: model for label, (model, _) in results.items()}, matrix
 
 
-def save_model(model: LexiconModel, path) -> None:
-    """Write model's lexicon-v1 text to path, atomically."""
+def save_model(corpus, iterations: int, path) -> LexiconModel:
+    """train_em on corpus, writing its lexicon-v1 text to path, atomically."""
     with open_atomic(path) as fh:
-        fh.write(model.lexicon)
+        return train_em(corpus, iterations, fh)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import settings
 
-from corpus_forge import prompts
+from corpus_forge import em, prompts
 from corpus_forge.corpus import ParallelCorpus, SentencePair
 from corpus_forge.gateway import ChatMessage, ChatRequest, MockBackend
 
@@ -92,6 +92,13 @@ def experiment_fixture():
     return make_experiment_fixture()
 
 
+@pytest.fixture
+def unread_lexicons():
+    """run_experiment's lexicons for a test that reads none: os.devnull."""
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        yield dict.fromkeys(em.LABELS, sink)
+
+
 def _syllable_lexicons(rng, size):
     """Two lexicons of size one- to three-syllable words, one to one:
     (the source words in sorted order, {source word: target word})."""
@@ -174,14 +181,18 @@ def study_corpora():
     }
 
 
-def in_worker(train_em, fail):
-    """train_em that calls fail() in any forked worker; the caller trains as usual."""
+def in_worker(train_em, fail, worker=True):
+    """train_em that, in any forked worker, puts a lexicon header on disk and
+    calls fail(); the caller trains as usual. With worker False, the caller
+    fails and a worker trains."""
     caller = os.getpid()
 
-    def train(corpus, iterations):
-        if os.getpid() != caller:
+    def train(corpus, iterations, out):
+        if (os.getpid() != caller) == worker:
+            out.write(f"lexicon-v1 iterations={iterations}\n")
+            out.flush()
             fail()
-        return train_em(corpus, iterations)
+        return train_em(corpus, iterations, out)
 
     return train
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import io
 import math
 import random
 import time
@@ -128,7 +129,7 @@ def test_criterion_3_em_suite():
             [("das Haus", "the house"), ("das Buch", "the book"),
              ("ein Buch", "a book")]
         )
-        model = em.train_em(corpus, 10)
+        model = em.train_em(corpus, 10, io.StringIO())
         assert model.best["Buch"] == "book"
         for earlier, later in zip(model.log_likelihoods,
                                   model.log_likelihoods[1:]):
@@ -139,12 +140,12 @@ def test_criterion_3_em_suite():
             assert abs(sum(dist.values()) - 1.0) <= 1e-9
 
 
-def test_criterion_4_augmentation_improves_translation():
+def test_criterion_4_augmentation_improves_translation(unread_lexicons):
     with criterion(4, "Aug >= Nat > Synth on test", 30):
         fx = make_experiment_fixture()
         _, matrix = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"],
-            10, syn_valid=fx["syn_valid"],
+            10, syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
         assert matrix.get("Aug", "Test") >= matrix.get("Nat", "Test")
         assert matrix.get("Nat", "Test") > matrix.get("Synth", "Test")
@@ -163,12 +164,12 @@ def mock_synthetic_lines(mock_seed=0):
             "target_lines": [r["tgt"] for r in records]}
 
 
-def test_criterion_5_overfitting_and_diversity():
+def test_criterion_5_overfitting_and_diversity(unread_lexicons):
     with criterion(5, "Synth overfits; synthetic TTR lower", 30):
         fx = make_experiment_fixture()
         _, matrix = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"],
-            10, syn_valid=fx["syn_valid"],
+            10, syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
         assert matrix.get("Synth", "Synth-val") > matrix.get("Synth", "Test")
 

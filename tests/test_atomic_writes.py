@@ -60,10 +60,12 @@ def failing_bpe_model(tmp_path):
 
 
 def failing_lexicon(tmp_path):
-    # not text, so the write inside open_atomic fails
-    model = em.LexiconModel(lexicon=None, best={}, log_likelihoods=[0.0])
+    # the header is written before the pairs are read, and the second pair
+    # has no source text to tokenize
+    corpus = SimpleNamespace(pairs=[SentencePair(id="0", source="a", target="b"),
+                                    SimpleNamespace(source=None, target="d")])
     path = tmp_path / "model.lexicon"
-    return path, lambda: em.save_model(model, path)
+    return path, lambda: em.save_model(corpus, 3, path)
 
 
 @pytest.mark.parametrize("make", [
@@ -78,6 +80,44 @@ def test_failed_write_keeps_previous_file(tmp_path, make):
         write()
     assert path.read_text(encoding="utf-8") == PREVIOUS
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_open_atomic_failed_set_keeps_every_file(tmp_path, error):
+    """An error in the block, or a KeyboardInterrupt, leaves every path of a
+    set as it was: no temp file, and no directory the call created."""
+    old, new = tmp_path / "old.txt", tmp_path / "new" / "deeper" / "new.txt"
+    old.write_text(PREVIOUS, encoding="utf-8")
+    with pytest.raises(error):
+        with open_atomic(old, new) as (old_fh, new_fh):
+            old_fh.write("text\n")
+            new_fh.write("text\n")
+            old_fh.flush()
+            raise error()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.txt"]
+    assert old.read_text(encoding="utf-8") == PREVIOUS
+
+
+def test_open_atomic_set_replaces_every_file(tmp_path):
+    paths = [tmp_path / "a.txt", tmp_path / "b" / "b.txt"]
+    paths[0].write_text(PREVIOUS, encoding="utf-8")
+    with open_atomic(*paths) as files:
+        for path, fh in zip(paths, files):
+            fh.write(path.name + "\n")
+    for path in paths:
+        assert path.read_text(encoding="utf-8") == path.name + "\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.txt", "b", "b.txt"]
+
+
+def test_open_atomic_refused_later_path_leaves_nothing(tmp_path):
+    """A temp file the OS refuses ends the call before the block runs, and
+    the temp files opened before it are deleted."""
+    paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+    (tmp_path / "b.txt.tmp").mkdir()
+    with pytest.raises(ConfigError, match=re.escape(f"cannot write {paths[1]}: ")):
+        with open_atomic(*paths):
+            pytest.fail("the block ran")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt.tmp"]
 
 
 def test_open_atomic_creates_missing_directories(tmp_path):

@@ -511,6 +511,47 @@ class TestExperiment:
             "error: a worker process died while fitting Aug\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("worker, dies, message", [
+        (False, False, "Nat failed"),
+        (True, False, "Aug failed"),
+        (True, True, "a worker process died while fitting Aug"),
+    ], ids=["nat-raises", "aug-raises", "worker-dies"])
+    def test_failed_fit_keeps_every_lexicon(self, runner, tmp_path, fixture_paths,
+                                            monkeypatch, worker, dies, message):
+        """A fit that fails in the caller (Nat) or in the worker (Aug), after
+        its lexicon file got a line, ends the run as it always did: no temp
+        file, no new lexicon, and an earlier nat.lexicon keeps its bytes."""
+        def fail():
+            if dies:
+                os._exit(3)
+            raise CorpusForgeError(message)
+
+        monkeypatch.setattr(em, "_use_worker", lambda: True)
+        monkeypatch.setattr(em, "train_em", in_worker(em.train_em, fail, worker))
+        out = tmp_path / "results"
+        (out / "models").mkdir(parents=True)
+        (out / "models" / "nat.lexicon").write_bytes(b"earlier lexicon\n")
+        result = runner.invoke(main, self.experiment_args(fixture_paths, out))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: {message}\n"
+        assert snapshot(out) == {"models/nat.lexicon": b"earlier lexicon\n"}
+
+    @pytest.mark.parametrize("label", ["nat", "aug"])
+    def test_temp_file_refused_before_any_fit(self, runner, tmp_path,
+                                              fixture_paths, monkeypatch, label):
+        def fit(*args, **kwargs):
+            pytest.fail("a model was fitted")
+        monkeypatch.setattr(em, "train_em", fit)
+        out = tmp_path / "results"
+        (out / "models" / f"{label}.lexicon.tmp").mkdir(parents=True)
+        result = runner.invoke(main, self.experiment_args(fixture_paths, out))
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        lexicon = out / "models" / f"{label}.lexicon"
+        assert result.output == f"config error: cannot write {lexicon}: Is a directory\n"
+        assert [p.name for p in out.rglob("*")] == ["models", f"{label}.lexicon.tmp"]
+
     def assert_empty_input_refused(self, runner, tmp_path, fixture_paths,
                                    monkeypatch, flag):
         """An empty input ends experiment, naming it, before the first fit."""
@@ -607,6 +648,27 @@ class TestExport:
         ])
         assert result.exit_code == ConfigError.exit_code, result.output
         assert f"inputs {paths[0]} and {paths[1]} share a file stem" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("inputs, src, tgt, repeated", [
+        (["reference_transformer.jsonl"], "de", "json", "reference_transformer.json"),
+        (["x.de.jsonl", "x.jsonl"], "en", "de.en", "x.de.en"),
+    ], ids=["metadata", "dotted-code"])
+    def test_outputs_sharing_a_name_refused(self, runner, tmp_path, inputs, src,
+                                            tgt, repeated):
+        # an input that is read ends in exit 1, so exit 3 means none was
+        paths = [tmp_path / name for name in inputs]
+        for path in paths:
+            path.write_text("not json\n", encoding="utf-8")
+        out = tmp_path / "export"
+        result = runner.invoke(main, [
+            "export", *(a for path in paths for a in ("--input", str(path))),
+            "--src", src, "--tgt", tgt, "--out-dir", str(out),
+        ])
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == (
+            f"config error: two outputs would be written to {out / repeated}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("bad, exit_code", [

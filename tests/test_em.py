@@ -1,5 +1,7 @@
+import io
 import math
 import os
+import pickle
 import random
 import tempfile
 import threading
@@ -12,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import reference_em
 from conftest import in_worker, make_corpus, syllable_corpus
 from corpus_forge import em
-from corpus_forge.corpus import tokenize
+from corpus_forge.corpus import open_atomic, tokenize
 from corpus_forge.errors import ConfigError, CorpusForgeError, EmptyCorpus
 from corpus_forge.metrics import corpus_bleu, cross_evaluate
 
@@ -21,6 +23,11 @@ def toy_corpus():
     return make_corpus(
         [("das Haus", "the house"), ("das Buch", "the book"), ("ein Buch", "a book")]
     )
+
+
+def train(corpus, iterations):
+    """train_em, its lexicon text kept in memory and unread."""
+    return em.train_em(corpus, iterations, io.StringIO())
 
 
 def fitted_rows(corpus, iterations):
@@ -33,13 +40,13 @@ def fitted_rows(corpus, iterations):
 
 class TestTrainEm:
     def test_uniform_initialization(self):
-        model = em.train_em(toy_corpus(), 1)
+        model = train(toy_corpus(), 1)
         # the first E-step sees t(e|f) = 1/5 for every candidate (4 target
         # types plus null), so each of the 6 source tokens adds log(1/5)
         assert model.log_likelihoods[0] == pytest.approx(6 * math.log(1 / 5))
 
     def test_buch_learns_book(self):
-        model = em.train_em(toy_corpus(), 10)
+        model = train(toy_corpus(), 10)
         assert model.best["Buch"] == "book"
 
     def test_log_likelihood_non_decreasing(self):
@@ -49,7 +56,7 @@ class TestTrainEm:
         for _ in range(30):
             words = rng.sample(sorted(vocab), rng.randint(3, 6))
             sentences.append((" ".join(words), " ".join(vocab[w] for w in words)))
-        model = em.train_em(make_corpus(sentences), 10)
+        model = train(make_corpus(sentences), 10)
         lls = model.log_likelihoods
         assert len(lls) == 10
         for earlier, later in zip(lls, lls[1:]):
@@ -63,11 +70,11 @@ class TestTrainEm:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
-            em.train_em(make_corpus([]), 5)
+            train(make_corpus([]), 5)
 
     def test_bad_iterations_rejected(self):
         with pytest.raises(ValueError):
-            em.train_em(toy_corpus(), 0)
+            train(toy_corpus(), 0)
 
 
 class TestTranslate:
@@ -78,7 +85,7 @@ class TestTranslate:
             " ".join(rng.sample(vocab, rng.randint(3, 6))) for _ in range(50)
         ]
         corpus = make_corpus([(line, line) for line in lines])
-        model = em.train_em(corpus, 10)
+        model = train(corpus, 10)
         out = em.translate(model, lines)
         assert out == lines
         report = corpus_bleu([tokenize(line) for line in out],
@@ -86,11 +93,11 @@ class TestTranslate:
         assert report.bleu == 100.0
 
     def test_oov_copied_through(self):
-        model = em.train_em(toy_corpus(), 5)
+        model = train(toy_corpus(), 5)
         assert em.translate(model, ["xyz qqq"]) == ["xyz qqq"]
 
     def test_deterministic(self):
-        model = em.train_em(toy_corpus(), 5)
+        model = train(toy_corpus(), 5)
         lines = ["das Buch", "ein Haus"]
         assert em.translate(model, lines) == em.translate(model, lines)
 
@@ -100,11 +107,11 @@ class TestTranslate:
         assert nfd != nfc
         corpus = make_corpus([(f"{nfc} gut", "coffee good"), (nfc, "coffee"),
                               ("gut", "good")])
-        model = em.train_em(corpus, 10)
+        model = train(corpus, 10)
         assert em.translate(model, [nfd, f"{nfd} gut"]) == ["coffee", "coffee good"]
 
     def test_length_bounded(self):
-        model = em.train_em(toy_corpus(), 5)
+        model = train(toy_corpus(), 5)
         for line in ["das Buch ein Haus", "das das das"]:
             assert len(em.translate(model, [line])[0].split()) <= len(line.split())
 
@@ -113,9 +120,8 @@ class TestSerialization:
     def test_save_model_bytes(self, tmp_path):
         # every row is {y: 0.5, <null>: 0.5}; rows sort by source word, then
         # by target word, in code-point order
-        model = em.train_em(make_corpus([("b ä a", "y")]), 7)
         path = tmp_path / "model.lexicon"
-        em.save_model(model, path)
+        em.save_model(make_corpus([("b ä a", "y")]), 7, path)
         assert path.read_bytes() == (
             "lexicon-v1 iterations=7\n"
             "a\t<null>\t0.5\n"
@@ -179,20 +185,22 @@ def assert_matches_reference(corpus, iterations, lines):
     for f, dist in expected.t.items():
         assert list(rows[f].items()) == list(dist.items())
     assert log_likelihoods == expected.log_likelihoods
-    model = em.train_em(corpus, iterations)
+    written = io.StringIO()
+    model = em.train_em(corpus, iterations, written)
     assert model.log_likelihoods == expected.log_likelihoods
     assert list(model.best) == list(rows)
     for f in rows:
         assert model.best[f] == reference_em.best_target(expected, f)
     assert em.translate(model, lines) == reference_em.translate(expected, lines)
-    assert model.lexicon == reference_lexicon(expected, iterations)
+    assert written.getvalue() == reference_lexicon(expected, iterations)
 
 
-def lexicon_bytes(model):
+def saved_model(corpus, iterations):
+    """save_model's model, and the bytes it writes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.lexicon"
-        em.save_model(model, path)
-        return path.read_bytes()
+        model = em.save_model(corpus, iterations, path)
+        return model, path.read_bytes()
 
 
 class TestMatchesReference:
@@ -221,21 +229,21 @@ class TestMatchesReference:
 
 
 class TestRunExperiment:
-    def test_directional_findings(self, experiment_fixture):
+    def test_directional_findings(self, experiment_fixture, unread_lexicons):
         fx = experiment_fixture
         models, matrix = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"],
-            10, syn_valid=fx["syn_valid"],
+            10, syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
         assert matrix.get("Aug", "Test") >= matrix.get("Nat", "Test")
         assert matrix.get("Nat", "Test") > matrix.get("Synth", "Test")
         assert matrix.get("Synth", "Synth-val") > matrix.get("Synth", "Test")
 
-    def test_nine_cells(self, experiment_fixture):
+    def test_nine_cells(self, experiment_fixture, unread_lexicons):
         fx = experiment_fixture
         _, matrix = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"],
-            3, syn_valid=fx["syn_valid"],
+            3, syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
         assert len(matrix.cells) + len(matrix.failures) == 9
         assert not matrix.failures
@@ -250,16 +258,17 @@ class TestRunExperiment:
             for p in nat.pairs
         ]
         doubled = type(nat)(doubled_pairs)
-        single = em.train_em(nat, 5)
-        twice = em.train_em(doubled, 5)
+        single = train(nat, 5)
+        twice = train(doubled, 5)
         lines = fx["test"].source_lines()
         assert em.translate(single, lines) == em.translate(twice, lines)
 
-    def test_eval_overlap_rejected(self, experiment_fixture):
+    def test_eval_overlap_rejected(self, experiment_fixture, unread_lexicons):
         fx = experiment_fixture
         with pytest.raises(ConfigError, match="share pair ids"):
             em.run_experiment(
-                fx["nat_train"], fx["syn_train"], fx["nat_train"], fx["test"], 2
+                fx["nat_train"], fx["syn_train"], fx["nat_train"], fx["test"], 2,
+                lexicons=unread_lexicons,
             )
 
     @pytest.mark.parametrize("n_shared, listed", [
@@ -267,23 +276,26 @@ class TestRunExperiment:
         (5, "['p-0', 'p-1', 'p-2', 'p-3', 'p-4']"),
         (6, "['p-0', 'p-1', 'p-2', 'p-3', 'p-4']..."),
     ])
-    def test_shared_ids_listed_up_to_five(self, n_shared, listed):
+    def test_shared_ids_listed_up_to_five(self, n_shared, listed, unread_lexicons):
         pair = ("das Haus", "the house")
         with pytest.raises(ConfigError) as info:
             em.run_experiment(
                 make_corpus([pair] * 6), make_corpus([pair], prefix="s"),
                 make_corpus([pair], prefix="v"), make_corpus([pair] * n_shared), 2,
+                lexicons=unread_lexicons,
             )
         assert str(info.value) == f"input corpora share pair ids: {listed}"
 
 
 def serial_experiment(nat_train, syn_train, nat_valid, test, iterations,
                       syn_valid=None):
-    """run_experiment as one process composes it: train, translate, score, save."""
+    """run_experiment as one process composes it: train and save, translate,
+    score. Returns the models, the matrix and each model's lexicon bytes."""
     aug = type(nat_train)(list(nat_train.pairs) + list(syn_train.pairs))
-    models = {label: em.train_em(corpus, iterations)
-              for label, corpus in (("Nat", nat_train), ("Synth", syn_train),
-                                    ("Aug", aug))}
+    saved = {label: saved_model(corpus, iterations)
+             for label, corpus in (("Nat", nat_train), ("Synth", syn_train),
+                                   ("Aug", aug))}
+    models = {label: model for label, (model, _) in saved.items()}
     eval_sets = {}
     if syn_valid is not None:
         eval_sets["Synth-val"] = (syn_valid.source_lines(), syn_valid.target_lines())
@@ -294,18 +306,29 @@ def serial_experiment(nat_train, syn_train, nat_valid, test, iterations,
          for label, model in models.items()},
         eval_sets,
     )
-    return models, matrix
+    return models, matrix, {label: data for label, (_, data) in saved.items()}
+
+
+def experiment_with_files(corpora, iterations):
+    """run_experiment writing each lexicon to a file, as experiment does:
+    its models, its matrix and each file's bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {label: Path(tmp) / f"{label}.lexicon" for label in em.LABELS}
+        with open_atomic(*paths.values()) as files:
+            fits, matrix = em.run_experiment(
+                corpora["nat_train"], corpora["syn_train"], corpora["nat_valid"],
+                corpora["test"], iterations, syn_valid=corpora.get("syn_valid"),
+                lexicons=dict(zip(paths, files)),
+            )
+        return fits, matrix, {label: p.read_bytes() for label, p in paths.items()}
 
 
 def assert_matches_serial(corpora, iterations):
     threads = threading.enumerate()
-    fits, matrix = em.run_experiment(
-        corpora["nat_train"], corpora["syn_train"], corpora["nat_valid"],
-        corpora["test"], iterations, syn_valid=corpora.get("syn_valid"),
-    )
+    fits, matrix, written = experiment_with_files(corpora, iterations)
     # no pool thread outlives the call, so a later fork sees one thread
     assert threading.enumerate() == threads
-    models, expected = serial_experiment(
+    models, expected, lexicons = serial_experiment(
         corpora["nat_train"], corpora["syn_train"], corpora["nat_valid"],
         corpora["test"], iterations, syn_valid=corpora.get("syn_valid"),
     )
@@ -314,7 +337,7 @@ def assert_matches_serial(corpora, iterations):
     assert matrix.failures == expected.failures
     assert list(fits) == list(models)
     for label, model in models.items():
-        assert fits[label].lexicon.encode("utf-8") == lexicon_bytes(model)
+        assert written[label] == lexicons[label]
         assert fits[label].log_likelihoods == model.log_likelihoods
 
 
@@ -343,7 +366,8 @@ class TestParallelExperiment:
 
     @pytest.mark.parametrize("label", ["Synth", "Aug"])  # caller, worker
     def test_failed_decoding_fails_only_its_cells(self, experiment_fixture,
-                                                  monkeypatch, label):
+                                                  monkeypatch, unread_lexicons,
+                                                  label):
         translate = em.translate
 
         def failing(model, lines):
@@ -358,7 +382,7 @@ class TestParallelExperiment:
         fx = experiment_fixture
         _, matrix = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"], 3,
-            syn_valid=fx["syn_valid"],
+            syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
         assert matrix.failures == {
             (label, col): f"ValueError: no decoding for {label}"
@@ -366,11 +390,22 @@ class TestParallelExperiment:
         }
         assert len(matrix.cells) == 6
 
+    @pytest.mark.parametrize("worker", [True, False])
+    def test_fitted_models_carry_no_lexicon_text(self, experiment_fixture,
+                                                 monkeypatch, worker):
+        # with a worker, Aug's model is the one that came through the pipe
+        monkeypatch.setattr(em, "_use_worker", lambda: worker)
+        fits, _, written = experiment_with_files(experiment_fixture, 5)
+        assert list(fits) == list(em.LABELS)
+        for label, model in fits.items():
+            assert len(pickle.dumps(model)) < len(written[label]) / 3, label
+
     def test_one_process_matches_serial(self, experiment_fixture, monkeypatch):
         monkeypatch.setattr(em, "_use_worker", lambda: False)  # one CPU, or no fork
         assert_matches_serial(experiment_fixture, 3)
 
-    def test_dead_worker_is_a_clean_error(self, experiment_fixture, monkeypatch):
+    def test_dead_worker_is_a_clean_error(self, experiment_fixture, monkeypatch,
+                                          unread_lexicons):
         monkeypatch.setattr(em, "_use_worker", lambda: True)
         monkeypatch.setattr(em, "train_em", in_worker(em.train_em, lambda: os._exit(3)))
         fx = experiment_fixture
@@ -379,11 +414,12 @@ class TestParallelExperiment:
                            match="worker process died while fitting Aug"):
             em.run_experiment(
                 fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"], 3,
+                lexicons=unread_lexicons,
             )
         assert threading.enumerate() == threads
 
     def test_worker_exception_reaches_the_caller(self, experiment_fixture,
-                                                 monkeypatch):
+                                                 monkeypatch, unread_lexicons):
         def fail():
             raise EmptyCorpus("Aug failed in the worker")
 
@@ -393,4 +429,5 @@ class TestParallelExperiment:
         with pytest.raises(EmptyCorpus, match="Aug failed in the worker"):
             em.run_experiment(
                 fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"], 3,
+                lexicons=unread_lexicons,
             )
