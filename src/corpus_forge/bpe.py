@@ -44,7 +44,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-from .corpus import open_atomic, open_text, tokenize
+from .corpus import open_text, tokenize
 from .errors import CorpusFormatError, EmptyCorpus
 
 BOUNDARY = "</w>"
@@ -182,11 +182,14 @@ def _encode_word(model, word):
 
 
 def encode(model, text):
-    """Split a line into subword tokens, marking word-internal units with "@@"."""
+    """Split a line into subword tokens, marking word-internal units with "@@".
+    A word that holds "@@", which decode could not restore, is a CorpusFormatError."""
     tokens = []
     for word in tokenize(text):
         pieces = model._cache.get(word)
         if pieces is None:
+            if MARKER in word:
+                raise CorpusFormatError(f"word {word!r} holds the marker {MARKER}")
             pieces = model._cache[word] = _encode_word(model, word)
         tokens.extend(pieces)
     return tokens
@@ -197,11 +200,11 @@ def decode(tokens):
     return " ".join(tokens).replace(MARKER + " ", "")
 
 
-def save_model(model, path):
-    with open_atomic(path) as fh:
-        fh.write(f"bpe-v1 {model.target_vocab_size}\n")
-        for left, right in model.merges:
-            fh.write(f"{left} {right}\n")
+def save_model(model, fh):
+    """Write model to the text file fh: its header, then one merge a line."""
+    fh.write(f"bpe-v1 {model.target_vocab_size}\n")
+    for left, right in model.merges:
+        fh.write(f"{left} {right}\n")
 
 
 def load_model(path):

@@ -17,7 +17,6 @@ from . import bpe, em, metrics
 from .config import load_config
 from .corpus import (
     SplitSpec,
-    check_writable,
     make_splits,
     open_atomic,
     open_text,
@@ -27,7 +26,7 @@ from .corpus import (
     write_jsonl,
     write_plain_pair,
 )
-from .errors import ConfigError, CorpusForgeError
+from .errors import ConfigError, CorpusForgeError, CorpusFormatError
 from .gateway import Gateway, make_backend
 from .hallucinate import run_pipeline
 
@@ -146,11 +145,12 @@ def sample(input_path, train_tokens, valid_tokens, test_tokens, rng_seed, out):
         test_token_threshold=test_tokens,
         rng_seed=rng_seed,
     )
-    files = {name: out / f"{name}.jsonl" for name in split_thresholds(spec)}
-    check_writable(*files.values())
-    splits = make_splits(corpus, spec)
+    names = list(split_thresholds(spec))
+    with open_atomic(*(out / f"{name}.jsonl" for name in names)) as files:
+        splits = make_splits(corpus, spec)
+        for name, fh in zip(names, files):
+            write_jsonl(splits[name], fh)
     for name, split in splits.items():
-        write_jsonl(split, files[name])
         click.echo(f"{name}: {len(split)} pairs, "
                    f"{split.source_token_count()} source tokens")
 
@@ -164,9 +164,9 @@ def sample(input_path, train_tokens, valid_tokens, test_tokens, rng_seed, out):
 def bpe_train(input_paths, vocab_size, model_path):
     """Train a joint source-target BPE model on training corpora."""
     corpora = [read_jsonl(p) for p in input_paths]
-    check_writable(model_path)
-    model = bpe.train_bpe(corpora, vocab_size)
-    bpe.save_model(model, model_path)
+    with open_atomic(model_path) as fh:
+        model = bpe.train_bpe(corpora, vocab_size)
+        bpe.save_model(model, fh)
     click.echo(
         f"trained {len(model.merges)} merges, "
         f"final symbol vocabulary {len(model.vocab)}"
@@ -184,17 +184,20 @@ def bpe_apply(model_path, input_path, output_path):
     """
     model = bpe.load_model(model_path)
     with open_text(input_path) as src, open_atomic(output_path) as dst:
-        for line in src:
-            dst.write(" ".join(bpe.encode(model, line.rstrip("\n"))) + "\n")
+        for lineno, line in enumerate(src, 1):
+            try:
+                tokens = bpe.encode(model, line.rstrip("\n"))
+            except CorpusFormatError as exc:
+                raise CorpusFormatError(f"{input_path}:{lineno}: {exc}") from None
+            dst.write(" ".join(tokens) + "\n")
     click.echo(f"encoded {input_path} -> {output_path}")
 
 
-def _write_csv(path, header, rows):
-    """Write a CSV file atomically, quoting fields that hold commas or quotes."""
-    with open_atomic(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(fh, header, rows):
+    """Write a CSV table to fh, quoting fields that hold commas or quotes."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def _by_stem(input_paths):
@@ -208,7 +211,7 @@ def _by_stem(input_paths):
     return by_stem
 
 
-def _write_analysis(corpora_by_label, ttr_path, zipf_path):
+def _write_analysis(corpora_by_label, ttr_fh, zipf_fh):
     profiles = [
         (label, side, metrics.frequency_profile(lines))
         for label, corpus in corpora_by_label.items()
@@ -218,7 +221,7 @@ def _write_analysis(corpora_by_label, ttr_path, zipf_path):
         )
     ]
     _write_csv(
-        ttr_path,
+        ttr_fh,
         ["corpus", "side", "type_count", "token_count", "ttr"],
         (
             [label, side, p.type_count, p.token_count, f"{p.ttr:.6f}"]
@@ -226,7 +229,7 @@ def _write_analysis(corpora_by_label, ttr_path, zipf_path):
         ),
     )
     _write_csv(
-        zipf_path,
+        zipf_fh,
         ["corpus", "side", "rank", "word", "frequency"],
         (
             [label, side, rank, word, freq]
@@ -234,7 +237,6 @@ def _write_analysis(corpora_by_label, ttr_path, zipf_path):
             for rank, word, freq in p.rank_frequency
         ),
     )
-    click.echo(f"wrote {ttr_path} and {zipf_path}")
 
 
 @main.command()
@@ -259,13 +261,12 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
     if syn_valid:
         corpora["syn-valid"] = read_jsonl(syn_valid)
 
-    lexicons = {label: f"models/{label.lower()}.lexicon" for label in em.LABELS}
-    files = {name: out / name for name in (
-        "ttr.csv", "zipf.csv", "results.md", "results.json", *lexicons.values())}
-    check_writable(*files.values())
-    # each fit streams its lexicon into a temp file; all three replace
-    # their targets once every fit has returned, and none on an error
-    with open_atomic(*(files[name] for name in lexicons.values())) as streams:
+    ttr, zipf = out / "ttr.csv", out / "zipf.csv"
+    lexicons = [out / f"models/{label.lower()}.lexicon" for label in em.LABELS]
+    # all seven replace their targets together; none is written to before
+    # run_experiment forks the worker that writes Aug's lexicon
+    with open_atomic(ttr, zipf, out / "results.md", out / "results.json",
+                     *lexicons) as (ttr_fh, zipf_fh, md_fh, json_fh, *streams):
         _, matrix = em.run_experiment(
             corpora["nat-train"],
             corpora["syn-train"],
@@ -273,24 +274,21 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
             corpora["test"],
             cfg.em.iterations,
             syn_valid=corpora.get("syn-valid"),
-            lexicons=dict(zip(lexicons, streams)),
+            lexicons=dict(zip(em.LABELS, streams)),
         )
-    _write_analysis(corpora, files["ttr.csv"], files["zipf.csv"])
-
-    test_scores = [matrix.get(m, "Test") for m in ("Synth", "Nat", "Aug")]
-    results_md = (
-        "# Experiment results\n\n"
-        "## Test-set scores\n\n"
-        + metrics.render_score_row_markdown(["Synth", "Nat", "Aug"], test_scores)
-        + "\n## Cross-method validation\n\n"
-        + metrics.render_matrix_markdown(matrix)
-    )
-    with open_atomic(files["results.md"]) as fh:
-        fh.write(results_md)
-    write_json(
-        files["results.json"],
-        {"em_iterations": cfg.em.iterations, "matrix": matrix.to_dict()},
-    )
+        _write_analysis(corpora, ttr_fh, zipf_fh)
+        test_scores = [matrix.get(m, "Test") for m in ("Synth", "Nat", "Aug")]
+        results_md = (
+            "# Experiment results\n\n"
+            "## Test-set scores\n\n"
+            + metrics.render_score_row_markdown(["Synth", "Nat", "Aug"], test_scores)
+            + "\n## Cross-method validation\n\n"
+            + metrics.render_matrix_markdown(matrix)
+        )
+        md_fh.write(results_md)
+        write_json(json_fh,
+                   {"em_iterations": cfg.em.iterations, "matrix": matrix.to_dict()})
+    click.echo(f"wrote {ttr} and {zipf}")
     click.echo(results_md)
 
 
@@ -302,9 +300,10 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
 def analyze(input_paths, out):
     """Emit TTR and rank-frequency statistics for one or more corpora."""
     corpora = {stem: read_jsonl(p) for stem, p in _by_stem(input_paths).items()}
-    files = {name: out / name for name in ("ttr.csv", "zipf.csv")}
-    check_writable(*files.values())
-    _write_analysis(corpora, files["ttr.csv"], files["zipf.csv"])
+    ttr, zipf = out / "ttr.csv", out / "zipf.csv"
+    with open_atomic(ttr, zipf) as (ttr_fh, zipf_fh):
+        _write_analysis(corpora, ttr_fh, zipf_fh)
+    click.echo(f"wrote {ttr} and {zipf}")
 
 
 @main.command()
@@ -329,12 +328,14 @@ def export(input_paths, source_lang, target_lang, out):
         repeated = next(name for i, name in enumerate(names) if name in names[:i])
         raise ConfigError(f"two outputs would be written to {files[repeated]}")
     corpora = {stem: read_jsonl(path) for stem, path in by_stem.items()}
-    check_writable(*files.values())
+    with open_atomic(*files.values()) as handles:
+        handle = dict(zip(files, handles))
+        for stem, corpus in corpora.items():
+            write_plain_pair(corpus, handle[f"{stem}.{source_lang}"],
+                             handle[f"{stem}.{target_lang}"])
+        write_json(handle["reference_transformer.json"], REFERENCE_TRANSFORMER)
     for stem, corpus in corpora.items():
-        write_plain_pair(corpus, files[f"{stem}.{source_lang}"],
-                         files[f"{stem}.{target_lang}"])
         click.echo(f"exported {by_stem[stem]} ({len(corpus)} pairs)")
-    write_json(files["reference_transformer.json"], REFERENCE_TRANSFORMER)
 
 
 if __name__ == "__main__":

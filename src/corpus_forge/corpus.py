@@ -182,11 +182,13 @@ def open_atomic(*paths):
     it, <path>.tmp, creating its directory first. Yields the file of a
     single path, or a tuple of files in the order of paths.
 
-    The temp files replace their paths only when the block ends without an
-    error, and only after every one of them is closed. On an error, a
-    KeyboardInterrupt included, every temp file opened and every directory
-    created here is deleted, so each path keeps whatever it held before. A
-    directory, temp file or replacement the OS refuses is a ConfigError.
+    A directory the OS will not create, a temp file it will not open, or a
+    path that is a directory (not a link to one), which os.replace would
+    not replace, is a ConfigError naming the path, raised before the block
+    runs. The temp files replace their paths only when the block ends
+    without an error, and only after every one of them is closed. On an
+    error, a KeyboardInterrupt included, every temp file opened and every
+    directory created here is deleted, so each path keeps what it held.
     """
     paths = [Path(p) for p in paths]
     made, tmps, files = [], [], []  # made: directories, outermost first
@@ -195,6 +197,8 @@ def open_atomic(*paths):
             for path in paths:
                 tmp = path.with_name(path.name + ".tmp")
                 with _refused("write", path):
+                    if path.is_dir() and not path.is_symlink():
+                        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
                     made += reversed([d for d in path.parents if not d.exists()])
                     path.parent.mkdir(parents=True, exist_ok=True)
                     files.append(stack.enter_context(
@@ -213,31 +217,17 @@ def open_atomic(*paths):
         raise
 
 
-def check_writable(*paths):
-    """Raise the ConfigError open_atomic would raise for the first of paths
-    that it cannot write, creating nothing.
+class _DryRun(Exception):
+    """Ends check_writable's block, so open_atomic deletes what it made."""
 
-    A path cannot be written when its directory cannot be created or written
-    in, or when the path is itself a directory. Each command calls this
-    first, with every path it writes, so an output under a file, in a
-    directory it may not write, or in a directory's place costs no work and
-    leaves no earlier output behind.
-    """
-    for path in map(Path, paths):
-        directory = path.parent  # the nearest directory that exists decides
-        while not os.path.exists(directory) and directory != directory.parent:
-            directory = directory.parent
-        if not os.path.isdir(directory):
-            # as mkdir says: a file is in the way if it has the directory's name
-            reason = errno.EEXIST if directory == path.parent else errno.ENOTDIR
-        elif not os.access(directory, os.W_OK | os.X_OK):
-            reason = errno.EACCES
-        elif os.path.isdir(path) and not os.path.islink(path):
-            # os.replace puts a file in place of a link, never of a directory
-            reason = errno.EISDIR
-        else:
-            continue
-        raise ConfigError(f"cannot write {path}: {os.strerror(reason)}")
+
+def check_writable(*paths):
+    """Raise the ConfigError open_atomic(*paths) would raise, leaving nothing:
+    a dry run that opens every temp file, then deletes them and each
+    directory it made. For outputs written by more than one open_atomic
+    call, as a run's checkpoints are, before the first of them."""
+    with suppress(_DryRun), open_atomic(*paths):
+        raise _DryRun
 
 
 # the string encoder json.dumps uses when ensure_ascii is off
@@ -255,41 +245,40 @@ def _is_flat_record(record) -> bool:
                     for k, v in record.items()))
 
 
-def write_json(path, payload) -> None:
-    """Write payload as indented UTF-8 JSON, atomically, with a final newline.
+def write_json(fh, payload) -> None:
+    """Write payload to the text file fh as indented JSON with a final newline.
 
     The bytes are json.dumps(payload, ensure_ascii=False, indent=2) + "\\n".
     A non-empty list of flat records, as every checkpoint is, is written one
     record at a time, without the pure-Python encoder that indent selects.
     """
-    with open_atomic(path) as fh:
-        if not (isinstance(payload, list) and payload
-                and all(map(_is_flat_record, payload))):
-            fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
-            return
-        separator = "[\n  "
-        for record in payload:
-            if isinstance(record, str):
-                fh.write(separator + _encode_str(record))
-            else:
-                fields = ",\n    ".join([_encode_str(k) + ": " + _encode_str(v)
-                                         for k, v in record.items()])
-                fh.write(separator + "{\n    " + fields + "\n  }")
-            separator = ",\n  "
-        fh.write("\n]\n")
+    if not (isinstance(payload, list) and payload
+            and all(map(_is_flat_record, payload))):
+        fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+        return
+    separator = "[\n  "
+    for record in payload:
+        if isinstance(record, str):
+            fh.write(separator + _encode_str(record))
+        else:
+            fields = ",\n    ".join([_encode_str(k) + ": " + _encode_str(v)
+                                     for k, v in record.items()])
+            fh.write(separator + "{\n    " + fields + "\n  }")
+        separator = ",\n  "
+    fh.write("\n]\n")
 
 
-def write_jsonl(corpus: ParallelCorpus, path) -> None:
-    with open_atomic(path) as fh:
-        for p in corpus.pairs:
-            record = {
-                "id": p.id,
-                "src": p.source,
-                "tgt": p.target,
-                "origin": p.origin,
-                "seed_word": p.seed_word,
-            }
-            fh.write(_encode_json(record) + "\n")
+def write_jsonl(corpus: ParallelCorpus, fh) -> None:
+    """Write corpus to the text file fh, one JSON object per pair."""
+    for p in corpus.pairs:
+        record = {
+            "id": p.id,
+            "src": p.source,
+            "tgt": p.target,
+            "origin": p.origin,
+            "seed_word": p.seed_word,
+        }
+        fh.write(_encode_json(record) + "\n")
 
 
 def read_jsonl(path) -> ParallelCorpus:
@@ -335,10 +324,10 @@ def read_jsonl(path) -> ParallelCorpus:
     return ParallelCorpus(pairs)
 
 
-def write_plain_pair(corpus: ParallelCorpus, source_path, target_path) -> None:
-    """Write the source sides to source_path and the target sides to
-    target_path, line i aligned to line i, both or neither."""
-    with open_atomic(source_path, target_path) as files:
-        for fh, lines in zip(files, (corpus.source_lines(), corpus.target_lines())):
-            for line in lines:
-                fh.write(line + "\n")
+def write_plain_pair(corpus: ParallelCorpus, source_fh, target_fh) -> None:
+    """Write the source sides to the text file source_fh and the target sides
+    to target_fh, line i aligned to line i."""
+    for fh, lines in ((source_fh, corpus.source_lines()),
+                      (target_fh, corpus.target_lines())):
+        for line in lines:
+            fh.write(line + "\n")

@@ -26,6 +26,7 @@ from .corpus import (
     dedup,
     make_splits,
     normalize,
+    open_atomic,
     open_text,
     split_thresholds,
     write_json,
@@ -250,7 +251,8 @@ def _stage(path: Path, produce, keys=()):
         log.info("resumed %d records from %s", len(records), path)
         return records, True
     records = produce()
-    write_json(path, records)
+    with open_atomic(path) as fh:
+        write_json(fh, records)
     return records, False
 
 
@@ -258,10 +260,10 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
                  mock_seed=None):
     """Chain the three stages, sample train/valid splits, persist everything.
 
-    Returns (splits, report). Raises InsufficientData when the generated
-    corpus cannot meet the split thresholds; the report is written first.
-    A file of the run that could not be written ends it before the first
-    request.
+    Returns (splits, report). The splits and the report are written as one
+    set; when the generated corpus cannot meet the split thresholds, the
+    report is written alone and InsufficientData raised. A file of the run
+    that could not be written ends it before the first request.
     """
     # every file the run writes, by its path in the run directory
     files = {name: Path(run_dir) / name for name in [
@@ -309,12 +311,15 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
         splits = make_splits(corpus, split_spec)
     except InsufficientData:
         report.insufficient_data = True
-        write_json(files["reports/report.json"], asdict(report))
+        with open_atomic(files["reports/report.json"]) as fh:
+            write_json(fh, asdict(report))
         raise
 
     report.pairs_sampled = sum(len(split) for split in splits.values())
-    for name, split in splits.items():
-        write_jsonl(split, files[f"corpora/{name}.jsonl"])
-    write_json(files["reports/report.json"], asdict(report))
+    with open_atomic(*(files[f"corpora/{name}.jsonl"] for name in splits),
+                     files["reports/report.json"]) as (*corpora, report_fh):
+        for split, fh in zip(splits.values(), corpora):
+            write_jsonl(split, fh)
+        write_json(report_fh, asdict(report))
     log.info("pipeline finished in %.2fs", time.monotonic() - started)
     return splits, report

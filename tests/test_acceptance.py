@@ -13,7 +13,7 @@ from pathlib import Path
 
 from conftest import make_corpus, make_experiment_fixture
 from corpus_forge import bpe, em
-from corpus_forge.corpus import SplitSpec, read_jsonl
+from corpus_forge.corpus import SplitSpec, open_atomic, read_jsonl
 from corpus_forge.gateway import Gateway, MockBackend
 from corpus_forge.hallucinate import (
     GenerationPlan,
@@ -118,8 +118,9 @@ def test_criterion_2_bpe_suite(tmp_path):
 
         second = bpe.train_bpe([corpus], 60)
         path_a, path_b = tmp_path / "a.bpe", tmp_path / "b.bpe"
-        bpe.save_model(model, path_a)
-        bpe.save_model(second, path_b)
+        with open_atomic(path_a, path_b) as (fh_a, fh_b):
+            bpe.save_model(model, fh_a)
+            bpe.save_model(second, fh_b)
         assert path_a.read_bytes() == path_b.read_bytes()
 
 

@@ -1,6 +1,6 @@
-"""Every file writer goes through corpus.open_atomic: a write that fails
-part-way keeps the bytes a file held before and leaves no temp file, and the
-directories a file goes in are created with it."""
+"""Every file writer writes into a file that corpus.open_atomic opened: a
+write that fails part-way keeps the bytes a file held before and leaves no
+temp file, and the directories a file goes in are created with it."""
 
 import os
 import re
@@ -24,6 +24,14 @@ from corpus_forge.errors import ConfigError
 PREVIOUS = "earlier contents\n"
 
 
+def atomic(write, *paths):
+    """A call of write(files), files being paths opened through open_atomic."""
+    def call():
+        with open_atomic(*paths) as files:
+            write(files)
+    return call
+
+
 def failing_jsonl(tmp_path):
     # the second record holds a seed word json cannot encode, which a
     # SentencePair refuses to hold
@@ -33,14 +41,14 @@ def failing_jsonl(tmp_path):
                         seed_word=object()),
     ])
     path = tmp_path / "corpus.jsonl"
-    return path, lambda: write_jsonl(corpus, path)
+    return path, atomic(lambda fh: write_jsonl(corpus, fh), path)
 
 
 def failing_plain_pair(tmp_path):
     corpus = SimpleNamespace(source_lines=lambda: ["a", None],
                              target_lines=lambda: ["b", "d"])
-    return tmp_path / "pair.de", lambda: write_plain_pair(
-        corpus, tmp_path / "pair.de", tmp_path / "pair.en")
+    return tmp_path / "pair.de", atomic(lambda files: write_plain_pair(
+        corpus, *files), tmp_path / "pair.de", tmp_path / "pair.en")
 
 
 def failing_csv(tmp_path):
@@ -49,14 +57,14 @@ def failing_csv(tmp_path):
         raise RuntimeError("row source failed")
 
     path = tmp_path / "ttr.csv"
-    return path, lambda: _write_csv(path, ["word", "count"], rows())
+    return path, atomic(lambda fh: _write_csv(fh, ["word", "count"], rows()), path)
 
 
 def failing_bpe_model(tmp_path):
     model = bpe.BpeModel(merges=[("a", "b"), ("c",)], vocab=Counter(),
                          target_vocab_size=10)
     path = tmp_path / "model.bpe"
-    return path, lambda: bpe.save_model(model, path)
+    return path, atomic(lambda fh: bpe.save_model(model, fh), path)
 
 
 def failing_lexicon(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 import reference_bpe
 from conftest import make_corpus, syllable_corpus
 from corpus_forge import bpe
+from corpus_forge.corpus import open_atomic, tokenize
 from corpus_forge.errors import CorpusFormatError, EmptyCorpus
 
 
@@ -115,7 +116,8 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         model = bpe.train_bpe([classic_corpus()], 30)
         path = tmp_path / "model.bpe"
-        bpe.save_model(model, path)
+        with open_atomic(path) as fh:
+            bpe.save_model(model, fh)
         loaded = bpe.load_model(path)
         assert loaded.merges == model.merges
         assert loaded.target_vocab_size == model.target_vocab_size
@@ -293,12 +295,35 @@ def test_literal_boundary_encodes_as_the_oracle_does_under_every_prefix():
             assert bpe.encode(model, word) == reference_bpe.encode(model, word), k
 
 
+# a word over these characters often holds the marker "@@"
+MARKED_WORD = st.text(alphabet="a@@b</w>", min_size=1, max_size=8)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(MARKED_WORD, min_size=1, max_size=6).map(" ".join),
+                min_size=1, max_size=8),
+       st.integers(min_value=1, max_value=60),
+       st.lists(st.text(alphabet="a@@b</w> ", max_size=24), min_size=1, max_size=6))
+def test_a_line_round_trips_or_holds_the_marker(sources, target, lines):
+    """decode(encode(x)) is x's tokens joined by spaces, unless a word of x
+    holds "@@", which decode could not restore and encode refuses."""
+    model = bpe.train_bpe([make_corpus([(line, line) for line in sources])], target)
+    for line in lines + lines:  # the second pass reads the word cache
+        words = tokenize(line)
+        if any(bpe.MARKER in word for word in words):
+            with pytest.raises(CorpusFormatError, match="holds the marker @@"):
+                bpe.encode(model, line)
+        else:
+            assert bpe.decode(bpe.encode(model, line)) == " ".join(words)
+
+
 def test_model_at_a_size_the_properties_never_reach(tmp_path):
     """Pins the model trained on 2,000 lines to a vocabulary of 600, hundreds
     of merges past what the hypothesis corpora reach."""
     model = bpe.train_bpe([syllable_corpus()], 600)
     path = tmp_path / "model.bpe"
-    bpe.save_model(model, path)
+    with open_atomic(path) as fh:
+        bpe.save_model(model, fh)
     assert len(model.vocab) == 600
     assert (hashlib.sha256(path.read_bytes()).hexdigest()
             == "abed02094cb73765a11c5b6415c9ddb2d858dde0d4c04951569d7fd64afd42b8")

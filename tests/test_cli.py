@@ -11,9 +11,9 @@ from click.testing import CliRunner
 
 from conftest import (MockSession, in_worker, make_corpus, make_experiment_fixture,
                       study_corpora)
-from corpus_forge import bpe, cli, em, hallucinate, prompts
+from corpus_forge import bpe, cli, corpus, em, hallucinate, metrics, prompts
 from corpus_forge.cli import main
-from corpus_forge.corpus import check_writable, read_jsonl, write_jsonl
+from corpus_forge.corpus import open_atomic, read_jsonl, write_jsonl
 from corpus_forge.errors import (
     AuthError,
     ConfigError,
@@ -344,7 +344,8 @@ def fixture_paths(tmp_path):
     paths = {}
     for name, corpus in fx.items():
         path = tmp_path / f"{name}.jsonl"
-        write_jsonl(corpus, path)
+        with open_atomic(path) as fh:
+            write_jsonl(corpus, fh)
         paths[name] = path
     return paths
 
@@ -363,6 +364,32 @@ class TestSample:
         assert train.source_token_count() >= 100
         assert valid.source_token_count() >= 40
         assert not {p.id for p in train.pairs} & {p.id for p in valid.pairs}
+
+    def test_failed_second_split_leaves_no_output(self, runner, tmp_path,
+                                                  fixture_paths, monkeypatch):
+        """A write that fails after the first split is written ends the
+        command with no split replaced: an earlier train.jsonl keeps its
+        bytes, and no count is printed."""
+        written = []
+
+        def write_then_fail(split, fh):
+            if written:
+                raise CorpusForgeError("second split failed")
+            written.append(fh.name)
+            write_jsonl(split, fh)
+        monkeypatch.setattr(cli, "write_jsonl", write_then_fail)
+        out = tmp_path / "splits"
+        out.mkdir()
+        (out / "train.jsonl").write_bytes(b"earlier split\n")
+        result = runner.invoke(main, [
+            "sample", "--input", str(fixture_paths["nat_train"]),
+            "--train-tokens", "100", "--valid-tokens", "40", "--out-dir", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == "error: second split failed\n"
+        assert written == [str(out / "train.jsonl.tmp")]
+        assert snapshot(out) == {"train.jsonl": b"earlier split\n"}
 
 
     @pytest.mark.parametrize("flag, value", [
@@ -403,6 +430,23 @@ class TestBpeCommands:
         assert result.exit_code == 0, result.output
         encoded = text_out.read_text(encoding="utf-8").strip()
         assert encoded.replace("@@ ", "") == "quell1 quell2"
+
+    def test_word_holding_the_marker_is_refused(self, runner, tmp_path):
+        """decode could not restore a word that holds "@@", so bpe-apply
+        ends in an error naming the input line, and writes no output."""
+        model_path = tmp_path / "model.bpe"
+        model_path.write_text("bpe-v1 10\na b\n", encoding="utf-8")
+        text_in = tmp_path / "in.txt"
+        text_in.write_text("ab\nx a@@b\n", encoding="utf-8")
+        text_out = tmp_path / "out.txt"
+        result = runner.invoke(main, [
+            "bpe-apply", "--model", str(model_path),
+            "--input", str(text_in), "--output", str(text_out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: {text_in}:2: word 'a@@b' holds the marker @@\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "model.bpe"]
 
     @pytest.mark.parametrize("vocab_size", ["0", "-3"])
     def test_vocab_size_below_one_is_a_usage_error(self, runner, tmp_path,
@@ -552,6 +596,31 @@ class TestExperiment:
         assert result.output == f"config error: cannot write {lexicon}: Is a directory\n"
         assert [p.name for p in out.rglob("*")] == ["models", f"{label}.lexicon.tmp"]
 
+    def test_failed_last_write_leaves_no_output(self, runner, tmp_path,
+                                                fixture_paths, monkeypatch):
+        """results.json is written last, after every fit, both CSVs and
+        results.md; a failure there replaces no output, and an earlier
+        lexicon and ttr.csv keep their bytes."""
+        payloads = []
+
+        def fail(fh, payload):
+            payloads.append(payload)
+            raise CorpusForgeError("results.json failed")
+        monkeypatch.setattr(cli, "write_json", fail)
+        out = tmp_path / "results"
+        (out / "models").mkdir(parents=True)
+        earlier = {"models/nat.lexicon": b"earlier lexicon\n",
+                   "ttr.csv": b"earlier table\n"}
+        for name, data in earlier.items():
+            (out / name).write_bytes(data)
+        result = runner.invoke(main, self.experiment_args(fixture_paths, out))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == "error: results.json failed\n"
+        # every model was fitted and scored before the failing write
+        assert [len(p["matrix"]["cells"]) for p in payloads] == [9]
+        assert snapshot(out) == earlier
+
     def assert_empty_input_refused(self, runner, tmp_path, fixture_paths,
                                    monkeypatch, flag):
         """An empty input ends experiment, naming it, before the first fit."""
@@ -606,7 +675,8 @@ class TestExperiment:
         paths = {}
         for name, corpus in study_corpora().items():
             paths[name] = tmp_path / f"{name}.jsonl"
-            write_jsonl(corpus, paths[name])
+            with open_atomic(paths[name]) as fh:
+                write_jsonl(corpus, fh)
         out = tmp_path / "results"
         result = runner.invoke(main, self.experiment_args(
             paths, out, ["--set", "em.iterations=10"]))
@@ -749,7 +819,8 @@ class TestAnalyze:
 
     def test_tokens_with_commas_and_quotes_read_back_intact(self, runner, tmp_path):
         path = tmp_path / "punct.jsonl"
-        write_jsonl(make_corpus([('gar, nicht "so"', "not, at all")]), path)
+        with open_atomic(path) as fh:
+            write_jsonl(make_corpus([('gar, nicht "so"', "not, at all")]), fh)
         out = tmp_path / "analysis"
         result = runner.invoke(main, [
             "analyze", "--input", str(path), "--out-dir", str(out),
@@ -1092,17 +1163,22 @@ class TestOutputDirectories:
         ("export", "out/nat_train.de"), ("export", "out/nat_train.en"),
         ("export", "out/reference_transformer.json")]
 
-    @pytest.mark.parametrize("command, output", OUTPUTS)
+    # the directory stands at <output>, or at its temp file <output>.tmp
+    @pytest.mark.parametrize("command, output, temp", [
+        pytest.param(command, output, temp, id=f"{command}-{output}" + ".tmp" * temp)
+        for command, output in OUTPUTS for temp in (False, True)])
     def test_directory_in_an_outputs_place(self, runner, tmp_path, fixture_paths,
                                            requests_sent, monkeypatch, command,
-                                           output):
-        """A directory where a command writes a file ends the command before
-        its first request, fit or write."""
+                                           output, temp):
+        """A directory where a command writes a file, or that file's temp
+        file <output>.tmp, ends the command before its first request, fit or
+        write."""
         def work(*args, **kwargs):
             pytest.fail("the command worked before it refused its output")
         monkeypatch.setattr(em, "run_experiment", work)
         path = tmp_path / output
-        path.mkdir(parents=True)
+        directory = path.with_name(path.name + ".tmp") if temp else path
+        directory.mkdir(parents=True)
         if command == "hallucinate":
             result = runner.invoke(main, hallucinate_args(tmp_path / "runs"))
         else:
@@ -1114,7 +1190,7 @@ class TestOutputDirectories:
         assert f"config error: cannot write {path}: Is a directory\n" in result.output
         assert requests_sent == []
         root = tmp_path / output.split("/")[0]
-        assert all(p == path or p in path.parents for p in root.rglob("*"))
+        assert all(p == directory or p in directory.parents for p in root.rglob("*"))
 
     def test_experiment_models_directory_is_a_file(self, runner, tmp_path,
                                                    fixture_paths, monkeypatch):
@@ -1134,16 +1210,31 @@ class TestOutputDirectories:
     @pytest.mark.parametrize("command", ["hallucinate", "experiment", "bpe-train",
                                          "sample", "analyze", "export"])
     def test_checked_paths_are_the_written_files(self, runner, tmp_path,
-                                                 fixture_paths, monkeypatch, command):
-        """A command that checks its outputs before its work checks each file
-        it writes, and only those: an output added without a check fails here."""
-        checked = []
+                                                 fixture_paths, requests_sent,
+                                                 monkeypatch, command):
+        """A command's first open_atomic call comes before its first request,
+        fit, split, profile or pair written, and names each file the command
+        writes, and only those: an output written outside that call fails
+        here."""
+        work = []
+        first = []  # the first call's paths, and the work done before it
 
         def record(*paths):
-            checked.extend(map(Path, paths))
-            check_writable(*paths)
-        monkeypatch.setattr(cli, "check_writable", record)
-        monkeypatch.setattr(hallucinate, "check_writable", record)
+            if not first:
+                first.append((sorted(map(Path, paths)), len(requests_sent + work)))
+            return open_atomic(*paths)
+
+        def counted(fn):
+            def call(*args, **kwargs):
+                work.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return call
+        for module in (corpus, cli, hallucinate, em):
+            monkeypatch.setattr(module, "open_atomic", record)
+        for owner, name in ((em, "train_em"), (bpe, "train_bpe"),
+                            (cli, "make_splits"), (metrics, "frequency_profile"),
+                            (cli, "write_plain_pair")):
+            monkeypatch.setattr(owner, name, counted(getattr(owner, name)))
         if command == "hallucinate":
             root = tmp_path / "runs"
             result = runner.invoke(main, hallucinate_args(root))
@@ -1151,7 +1242,9 @@ class TestOutputDirectories:
             root = tmp_path / "out"
             result, _ = self.invoke(runner, tmp_path, fixture_paths, command, root)
         assert result.exit_code == 0, result.output
-        assert sorted(checked) == sorted(p for p in root.rglob("*") if p.is_file())
+        assert requests_sent or work
+        written = sorted(p for p in root.rglob("*") if p.is_file())
+        assert first == [(written, 0)]
 
 
 class TestIgnoredLanguageCodes:

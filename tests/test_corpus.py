@@ -13,6 +13,7 @@ from corpus_forge.corpus import (
     dedup,
     make_splits,
     normalize,
+    open_atomic,
     read_jsonl,
     tokenize,
     write_jsonl,
@@ -198,7 +199,8 @@ class TestOnDiskFormats:
                          origin="synthetic", seed_word="Straße"),
         ]
         path = tmp_path / "c.jsonl"
-        write_jsonl(ParallelCorpus(pairs), path)
+        with open_atomic(path) as fh:
+            write_jsonl(ParallelCorpus(pairs), fh)
         expected = "".join(
             json.dumps({"id": p.id, "src": p.source, "tgt": p.target,
                         "origin": p.origin, "seed_word": p.seed_word},
@@ -210,7 +212,8 @@ class TestOnDiskFormats:
     def test_jsonl_round_trip(self, tmp_path):
         corpus = make_corpus([("ein Haus", "a house"), ("zwei Hunde", "two dogs")])
         path = tmp_path / "c.jsonl"
-        write_jsonl(corpus, path)
+        with open_atomic(path) as fh:
+            write_jsonl(corpus, fh)
         loaded = read_jsonl(path)
         assert [(p.source, p.target) for p in loaded.pairs] == [
             (p.source, p.target) for p in corpus.pairs
@@ -232,7 +235,8 @@ class TestOnDiskFormats:
 
     def test_plain_pair_round_trip(self, tmp_path):
         corpus = make_corpus([("ein Haus", "a house"), ("zwei Hunde", "two dogs")])
-        write_plain_pair(corpus, tmp_path / "c.de", tmp_path / "c.en")
+        with open_atomic(tmp_path / "c.de", tmp_path / "c.en") as files:
+            write_plain_pair(corpus, *files)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.de", "c.en"]
         assert (tmp_path / "c.de").read_bytes() == b"ein Haus\nzwei Hunde\n"
         assert (tmp_path / "c.en").read_bytes() == b"a house\ntwo dogs\n"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_hallucinate
-from corpus_forge.corpus import write_json
+from corpus_forge.corpus import open_atomic, write_json
 from corpus_forge.errors import AllSeedsFailed, TransportError
 from corpus_forge.gateway import MockBackend
 from corpus_forge.hallucinate import (
@@ -170,6 +170,7 @@ def test_write_json_bytes_match_json_dumps(value):
     and non-string values (json.dumps) all give json.dumps's bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.json"
-        write_json(path, value)
+        with open_atomic(path) as fh:
+            write_json(fh, value)
         expected = json.dumps(value, ensure_ascii=False, indent=2) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from conftest import make_experiment_fixture
 from corpus_forge import bpe
-from corpus_forge.corpus import write_jsonl
+from corpus_forge.corpus import open_atomic, write_jsonl
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,10 +52,10 @@ def test_importing_the_cli_loads_none_of_the_budget(tmp_path):
 
 def test_offline_commands_load_neither_requests_nor_yaml(tmp_path):
     fixture = make_experiment_fixture()
-    corpus_path = tmp_path / "nat.jsonl"
-    write_jsonl(fixture["nat_train"], corpus_path)
-    model_path = tmp_path / "model.bpe"
-    bpe.save_model(bpe.train_bpe([fixture["nat_train"]], 80), model_path)
+    corpus_path, model_path = tmp_path / "nat.jsonl", tmp_path / "model.bpe"
+    with open_atomic(corpus_path, model_path) as (corpus_fh, model_fh):
+        write_jsonl(fixture["nat_train"], corpus_fh)
+        bpe.save_model(bpe.train_bpe([fixture["nat_train"]], 80), model_fh)
     (tmp_path / "in.txt").write_text("quell1 quell2\n", encoding="utf-8")
     added = modules_added([
         ["sample", "--input", str(corpus_path), "--src", "de", "--tgt", "en",
