@@ -13,6 +13,7 @@ import random
 import unicodedata
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -236,36 +237,37 @@ _encode_str = json.encoder.encode_basestring
 _encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _is_flat_record(record) -> bool:
-    """A string, or a non-empty object whose keys and values are strings."""
-    if isinstance(record, str):
-        return True
-    return (isinstance(record, dict) and bool(record)
-            and all(isinstance(k, str) and isinstance(v, str)
-                    for k, v in record.items()))
+def _flat_json(record) -> str:
+    """A flat record as json.dumps renders it at indent 2 in a list: a string,
+    or a non-empty object whose keys and values are strings. TypeError for
+    any other record, from the string encoder."""
+    if isinstance(record, dict) and record:
+        return "{\n    " + ",\n    ".join([_encode_str(k) + ": " + _encode_str(v)
+                                        for k, v in record.items()]) + "\n  }"
+    return _encode_str(record)
 
 
 def write_json(fh, payload) -> None:
-    """Write payload to the text file fh as indented JSON with a final newline.
+    """Write payload to the seekable text file fh as indented JSON with a
+    final newline.
 
     The bytes are json.dumps(payload, ensure_ascii=False, indent=2) + "\\n".
     A non-empty list of flat records, as every checkpoint is, is written one
-    record at a time, without the pure-Python encoder that indent selects.
+    record at a time, without the pure-Python encoder that indent selects; a
+    record that is not flat hands the payload to json.dumps.
     """
-    if not (isinstance(payload, list) and payload
-            and all(map(_is_flat_record, payload))):
-        fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
-        return
-    separator = "[\n  "
-    for record in payload:
-        if isinstance(record, str):
-            fh.write(separator + _encode_str(record))
-        else:
-            fields = ",\n    ".join([_encode_str(k) + ": " + _encode_str(v)
-                                     for k, v in record.items()])
-            fh.write(separator + "{\n    " + fields + "\n  }")
-        separator = ",\n  "
-    fh.write("\n]\n")
+    if isinstance(payload, list) and payload:
+        start = fh.tell()
+        try:
+            fh.write("[\n  " + _flat_json(payload[0]))
+            fh.writelines(",\n  " + _flat_json(record)
+                          for record in islice(payload, 1, None))
+            fh.write("\n]\n")
+            return
+        except TypeError:  # a record that is not flat
+            # what was written begins json.dumps's bytes, which overwrite it
+            fh.seek(start)
+    fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
 def write_jsonl(corpus: ParallelCorpus, fh) -> None:

@@ -37,7 +37,7 @@ MAX_OUTPUT_TOKENS = 2048  # the max_tokens of every request
 ROLES = ("system", "user", "assistant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatMessage:
     role: str
     content: str
@@ -49,7 +49,7 @@ class ChatMessage:
             raise ValueError("message content must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatRequest:
     messages: tuple
     model_name: str = "gpt-3.5-turbo"

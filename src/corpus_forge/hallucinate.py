@@ -97,7 +97,12 @@ def parse_delimited(text: str, delimiter: str):
     fewer than two items (chat models sometimes ignore formatting
     instructions). The delimiter holds no whitespace.
     """
-    items = _clean_items(" ".join(text.split()).split(delimiter))
+    # isprintable() is false for every whitespace character but the space, so
+    # a stripped text that is printable and holds no double space is normalized
+    core = text.strip()
+    normal = (core if core.isprintable() and "  " not in core
+              else " ".join(core.split()))
+    items = _clean_items(normal.split(delimiter))
     if len(items) < 2:
         by_line = _clean_items(" ".join(line.split()) for line in text.splitlines())
         if len(by_line) > len(items):

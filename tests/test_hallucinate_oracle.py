@@ -3,6 +3,7 @@ JSON writer against the original code kept in reference_hallucinate.py and
 against json.dumps."""
 
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -21,6 +22,14 @@ from corpus_forge.hallucinate import (
 )
 from corpus_forge.prompts import PromptTemplateSet
 
+
+def deeper(max_examples):
+    """settings for at least max_examples, or the active profile's count when
+    it asks for more, as --hypothesis-profile=ci does."""
+    return settings(deadline=None,
+                    max_examples=max(max_examples, settings.default.max_examples))
+
+
 # Unicode whitespace that str.split() and \s both take (no-break space, line
 # and file separators, next line), Unicode digits that \d takes (Arabic-Indic
 # three) and one it does not (superscript two), the prefix marks, both
@@ -31,6 +40,10 @@ CHARS = [
     "a", "B", "\u00e9", "e\u0301", "\u00df",
 ]
 raw_text = st.lists(st.sampled_from(CHARS), max_size=40).map("".join)
+# text without whitespace but the space, which parse_delimited need not
+# normalize unless it holds a double space
+printable_text = st.lists(st.sampled_from([c for c in CHARS if c.isprintable()]),
+                          max_size=40).map("".join)
 
 whitespace = st.lists(st.sampled_from([" ", "\t", "\n", "\u00a0", "\u2028", "\x1c"]),
                       max_size=3).map("".join)
@@ -57,19 +70,77 @@ def responses(delimiter):
     ).map(lambda t: t[1].join(t[0]) + (t[1] if t[2] else ""))
 
 
+# whitespace that pads a piece on either side of the delimiter: runs of it,
+# and Unicode whitespace that str.split() takes, some of it line breaks too
+pad = st.lists(st.sampled_from([" ", "\u00a0", "\x1c", "\x85", "\t", "\n", "\u3000"]),
+               max_size=3).map("".join)
+
+
+def repetitive_responses(pool, delimiter):
+    """The shape of the mock's answers: 100 to 130 pieces, a short cycle of
+    padded items of pool taken in turn, joined by the delimiter or by line
+    breaks, with or without a trailing one."""
+    piece = st.tuples(pad, st.sampled_from(pool), pad).map("".join)
+    return st.tuples(
+        st.lists(piece, min_size=1, max_size=6),
+        st.integers(100, 130),
+        st.sampled_from([delimiter, "\n"]),
+        st.booleans(),
+    ).map(lambda t: t[2].join(t[0][i % len(t[0])] for i in range(t[1]))
+          + (t[2] if t[3] else ""))
+
+
+# a few items, some under numbered prefixes, that the pieces of a
+# repetitive response are drawn from
+item_pool = st.lists(item, min_size=1, max_size=4)
+
+
 class TestParseDelimited:
-    @settings(deadline=None, max_examples=300)
+    @deeper(300)
     @given(text=raw_text, delimiter=st.sampled_from([",", ";"]))
     def test_any_text_matches_reference(self, text, delimiter):
         assert (parse_delimited(text, delimiter)
                 == reference_hallucinate.parse_delimited(text, delimiter))
 
-    @settings(deadline=None, max_examples=300)
+    @deeper(300)
+    @given(text=printable_text, delimiter=st.sampled_from([",", ";"]))
+    def test_printable_text_matches_reference(self, text, delimiter):
+        assert (parse_delimited(text, delimiter)
+                == reference_hallucinate.parse_delimited(text, delimiter))
+
+    def test_no_whitespace_but_the_space_is_printable(self):
+        """What lets parse_delimited keep a printable text as it is."""
+        assert [chr(c) for c in range(sys.maxunicode + 1)
+                if chr(c).isspace() and chr(c).isprintable()] == [" "]
+
+    @deeper(300)
     @given(data=st.data(), delimiter=st.sampled_from([",", ";"]))
     def test_list_responses_match_reference(self, data, delimiter):
         text = data.draw(responses(delimiter))
         assert (parse_delimited(text, delimiter)
                 == reference_hallucinate.parse_delimited(text, delimiter))
+
+    @deeper(200)
+    @given(data=st.data(), delimiter=st.sampled_from([",", ";"]))
+    def test_repetitive_responses_match_reference(self, data, delimiter):
+        """Hundreds of pieces, few of them distinct: repeats under numbered
+        prefixes and padded differently clean to the same item."""
+        text = data.draw(repetitive_responses(data.draw(item_pool), delimiter))
+        assert (parse_delimited(text, delimiter)
+                == reference_hallucinate.parse_delimited(text, delimiter))
+
+    @pytest.mark.parametrize("text", [
+        MockBackend()._sentences("Hund", 100),
+        "1. Der Hund ist gut.;2) Der Hund ist gut.;" * 60,
+        "\u00a0 Der\x85Hund \x1c; \u00a0Katze\x1c ;" * 60,
+        "1.\x1cHund\x85\n 2:\u00a0Katze\n" * 60,
+        " 1. Der Hund ist gut. ; 2) Katze ; " * 60,
+        "\u00a0\n" + "Der Hund ist gut.; Katze ;" * 60 + "\n\x85",
+    ], ids=["mock", "numbered repeats", "padded repeats", "numbered lines",
+            "spaced repeats", "line breaks at the ends"])
+    def test_mock_shaped_responses_match_reference(self, text):
+        expected = reference_hallucinate.parse_delimited(text, ";")
+        assert parse_delimited(text, ";") == expected
 
     @pytest.mark.parametrize("text", [
         "\u0663. Hund;Katze", "\u00b2) Hund;Katze", "1. Hund; 2: Katze",
@@ -101,13 +172,29 @@ sentence_response = st.one_of(
 
 
 class TestGenerateSentences:
-    @settings(deadline=None, max_examples=300)
+    @deeper(300)
     @given(outcomes=st.lists(
         st.one_of(sentence_response, st.just(TransportError("down"))),
         min_size=1, max_size=6))
     def test_records_and_counts_match_reference(self, outcomes):
         """NFC/NFD twins and repeats under different seeds: the first seed keeps
         the sentence, in the order the reference keeps it."""
+        self.check_against_reference(outcomes)
+
+    @deeper(100)
+    @given(data=st.data())
+    def test_repetitive_responses_match_reference(self, data):
+        """Mock-shaped answers drawn from one pool of items: every seed repeats
+        its own sentences and those of the seeds before it."""
+        pool = data.draw(item_pool)
+        self.check_against_reference(data.draw(st.lists(
+            st.one_of(repetitive_responses(pool, ";"), st.just(TransportError("down"))),
+            min_size=1, max_size=4)))
+
+    @staticmethod
+    def check_against_reference(outcomes):
+        """generate_sentences on one answer per seed gives the reference's
+        records, or AllSeedsFailed where it has none, and its counts."""
         seeds = [f"seed{i}" for i in range(len(outcomes))]
         answers = [(i, o) for i, o in enumerate(outcomes)
                    if not isinstance(o, Exception)]
@@ -135,7 +222,7 @@ class TestGenerateSentences:
                            {"seed": "a", "sentence": "Ein Baum"}]
 
 
-@settings(deadline=None, max_examples=200)
+@deeper(200)
 @given(seed=st.text(max_size=8), n=st.integers(1, 40))
 def test_mock_sentences_match_reference(seed, n):
     assert (MockBackend()._sentences(seed, n)
@@ -150,9 +237,27 @@ json_value = st.recursive(
                             st.dictionaries(st.text(max_size=4), inner, max_size=3)),
     max_leaves=8,
 )
+
+
+class Label(str):
+    """A str subclass, which json.dumps writes as the string it holds."""
+
+
+string = st.one_of(st.text(), st.text().map(Label))
+string_key = st.one_of(st.text(max_size=6), st.text(max_size=6).map(Label))
 flat_record = st.one_of(
-    st.text(),
-    st.dictionaries(st.text(max_size=6), st.text(), min_size=1, max_size=4),
+    string,
+    st.dictionaries(string_key, string, min_size=1, max_size=4),
+)
+# objects that hold strings but are not flat: non-string keys, or a bool,
+# None or a number among string values
+not_quite_flat = st.one_of(
+    st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
+                    string, min_size=1, max_size=3),
+    st.tuples(st.dictionaries(string_key, string, max_size=2), string_key,
+              st.one_of(st.booleans(), st.none(), st.integers(), st.floats()),
+              st.dictionaries(string_key, string, max_size=2)).map(
+        lambda t: {**t[0], t[1]: t[2], **{k: v for k, v in t[3].items() if k != t[1]}}),
 )
 payload = st.one_of(
     st.lists(flat_record, max_size=6),
@@ -160,17 +265,36 @@ payload = st.one_of(
     st.lists(st.dictionaries(st.text(max_size=4), st.text(), max_size=2), max_size=4),
     st.lists(st.one_of(flat_record, json_value), max_size=5),
     json_value,
+    # flat records, then one that is not: last, or followed by more flat ones
+    st.tuples(st.lists(flat_record, min_size=1, max_size=4),
+              st.one_of(not_quite_flat, json_value),
+              st.lists(flat_record, max_size=2)).map(lambda t: [*t[0], t[1], *t[2]]),
+    st.lists(not_quite_flat, min_size=1, max_size=3),
 )
 
 
-@settings(deadline=None, max_examples=400)
+@deeper(400)
 @given(value=payload)
 def test_write_json_bytes_match_json_dumps(value):
-    """Flat records (the fast path), [], records holding {}, nested payloads
-    and non-string values (json.dumps) all give json.dumps's bytes."""
+    """Flat records (the fast path), str subclasses, [], records holding {},
+    nested payloads, non-string keys and values, and a record that is not
+    flat after flat ones (json.dumps) all give json.dumps's bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.json"
         with open_atomic(path) as fh:
             write_json(fh, value)
         expected = json.dumps(value, ensure_ascii=False, indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_write_json_keeps_what_came_before():
+    """A record that is not flat after flat ones: the text written before the
+    payload stays, and json.dumps's bytes follow it."""
+    payload = ["Hund", {"a": "b"}, {"n": 1}]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        with open_atomic(path) as fh:
+            fh.write("before\n")
+            write_json(fh, payload)
+        expected = "before\n" + json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
