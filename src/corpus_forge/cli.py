@@ -315,7 +315,7 @@ def analyze(input_paths, out):
 def export(input_paths, source_lang, target_lang, out):
     """Write line-aligned text pairs plus reference training metadata.
 
-    Every input is read and checked before anything is written.
+    Every input is read and checked before any output replaces its target.
     """
     if source_lang == target_lang:
         raise click.BadParameter("must differ from --src: each names one file "
@@ -323,13 +323,9 @@ def export(input_paths, source_lang, target_lang, out):
     by_stem = _by_stem(input_paths)
     names = [f"{stem}.{lang}" for stem in by_stem
              for lang in (source_lang, target_lang)] + ["reference_transformer.json"]
-    files = {name: out / name for name in names}
-    if len(files) < len(names):
-        repeated = next(name for i, name in enumerate(names) if name in names[:i])
-        raise ConfigError(f"two outputs would be written to {files[repeated]}")
-    corpora = {stem: read_jsonl(path) for stem, path in by_stem.items()}
-    with open_atomic(*files.values()) as handles:
-        handle = dict(zip(files, handles))
+    with open_atomic(*(out / name for name in names)) as handles:
+        handle = dict(zip(names, handles))
+        corpora = {stem: read_jsonl(path) for stem, path in by_stem.items()}
         for stem, corpus in corpora.items():
             write_plain_pair(corpus, handle[f"{stem}.{source_lang}"],
                              handle[f"{stem}.{target_lang}"])

@@ -177,12 +177,19 @@ def open_text(path):
         raise
 
 
+def _temp(path: Path) -> Path:
+    """The temp file open_atomic writes path's text into: <path>.tmp."""
+    return path.with_name(path.name + ".tmp")
+
+
 @contextmanager
 def open_atomic(*paths):
     """Open each of paths for writing UTF-8 text through a temp file beside
     it, <path>.tmp, creating its directory first. Yields the file of a
     single path, or a tuple of files in the order of paths.
 
+    Two equal paths, or a path equal to another's <path>.tmp, are a
+    ConfigError naming the shared name, raised before anything is opened.
     A directory the OS will not create, a temp file it will not open, or a
     path that is a directory (not a link to one), which os.replace would
     not replace, is a ConfigError naming the path, raised before the block
@@ -192,11 +199,17 @@ def open_atomic(*paths):
     directory created here is deleted, so each path keeps what it held.
     """
     paths = [Path(p) for p in paths]
+    names = set()
+    for path in paths:
+        for name in (path, _temp(path)):
+            if name in names:
+                raise ConfigError(f"two outputs would be written to {name}")
+            names.add(name)
     made, tmps, files = [], [], []  # made: directories, outermost first
     try:
         with ExitStack() as stack:
             for path in paths:
-                tmp = path.with_name(path.name + ".tmp")
+                tmp = _temp(path)
                 with _refused("write", path):
                     if path.is_dir() and not path.is_symlink():
                         raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))

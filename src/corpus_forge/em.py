@@ -38,14 +38,10 @@ def fit_rows(corpus, iterations: int, keep) -> list:
     fitted one after another in sorted source-word order, each through every
     iteration, from the tokens of f in corpus order; keep(f, dist) receives
     each finished row, a {target word: probability} dict in first-seen
-    order. z and each row total come from builtin sum() over values in
-    candidate order and in first-seen order; counts grow by += in corpus
-    order, and so does each log-likelihood, from the per-token terms stored
-    by corpus position. Keep each as it is: Python 3.12 made float sum()
-    compensated, so trading a sum() for a += loop or math.fsum, or the
-    reverse, or summing the log terms row by row, moves low bits of t and of
-    the log-likelihoods and can flip the exact ties that render_row breaks.
-    Returns the log-likelihoods, one per iteration.
+    order. Every float sum is a left-to-right += in a stated order: z in
+    candidate order, each row total in first-seen order, counts and each
+    log-likelihood in corpus order, the latter from per-token terms stored
+    by corpus position. Returns the log-likelihoods, one per iteration.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
@@ -76,13 +72,16 @@ def fit_rows(corpus, iterations: int, keep) -> list:
         row = [uniform] * len(ids)
         for log_terms in terms:
             counts = [0.0] * len(ids)
-            get = row.__getitem__
             for position, cells in zip(positions, segments):
-                z = sum(map(get, cells))
+                z = 0.0
+                for c in cells:
+                    z += row[c]
                 log_terms[position] = log(z / len(cells))
                 for c in cells:
                     counts[c] += row[c] / z
-            total = sum(counts)
+            total = 0.0
+            for n in counts:
+                total += n
             row = [n / total for n in counts]
         keep(f, dict(zip(ids, row)))
 

@@ -98,7 +98,10 @@ def corpus_bleu(hypotheses, references) -> BleuReport:
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        score = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / MAX_ORDER)
+        log_sum = 0.0  # added left to right, as every float sum is
+        for p in precisions:
+            log_sum += math.log(p)
+        score = 100.0 * bp * math.exp(log_sum / MAX_ORDER)
     return BleuReport(
         bleu=score,
         precisions=precisions,

@@ -1,8 +1,10 @@
 """Reference lexical EM: the original per-iteration dict trainer and decoder.
 
-Kept verbatim as the oracle for the differential tests in test_em.py; the
-package's row-at-a-time trainer and argmax table must reproduce these
-probabilities, log-likelihoods, argmaxes and translations exactly.
+Kept as the oracle for the differential tests in test_em.py; the package's
+row-at-a-time trainer and argmax table must reproduce these probabilities,
+log-likelihoods, argmaxes and translations exactly. Its two sums, z and each
+row total, are explicit left-to-right adds, as the package's are: the values
+builtin sum() gives on Python 3.10 and 3.11, on every Python.
 Tokens here are raw ``str.split()`` units, so feed it NFC-normalized text.
 """
 
@@ -46,12 +48,16 @@ def train_em(corpus, iterations: int) -> LexiconModel:
             candidates = tgt + [NULL_TOKEN]
             for f in src:
                 tf = t[f]
-                z = sum(tf[e] for e in candidates)
+                z = 0.0
+                for e in candidates:
+                    z += tf[e]
                 log_likelihood += math.log(z / len(candidates))
                 for e in candidates:
                     counts[f][e] += tf[e] / z
         for f, c in counts.items():
-            total = sum(c.values())
+            total = 0.0
+            for n in c.values():
+                total += n
             t[f] = defaultdict(float, {e: n / total for e, n in c.items()})
         log_likelihoods.append(log_likelihood)
 

@@ -128,6 +128,19 @@ def test_open_atomic_refused_later_path_leaves_nothing(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.txt.tmp"]
 
 
+def test_open_atomic_refuses_a_path_that_is_another_paths_temp_file(tmp_path):
+    """A set in which one path is another's <path>.tmp ends before anything
+    is opened: the file already at that name keeps its bytes."""
+    path, temp = tmp_path / "a.txt", tmp_path / "a.txt.tmp"
+    temp.write_text(PREVIOUS, encoding="utf-8")
+    with pytest.raises(ConfigError, match="^" + re.escape(
+            f"two outputs would be written to {temp}") + "$"):
+        with open_atomic(temp, path):
+            pytest.fail("the block ran")
+    assert list(tmp_path.iterdir()) == [temp]
+    assert temp.read_text(encoding="utf-8") == PREVIOUS
+
+
 def test_open_atomic_creates_missing_directories(tmp_path):
     path = tmp_path / "a" / "b" / "out.txt"
     with open_atomic(path) as fh:

@@ -81,6 +81,13 @@ class TestCorpusBleu:
         rng.shuffle(order)
         assert corpus_bleu([hyps[i] for i in order], [refs[i] for i in order]) == base
 
+    def test_log_precisions_added_left_to_right(self):
+        # precisions 5/7, 2/3, 2/5 and 1/4: a compensated sum of their logs,
+        # as builtin sum() is since Python 3.12, ends in ...2001 instead
+        report = corpus_bleu(toks("c a a c b c c"), toks("b b c a a c a"))
+        assert report.precisions == [5 / 7, 2 / 3, 2 / 5, 1 / 4]
+        assert report.bleu == 46.713797772820016
+
     def test_zero_overlap_without_smoothing_is_zero(self):
         report = corpus_bleu(toks("a b c d e"), toks("v w x y z"))
         assert report.bleu == 0.0
