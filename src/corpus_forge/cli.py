@@ -146,7 +146,8 @@ def sample(input_path, train_tokens, valid_tokens, test_tokens, rng_seed, out):
         rng_seed=rng_seed,
     )
     names = list(split_thresholds(spec))
-    with open_atomic(*(out / f"{name}.jsonl" for name in names)) as files:
+    with open_atomic(*(out / f"{name}.jsonl" for name in names),
+                     reads=[input_path]) as files:
         splits = make_splits(corpus, spec)
         for name, fh in zip(names, files):
             write_jsonl(splits[name], fh)
@@ -164,7 +165,7 @@ def sample(input_path, train_tokens, valid_tokens, test_tokens, rng_seed, out):
 def bpe_train(input_paths, vocab_size, model_path):
     """Train a joint source-target BPE model on training corpora."""
     corpora = [read_jsonl(p) for p in input_paths]
-    with open_atomic(model_path) as fh:
+    with open_atomic(model_path, reads=input_paths) as fh:
         model = bpe.train_bpe(corpora, vocab_size)
         bpe.save_model(model, fh)
     click.echo(
@@ -183,7 +184,8 @@ def bpe_apply(model_path, input_path, output_path):
     A failure leaves no output behind: an existing output file keeps its contents.
     """
     model = bpe.load_model(model_path)
-    with open_text(input_path) as src, open_atomic(output_path) as dst:
+    with open_text(input_path) as src, \
+            open_atomic(output_path, reads=[model_path, input_path]) as dst:
         for lineno, line in enumerate(src, 1):
             try:
                 tokens = bpe.encode(model, line.rstrip("\n"))
@@ -265,8 +267,10 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
     lexicons = [out / f"models/{label.lower()}.lexicon" for label in em.LABELS]
     # all seven replace their targets together; none is written to before
     # run_experiment forks the worker that writes Aug's lexicon
-    with open_atomic(ttr, zipf, out / "results.md", out / "results.json",
-                     *lexicons) as (ttr_fh, zipf_fh, md_fh, json_fh, *streams):
+    reads = filter(None, (config_path, nat_train, syn_train, nat_valid, syn_valid,
+                          test_path))
+    with open_atomic(ttr, zipf, out / "results.md", out / "results.json", *lexicons,
+                     reads=reads) as (ttr_fh, zipf_fh, md_fh, json_fh, *streams):
         _, matrix = em.run_experiment(
             corpora["nat-train"],
             corpora["syn-train"],
@@ -301,7 +305,7 @@ def analyze(input_paths, out):
     """Emit TTR and rank-frequency statistics for one or more corpora."""
     corpora = {stem: read_jsonl(p) for stem, p in _by_stem(input_paths).items()}
     ttr, zipf = out / "ttr.csv", out / "zipf.csv"
-    with open_atomic(ttr, zipf) as (ttr_fh, zipf_fh):
+    with open_atomic(ttr, zipf, reads=input_paths) as (ttr_fh, zipf_fh):
         _write_analysis(corpora, ttr_fh, zipf_fh)
     click.echo(f"wrote {ttr} and {zipf}")
 
@@ -323,7 +327,7 @@ def export(input_paths, source_lang, target_lang, out):
     by_stem = _by_stem(input_paths)
     names = [f"{stem}.{lang}" for stem in by_stem
              for lang in (source_lang, target_lang)] + ["reference_transformer.json"]
-    with open_atomic(*(out / name for name in names)) as handles:
+    with open_atomic(*(out / name for name in names), reads=input_paths) as handles:
         handle = dict(zip(names, handles))
         corpora = {stem: read_jsonl(path) for stem, path in by_stem.items()}
         for stem, corpus in corpora.items():

@@ -183,13 +183,16 @@ def _temp(path: Path) -> Path:
 
 
 @contextmanager
-def open_atomic(*paths):
+def open_atomic(*paths, reads=()):
     """Open each of paths for writing UTF-8 text through a temp file beside
     it, <path>.tmp, creating its directory first. Yields the file of a
     single path, or a tuple of files in the order of paths.
 
-    Two equal paths, or a path equal to another's <path>.tmp, are a
-    ConfigError naming the shared name, raised before anything is opened.
+    Every file named here is a different file: each of reads, the files
+    the caller reads, each of paths and each <path>.tmp. Two names of one
+    file (equal, or a symlink or hard link to it) are a ConfigError naming
+    the file, raised before anything is opened or created.
+
     A directory the OS will not create, a temp file it will not open, or a
     path that is a directory (not a link to one), which os.replace would
     not replace, is a ConfigError naming the path, raised before the block
@@ -199,12 +202,22 @@ def open_atomic(*paths):
     directory created here is deleted, so each path keeps what it held.
     """
     paths = [Path(p) for p in paths]
-    names = set()
-    for path in paths:
-        for name in (path, _temp(path)):
-            if name in names:
-                raise ConfigError(f"two outputs would be written to {name}")
-            names.add(name)
+    named = {}  # identity: (name, written)
+    for name, written in ([(Path(p), False) for p in reads]
+                          + [(n, True) for p in paths for n in (p, _temp(p))]):
+        keys = [os.path.realpath(name)]
+        with suppress(OSError):  # a file that exists
+            stat = os.stat(name)
+            keys.append((stat.st_dev, stat.st_ino))
+        for key in keys:
+            if key in named:
+                first, first_written = named[key]
+                if first_written:
+                    raise ConfigError(f"two outputs would be written to {name}")
+                also = "" if name == first else f" (as {name})"
+                raise ConfigError(f"input {first} would be "
+                                  f"{'written' if written else 'read twice'}{also}")
+            named[key] = name, written
     made, tmps, files = [], [], []  # made: directories, outermost first
     try:
         with ExitStack() as stack:

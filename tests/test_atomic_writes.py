@@ -4,10 +4,13 @@ temp file, and the directories a file goes in are created with it."""
 
 import os
 import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus_forge import bpe, em
 from corpus_forge.cli import _write_csv
@@ -139,6 +142,53 @@ def test_open_atomic_refuses_a_path_that_is_another_paths_temp_file(tmp_path):
             pytest.fail("the block ran")
     assert list(tmp_path.iterdir()) == [temp]
     assert temp.read_text(encoding="utf-8") == PREVIOUS
+
+
+# names open_atomic is given, in a directory that holds a, a.tmp and b, a
+# symlink to a, a hard link to b and a symlink "here" to itself; new/c's
+# directory does not exist
+NAMES = ["a", "a.tmp", "b", "b.tmp", "new/c", "link", "hard", "here/b.tmp"]
+SAME_FILE = {"link": "a", "hard": "b"}
+
+
+def same_file(name):
+    """The name in NAMES, or <name>.tmp, of the file name names."""
+    name = name.removeprefix("here/")
+    return SAME_FILE.get(name, name)
+
+
+def tree(root):
+    """Each entry under root: whether it is a link, and a file's bytes."""
+    return {str(p.relative_to(root)): (p.is_symlink(), p.is_file() and p.read_bytes())
+            for p in root.rglob("*")}
+
+
+@settings(deadline=None)
+@given(reads=st.lists(st.sampled_from(NAMES), max_size=3),
+       writes=st.lists(st.sampled_from(NAMES), min_size=1, max_size=3))
+def test_open_atomic_refuses_exactly_a_file_named_twice(reads, writes):
+    """Each read, each write and each write's <name>.tmp must be a different
+    file, by name or by link; a set that names one file twice ends before
+    anything is opened or created."""
+    files = [same_file(name)
+             for name in reads + [n for w in writes for n in (w, w + ".tmp")]]
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        for name in ("a", "a.tmp", "b"):
+            (root / name).write_text(name + "\n", encoding="utf-8")
+        (root / "link").symlink_to("a")
+        os.link(root / "b", root / "hard")
+        (root / "here").symlink_to(".")
+        before = tree(root)
+        call = open_atomic(*(root / w for w in writes), reads=[root / r for r in reads])
+        if len(set(files)) == len(files):
+            with call:
+                pass
+        else:
+            with pytest.raises(ConfigError):
+                with call:
+                    pytest.fail("the block ran")
+            assert tree(root) == before
 
 
 def test_open_atomic_creates_missing_directories(tmp_path):

@@ -3,8 +3,10 @@ import hashlib
 import json
 import os
 import re
+import shutil
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -447,6 +449,28 @@ class TestBpeCommands:
         assert result.output == f"error: {text_in}:2: word 'a@@b' holds the marker @@\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "model.bpe"]
 
+    @pytest.mark.parametrize("second", ["same", "symlink"])
+    def test_train_refuses_an_input_given_twice(self, runner, tmp_path,
+                                                fixture_paths, second):
+        """A corpus named twice, by its name or through a link, would count
+        each of its words twice: a configuration error, and no model."""
+        corpus = fixture_paths["nat_train"]
+        twice = corpus
+        if second == "symlink":
+            twice = tmp_path / "link.jsonl"
+            twice.symlink_to(corpus)
+        model_path = tmp_path / "model.bpe"
+        result = runner.invoke(main, [
+            "bpe-train", "--input", str(corpus), "--input", str(twice),
+            "--vocab-size", "80", "--out", str(model_path),
+        ])
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        also = "" if twice == corpus else f" (as {twice})"
+        assert result.output == (
+            f"config error: input {corpus} would be read twice{also}\n")
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("vocab_size", ["0", "-3"])
     def test_vocab_size_below_one_is_a_usage_error(self, runner, tmp_path,
                                                    fixture_paths, vocab_size):
@@ -525,13 +549,16 @@ class TestExperiment:
 
     def test_training_eval_overlap_rejected(self, runner, tmp_path, fixture_paths):
         # no pair id may be in two inputs: train and eval, two training
-        # corpora, or two eval sets
+        # corpora, or two eval sets; each is a copy, as open_atomic refuses
+        # a file named twice before any pair is compared
         for flag, shared in [("--nat-valid", "nat_train"),
                              ("--syn-train", "nat_train"),
                              ("--test", "nat_valid")]:
             out = tmp_path / "results"
             args = self.experiment_args(fixture_paths, out)
-            args[args.index(flag) + 1] = str(fixture_paths[shared])
+            copy = tmp_path / f"{flag[2:]}-copy.jsonl"
+            shutil.copyfile(fixture_paths[shared], copy)
+            args[args.index(flag) + 1] = str(copy)
             result = runner.invoke(main, args)
             assert result.exit_code == ConfigError.exit_code, (flag, result.output)
             assert isinstance(result.exception, SystemExit), result.exception
@@ -1212,10 +1239,10 @@ class TestOutputDirectories:
         work = []
         first = []  # the first call's paths, and the work done before it
 
-        def record(*paths):
+        def record(*paths, reads=()):
             if not first:
                 first.append((sorted(map(Path, paths)), len(requests_sent + work)))
-            return open_atomic(*paths)
+            return open_atomic(*paths, reads=reads)
 
         def counted(fn):
             def call(*args, **kwargs):
@@ -1238,6 +1265,75 @@ class TestOutputDirectories:
         assert requests_sent or work
         written = sorted(p for p in root.rglob("*") if p.is_file())
         assert first == [(written, 0)]
+
+
+def read_options():
+    """(command, parameter) for each option that names a file a command
+    reads, taken from the commands' click parameters: an existing file, or
+    --config. hallucinate is left out: it writes its run through several
+    open_atomic calls, and none of them is given its --config."""
+    return [(name, param) for name, command in sorted(main.commands.items())
+            if name != "hallucinate" for param in command.params
+            if isinstance(param.type, click.Path)
+            and (param.type.exists or param.name == "config_path")]
+
+
+class TestNoFileIsReadAndWritten:
+    """An option naming a file a command reads, given one of the command's
+    outputs or that output's <name>.tmp, ends in exit 3 naming the file, with
+    its bytes kept and no output, temp file or directory left."""
+
+    # each command's arguments, with {out} the directory it writes in and
+    # {<parameter>} each file it reads; the file it writes that each input
+    # takes the place of; and the fixture each input is a copy of
+    COMMANDS = {
+        "sample": (["sample", "--input", "{input_path}", "--train-tokens", "100",
+                    "--valid-tokens", "40", "--out-dir", "{out}"], "train.jsonl",
+                   {"input_path": "nat_train"}),
+        "bpe-train": (["bpe-train", "--input", "{input_paths}", "--vocab-size", "80",
+                       "--out", "{out}/model.bpe"], "model.bpe",
+                      {"input_paths": "nat_train"}),
+        "bpe-apply": (["bpe-apply", "--model", "{model_path}", "--input",
+                       "{input_path}", "--output", "{out}/text.bpe"], "text.bpe",
+                      {"model_path": "model", "input_path": "text"}),
+        "experiment": (["experiment", "--config", "{config_path}",
+                        "--nat-train", "{nat_train}", "--syn-train", "{syn_train}",
+                        "--nat-valid", "{nat_valid}", "--syn-valid", "{syn_valid}",
+                        "--test", "{test_path}", "--out-dir", "{out}"],
+                       "results.json",
+                       {"config_path": "config", "nat_train": "nat_train",
+                        "syn_train": "syn_train", "nat_valid": "nat_valid",
+                        "syn_valid": "syn_valid", "test_path": "test"}),
+        "analyze": (["analyze", "--input", "{input_paths}", "--out-dir", "{out}"],
+                    "zipf.csv", {"input_paths": "nat_train"}),
+        "export": (["export", "--input", "{input_paths}", "--src", "de", "--tgt", "en",
+                    "--out-dir", "{out}"], "reference_transformer.json",
+                   {"input_paths": "nat_train"}),
+    }
+
+    @pytest.mark.parametrize("suffix", ["", ".tmp"], ids=["output", "temp-file"])
+    @pytest.mark.parametrize("command, param", read_options(),
+                             ids=lambda case: getattr(case, "name", case))
+    def test_input_in_an_outputs_place(self, runner, tmp_path, fixture_paths,
+                                       command, param, suffix):
+        args, written, sources = self.COMMANDS[command]
+        fixtures = dict(fixture_paths, model=tmp_path / "model.in",
+                        text=tmp_path / "text.in", config=tmp_path / "run.yaml")
+        fixtures["model"].write_text("bpe-v1 10\ne s\n", encoding="utf-8")
+        fixtures["text"].write_text("esel\n", encoding="utf-8")
+        fixtures["config"].write_text("em:\n  iterations: 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        target = out / (written + suffix)
+        shutil.copyfile(fixtures[sources[param.name]], target)
+        files = {name: fixtures[key] for name, key in sources.items()}
+        files[param.name] = target
+        before = snapshot(tmp_path), sorted(tmp_path.rglob("*"))
+        result = runner.invoke(main, [a.format(out=out, **files) for a in args])
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"config error: input {target} would be written\n"
+        assert (snapshot(tmp_path), sorted(tmp_path.rglob("*"))) == before
 
 
 class TestIgnoredLanguageCodes:
