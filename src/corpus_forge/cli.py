@@ -123,6 +123,7 @@ def hallucinate(config_path, overrides, backend, run_id):
     splits, _ = run_pipeline(
         cfg.plan, cfg.templates, gateway, cfg.splits, run_dir,
         mock_seed=cfg.mock_seed if cfg.backend == "mock" else None,
+        reads=filter(None, [config_path]),
     )
     for name, split in splits.items():
         click.echo(f"{name}: {len(split)} pairs")
@@ -203,7 +204,7 @@ def _write_csv(fh, header, rows):
 
 
 def _by_stem(input_paths):
-    """Map each input's file stem, which names its outputs, to its path."""
+    """Map each input's file stem, which labels its corpus, to its path."""
     by_stem = {}
     for path in input_paths:
         stem = Path(path).stem
@@ -321,21 +322,16 @@ def export(input_paths, source_lang, target_lang, out):
 
     Every input is read and checked before any output replaces its target.
     """
-    if source_lang == target_lang:
-        raise click.BadParameter("must differ from --src: each names one file "
-                                 "of a pair", param_hint="'--tgt'")
-    by_stem = _by_stem(input_paths)
-    names = [f"{stem}.{lang}" for stem in by_stem
-             for lang in (source_lang, target_lang)] + ["reference_transformer.json"]
-    with open_atomic(*(out / name for name in names), reads=input_paths) as handles:
-        handle = dict(zip(names, handles))
-        corpora = {stem: read_jsonl(path) for stem, path in by_stem.items()}
-        for stem, corpus in corpora.items():
-            write_plain_pair(corpus, handle[f"{stem}.{source_lang}"],
-                             handle[f"{stem}.{target_lang}"])
-        write_json(handle["reference_transformer.json"], REFERENCE_TRANSFORMER)
-    for stem, corpus in corpora.items():
-        click.echo(f"exported {by_stem[stem]} ({len(corpus)} pairs)")
+    names = [out / f"{Path(path).stem}.{lang}" for path in input_paths
+             for lang in (source_lang, target_lang)]
+    with open_atomic(*names, out / "reference_transformer.json",
+                     reads=input_paths) as (*pair_fhs, meta_fh):
+        corpora = [read_jsonl(path) for path in input_paths]
+        for i, corpus in enumerate(corpora):
+            write_plain_pair(corpus, pair_fhs[2 * i], pair_fhs[2 * i + 1])
+        write_json(meta_fh, REFERENCE_TRANSFORMER)
+    for path, corpus in zip(input_paths, corpora):
+        click.echo(f"exported {path} ({len(corpus)} pairs)")
 
 
 if __name__ == "__main__":

@@ -111,7 +111,8 @@ def _settings(cls, name, section, **fixed):
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
-    """Apply key=value overrides with dotted keys; values parse as YAML scalars."""
+    """Apply key=value overrides with dotted keys; values parse as YAML scalars.
+    A section that is absent or null is empty."""
     for override in overrides:
         if "=" not in override:
             raise ConfigError(f"override must be key=value, got {override!r}")
@@ -119,7 +120,9 @@ def apply_overrides(raw: dict, overrides) -> dict:
         target = raw
         parts = key.split(".")
         for part in parts[:-1]:
-            target = target.setdefault(part, {})
+            if target.get(part) is None:
+                target[part] = {}
+            target = target[part]
             if not isinstance(target, dict):
                 raise ConfigError(f"cannot override through scalar at {part!r}")
         import yaml
@@ -142,12 +145,14 @@ def load_config(path=None, overrides=()) -> RunConfig:
                     text = Path(path).read_text(encoding="utf-8")
                 except FileNotFoundError as exc:
                     raise ConfigError(f"config file not found: {path}") from exc
-            raw = yaml.safe_load(text) or {}
+            raw = yaml.safe_load(text)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file is not UTF-8: {path}: {exc.reason}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file is not valid YAML: {exc}") from exc
-        if not isinstance(raw, dict):
+        if raw is None:  # an empty or comment-only file
+            raw = {}
+        elif not isinstance(raw, dict):
             raise ConfigError("config file must contain a mapping")
     apply_overrides(raw, overrides)
     return RunConfig.from_mapping(raw)

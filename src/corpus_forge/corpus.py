@@ -248,12 +248,12 @@ class _DryRun(Exception):
     """Ends check_writable's block, so open_atomic deletes what it made."""
 
 
-def check_writable(*paths):
-    """Raise the ConfigError open_atomic(*paths) would raise, leaving nothing:
-    a dry run that opens every temp file, then deletes them and each
-    directory it made. For outputs written by more than one open_atomic
-    call, as a run's checkpoints are, before the first of them."""
-    with suppress(_DryRun), open_atomic(*paths):
+def check_writable(*paths, reads=()):
+    """Raise the ConfigError open_atomic(*paths, reads=reads) would raise,
+    leaving nothing: a dry run that opens every temp file, then deletes them
+    and each directory it made. For outputs written by more than one
+    open_atomic call, as a run's checkpoints are, before the first of them."""
+    with suppress(_DryRun), open_atomic(*paths, reads=reads):
         raise _DryRun
 
 
@@ -274,26 +274,20 @@ def _flat_json(record) -> str:
 
 
 def write_json(fh, payload) -> None:
-    """Write payload to the seekable text file fh as indented JSON with a
-    final newline.
+    """Write payload to the text file fh as indented JSON with a final newline.
 
     The bytes are json.dumps(payload, ensure_ascii=False, indent=2) + "\\n".
-    A non-empty list of flat records, as every checkpoint is, is written one
-    record at a time, without the pure-Python encoder that indent selects; a
-    record that is not flat hands the payload to json.dumps.
+    A non-empty list must hold flat records only, as every checkpoint does:
+    it is written one record at a time, without the pure-Python encoder that
+    indent selects, and a record that is not flat is a TypeError.
     """
     if isinstance(payload, list) and payload:
-        start = fh.tell()
-        try:
-            fh.write("[\n  " + _flat_json(payload[0]))
-            fh.writelines(",\n  " + _flat_json(record)
-                          for record in islice(payload, 1, None))
-            fh.write("\n]\n")
-            return
-        except TypeError:  # a record that is not flat
-            # what was written begins json.dumps's bytes, which overwrite it
-            fh.seek(start)
-    fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+        fh.write("[\n  " + _flat_json(payload[0]))
+        fh.writelines(",\n  " + _flat_json(record)
+                      for record in islice(payload, 1, None))
+        fh.write("\n]\n")
+    else:
+        fh.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
 
 
 def write_jsonl(corpus: ParallelCorpus, fh) -> None:

@@ -262,13 +262,14 @@ def _stage(path: Path, produce, keys=()):
 
 
 def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
-                 mock_seed=None):
+                 mock_seed=None, reads=()):
     """Chain the three stages, sample train/valid splits, persist everything.
 
     Returns (splits, report). The splits and the report are written as one
     set; when the generated corpus cannot meet the split thresholds, the
     report is written alone and InsufficientData raised. A file of the run
-    that could not be written ends it before the first request.
+    that could not be written, or that is one of reads, the files the caller
+    read, ends it before the first request.
     """
     # every file the run writes, by its path in the run directory
     files = {name: Path(run_dir) / name for name in [
@@ -276,7 +277,7 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
         "checkpoints/translations.json",
         *(f"corpora/{split}.jsonl" for split in split_thresholds(split_spec)),
         "reports/report.json"]}
-    check_writable(*files.values())
+    check_writable(*files.values(), reads=reads)
 
     report = PipelineReport(
         seeds_requested=plan.n_nouns + plan.n_verbs,

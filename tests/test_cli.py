@@ -254,6 +254,28 @@ class TestHallucinate:
         assert snapshot(tmp_path / "runs") == {f"r1/{directory}": b"not a directory\n"}
         assert sorted(run_dir.iterdir()) == [run_dir / directory]
 
+    @pytest.mark.parametrize("written", ["reports/report.json",
+                                         "checkpoints/seeds.json"])
+    def test_config_in_the_place_of_a_file_of_the_run(self, runner, tmp_path,
+                                                      requests_sent, written):
+        """--config named as a file the run writes ends the run before its
+        first request, with the config's bytes kept."""
+        run_root = tmp_path / "runs"
+        config = run_root / "r" / written
+        config.parent.mkdir(parents=True)
+        config.write_text("mock_seed: 0\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "hallucinate", "--backend", "mock", "--run-id", "r",
+            "--config", str(config), "--set", f"paths.run_root={run_root}"])
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.endswith(
+            f"config error: input {config} would be written\n")
+        assert requests_sent == []
+        assert snapshot(run_root) == {f"r/{written}": b"mock_seed: 0\n"}
+        assert sorted(tmp_path.rglob("*")) == [run_root, run_root / "r",
+                                               config.parent, config]
+
     def test_failed_seed_request_leaves_no_run_directory(self, runner, tmp_path,
                                                          monkeypatch):
         class Unreachable(MockBackend):
@@ -736,14 +758,16 @@ class TestExport:
             "--src", "de", "--tgt", "en", "--out-dir", str(out),
         ])
         assert result.exit_code == ConfigError.exit_code, result.output
-        assert f"inputs {paths[0]} and {paths[1]} share a file stem" in result.output
+        assert result.output == (
+            f"config error: two outputs would be written to {out / 'train.de'}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("inputs, src, tgt, repeated", [
         (["reference_transformer.jsonl"], "de", "json", "reference_transformer.json"),
         (["x.de.jsonl", "x.jsonl"], "en", "de.en", "x.de.en"),
         (["x.de.jsonl", "x.jsonl"], "de", "tmp", "x.de.tmp"),
-    ], ids=["metadata", "dotted-code", "temp-name"])
+        (["x.jsonl"], "de", "de", "x.de"),
+    ], ids=["metadata", "dotted-code", "temp-name", "equal-codes"])
     def test_outputs_sharing_a_name_refused(self, runner, tmp_path, inputs, src,
                                             tgt, repeated):
         # an input that is read ends in exit 1, so exit 3 means none was
@@ -780,9 +804,9 @@ class TestExport:
         assert not out.exists()
 
     @pytest.mark.parametrize("src, tgt, flag", [
-        ("de", "de", "--tgt"), ("", "en", "--src"), ("de", "", "--tgt"),
+        ("", "en", "--src"), ("de", "", "--tgt"),
         ("a/b", "en", "--src"), ("de", "x/y", "--tgt"),
-    ], ids=["equal", "empty-src", "empty-tgt", "path-src", "path-tgt"])
+    ], ids=["empty-src", "empty-tgt", "path-src", "path-tgt"])
     def test_language_codes_must_name_two_files(self, runner, tmp_path, src, tgt,
                                                 flag):
         # an input that is read ends in exit 1, so exit 2 means it was not
@@ -1270,10 +1294,9 @@ class TestOutputDirectories:
 def read_options():
     """(command, parameter) for each option that names a file a command
     reads, taken from the commands' click parameters: an existing file, or
-    --config. hallucinate is left out: it writes its run through several
-    open_atomic calls, and none of them is given its --config."""
+    --config."""
     return [(name, param) for name, command in sorted(main.commands.items())
-            if name != "hallucinate" for param in command.params
+            for param in command.params
             if isinstance(param.type, click.Path)
             and (param.type.exists or param.name == "config_path")]
 
@@ -1309,6 +1332,9 @@ class TestNoFileIsReadAndWritten:
         "export": (["export", "--input", "{input_paths}", "--src", "de", "--tgt", "en",
                     "--out-dir", "{out}"], "reference_transformer.json",
                    {"input_paths": "nat_train"}),
+        "hallucinate": (["hallucinate", "--backend", "mock", "--run-id", "r",
+                         "--config", "{config_path}", "--set", "paths.run_root={out}"],
+                        "r/reports/report.json", {"config_path": "config"}),
     }
 
     @pytest.mark.parametrize("suffix", ["", ".tmp"], ids=["output", "temp-file"])
@@ -1325,6 +1351,7 @@ class TestNoFileIsReadAndWritten:
         out = tmp_path / "out"
         out.mkdir()
         target = out / (written + suffix)
+        target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(fixtures[sources[param.name]], target)
         files = {name: fixtures[key] for name, key in sources.items()}
         files[param.name] = target
@@ -1332,7 +1359,10 @@ class TestNoFileIsReadAndWritten:
         result = runner.invoke(main, [a.format(out=out, **files) for a in args])
         assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
-        assert result.output == f"config error: input {target} would be written\n"
+        # hallucinate prints its run directory and seeds first
+        lines = result.output.splitlines()
+        assert len(lines) == (3 if command == "hallucinate" else 1), result.output
+        assert lines[-1] == f"config error: input {target} would be written"
         assert (snapshot(tmp_path), sorted(tmp_path.rglob("*"))) == before
 
 

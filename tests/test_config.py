@@ -88,6 +88,30 @@ class TestLoadConfig:
         path.write_text("http:\nplan:\ntemplates:\nem:\n", encoding="utf-8")
         assert load_config(path) == load_config()
 
+    @pytest.mark.parametrize("text", ["", "# no settings\n"],
+                             ids=["empty", "comment-only"])
+    def test_empty_file_takes_defaults(self, tmp_path, text):
+        path = tmp_path / "run.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert load_config(path) == load_config()
+
+    @pytest.mark.parametrize("text", ["[1]\n", "[]\n", "false\n", "0\n", '""\n'],
+                             ids=["list", "empty-list", "false", "zero", "empty-string"])
+    def test_file_must_hold_a_mapping(self, tmp_path, text):
+        path = tmp_path / "run.yaml"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="^config file must contain a mapping$"):
+            load_config(path)
+
+    def test_override_into_a_null_section(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("http:\n", encoding="utf-8")
+        assert load_config(path, ["http.max_retries=5"]).http.max_retries == 5
+        cfg = load_config(overrides=["http=", "http.max_retries=5"])
+        assert cfg.http.max_retries == 5
+        with pytest.raises(ConfigError, match="cannot override through scalar"):
+            load_config(overrides=["http=5", "http.max_retries=5"])
+
     def test_templates_section_sets_all_four_system_templates(self):
         with pytest.raises(ConfigError, match="translation_system"):
             load_config(overrides=["templates.seed_nouns_system=Give {n}",

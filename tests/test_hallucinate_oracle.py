@@ -259,26 +259,28 @@ not_quite_flat = st.one_of(
               st.dictionaries(string_key, string, max_size=2)).map(
         lambda t: {**t[0], t[1]: t[2], **{k: v for k, v in t[3].items() if k != t[1]}}),
 )
+
+
+def is_flat(record):
+    """A string, or a non-empty object whose keys and values are strings."""
+    return isinstance(record, str) or (isinstance(record, dict) and bool(record) and all(
+        isinstance(x, str) for item in record.items() for x in item))
+
+
+# what write_json accepts: a list of flat records, or any payload but a
+# non-empty list
 payload = st.one_of(
     st.lists(flat_record, max_size=6),
     st.lists(st.text(), max_size=6),
-    st.lists(st.dictionaries(st.text(max_size=4), st.text(), max_size=2), max_size=4),
-    st.lists(st.one_of(flat_record, json_value), max_size=5),
-    json_value,
-    # flat records, then one that is not: last, or followed by more flat ones
-    st.tuples(st.lists(flat_record, min_size=1, max_size=4),
-              st.one_of(not_quite_flat, json_value),
-              st.lists(flat_record, max_size=2)).map(lambda t: [*t[0], t[1], *t[2]]),
-    st.lists(not_quite_flat, min_size=1, max_size=3),
+    json_value.filter(lambda v: not isinstance(v, list) or not v),
 )
 
 
 @deeper(400)
 @given(value=payload)
 def test_write_json_bytes_match_json_dumps(value):
-    """Flat records (the fast path), str subclasses, [], records holding {},
-    nested payloads, non-string keys and values, and a record that is not
-    flat after flat ones (json.dumps) all give json.dumps's bytes."""
+    """Flat records (the fast path), str subclasses, [], and objects and
+    scalars (json.dumps) all give json.dumps's bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "out.json"
         with open_atomic(path) as fh:
@@ -287,14 +289,14 @@ def test_write_json_bytes_match_json_dumps(value):
         assert path.read_bytes() == expected.encode("utf-8")
 
 
-def test_write_json_keeps_what_came_before():
-    """A record that is not flat after flat ones: the text written before the
-    payload stays, and json.dumps's bytes follow it."""
-    payload = ["Hund", {"a": "b"}, {"n": 1}]
+@deeper(200)
+@given(before=st.lists(flat_record, max_size=4),
+       record=st.one_of(not_quite_flat, json_value).filter(lambda r: not is_flat(r)),
+       after=st.lists(flat_record, max_size=2))
+def test_write_json_refuses_a_list_that_is_not_flat(before, record, after):
+    """A record that is not flat, first, last or among flat ones, is a
+    TypeError, and the file open_atomic was writing is not left."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "out.json"
-        with open_atomic(path) as fh:
-            fh.write("before\n")
-            write_json(fh, payload)
-        expected = "before\n" + json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-        assert path.read_bytes() == expected.encode("utf-8")
+        with pytest.raises(TypeError), open_atomic(Path(tmp) / "out.json") as fh:
+            write_json(fh, [*before, record, *after])
+        assert list(Path(tmp).iterdir()) == []
