@@ -71,7 +71,9 @@ def config_options(fn):
 
 
 def ignored_language_options(fn):
-    """Accept --src and --tgt, which older scripts pass, and ignore them."""
+    """Accept --src and --tgt and ignore them: the benchmark's subword and
+    study steps still pass them to bpe-train, sample, experiment and
+    analyze."""
     for flag in ("--src", "--tgt"):
         fn = click.option(flag, hidden=True, expose_value=False)(fn)
     return fn

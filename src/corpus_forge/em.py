@@ -5,7 +5,7 @@ over target words e (plus a reserved null target meaning "emit nothing").
 Training is classic lexical EM: each source token spreads one expected count
 over its sentence's candidates, then each row t(.|f) is renormalized. No row
 reads another, so the trainer fits one source word's row at a time through
-every iteration; the log-likelihood still sums over tokens in corpus order.
+every iteration, and adds each iteration's log-likelihood row by row.
 Each finished row's lexicon-v1 lines go straight to the stream the caller
 gives, and a fitted model keeps of each row only its argmax; decoding is
 positional argmax.
@@ -13,7 +13,6 @@ positional argmax.
 
 import math
 import os
-from array import array
 from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, open_atomic, tokenize
@@ -40,57 +39,48 @@ def fit_rows(corpus, iterations: int, keep) -> list:
     each finished row, a {target word: probability} dict in first-seen
     order. Every float sum is a left-to-right += in a stated order: z in
     candidate order, each row total in first-seen order, counts and each
-    log-likelihood in corpus order, the latter from per-token terms stored
-    by corpus position. Returns the log-likelihoods, one per iteration.
+    row's log-likelihood in corpus order, and each iteration's
+    log-likelihood over the rows in sorted source-word order. Returns the
+    log-likelihoods, one per iteration.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    tokens = {}  # source word -> ([corpus positions], [candidate lists])
+    tokens = {}  # source word -> its tokens' candidate lists, in corpus order
     targets = set()
-    n_tokens = 0
     for p in corpus.pairs:
         tgt = tokenize(p.target)
         targets.update(tgt)
         candidates = tgt + [NULL_TOKEN]  # shared by the sentence's tokens
         for f in tokenize(p.source):
-            positions, sentences = tokens.setdefault(f, ([], []))
-            positions.append(n_tokens)
-            sentences.append(candidates)
-            n_tokens += 1
+            tokens.setdefault(f, []).append(candidates)
     uniform = 1.0 / (len(targets) + 1)  # + the null target
 
     log = math.log
-    terms = [array("d", [0.0]) * n_tokens for _ in range(iterations)]
+    log_likelihoods = [0.0] * iterations
     for f in sorted(tokens):
-        positions, sentences = tokens.pop(f)
         ids = {}  # candidate -> its index in the row, in first-seen order
         segments = [[ids.setdefault(e, len(ids)) for e in candidates]
-                    for candidates in sentences]
+                    for candidates in tokens.pop(f)]
         row = [uniform] * len(ids)
-        for log_terms in terms:
+        for i in range(iterations):
             counts = [0.0] * len(ids)
-            for position, cells in zip(positions, segments):
+            log_likelihood = 0.0
+            for cells in segments:
                 z = 0.0
                 for c in cells:
                     z += row[c]
-                log_terms[position] = log(z / len(cells))
+                log_likelihood += log(z / len(cells))
                 for c in cells:
                     counts[c] += row[c] / z
+            log_likelihoods[i] += log_likelihood
             total = 0.0
             for n in counts:
                 total += n
             row = [n / total for n in counts]
         keep(f, dict(zip(ids, row)))
-
-    log_likelihoods = []
-    for log_terms in terms:
-        log_likelihood = 0.0
-        for term in log_terms:
-            log_likelihood += term
-        log_likelihoods.append(log_likelihood)
     return log_likelihoods
 
 
@@ -256,6 +246,9 @@ def run_experiment(
 
 
 def save_model(corpus, iterations: int, path) -> LexiconModel:
-    """train_em on corpus, writing its lexicon-v1 text to path, atomically."""
+    """train_em on corpus, writing its lexicon-v1 text to path, atomically.
+
+    No command calls it: the benchmark's tracer patches it by name, so it
+    stays until the tracer stops doing so."""
     with open_atomic(path) as fh:
         return train_em(corpus, iterations, fh)

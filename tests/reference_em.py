@@ -2,9 +2,11 @@
 
 Kept as the oracle for the differential tests in test_em.py; the package's
 row-at-a-time trainer and argmax table must reproduce these probabilities,
-log-likelihoods, argmaxes and translations exactly. Its two sums, z and each
-row total, are explicit left-to-right adds, as the package's are: the values
-builtin sum() gives on Python 3.10 and 3.11, on every Python.
+log-likelihoods, argmaxes and translations exactly. Its sums, z, each row
+total and each log-likelihood, are explicit left-to-right adds, as the
+package's are: the values builtin sum() gives on Python 3.10 and 3.11, on
+every Python. A log-likelihood adds each source word's terms in corpus
+order, then the words' sums in sorted order.
 Tokens here are raw ``str.split()`` units, so feed it NFC-normalized text.
 """
 
@@ -43,7 +45,7 @@ def train_em(corpus, iterations: int) -> LexiconModel:
     log_likelihoods = []
     for _ in range(iterations):
         counts = {f: Counter() for f in source_vocab}
-        log_likelihood = 0.0
+        word_log_likelihoods = dict.fromkeys(source_vocab, 0.0)
         for src, tgt in bitext:
             candidates = tgt + [NULL_TOKEN]
             for f in src:
@@ -51,7 +53,7 @@ def train_em(corpus, iterations: int) -> LexiconModel:
                 z = 0.0
                 for e in candidates:
                     z += tf[e]
-                log_likelihood += math.log(z / len(candidates))
+                word_log_likelihoods[f] += math.log(z / len(candidates))
                 for e in candidates:
                     counts[f][e] += tf[e] / z
         for f, c in counts.items():
@@ -59,6 +61,9 @@ def train_em(corpus, iterations: int) -> LexiconModel:
             for n in c.values():
                 total += n
             t[f] = defaultdict(float, {e: n / total for e, n in c.items()})
+        log_likelihood = 0.0
+        for f in sorted(word_log_likelihoods):
+            log_likelihood += word_log_likelihoods[f]
         log_likelihoods.append(log_likelihood)
 
     return LexiconModel(

@@ -5,6 +5,7 @@ import pickle
 import random
 import tempfile
 import threading
+import tracemalloc
 import unicodedata
 from pathlib import Path
 
@@ -61,6 +62,21 @@ class TestTrainEm:
         assert len(lls) == 10
         for earlier, later in zip(lls, lls[1:]):
             assert later >= earlier - 1e-9
+
+    def test_peak_memory_does_not_grow_with_iterations(self):
+        # tracemalloc slows the E-step about 25 times: a few thousand tokens
+        corpus = syllable_corpus(seed=5, n_lines=700)
+        n_tokens = sum(len(tokenize(p.source)) for p in corpus.pairs)
+        peaks = []
+        for iterations in (1, 10):
+            tracemalloc.start()
+            try:
+                em.fit_rows(corpus, iterations, lambda f, dist: None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one stored 8-byte term per token and iteration would add 9 of these
+        assert peaks[1] - peaks[0] < 8 * n_tokens
 
     def test_distributions_normalized(self):
         rows, _ = fitted_rows(toy_corpus(), 10)
