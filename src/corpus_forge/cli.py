@@ -141,7 +141,6 @@ def hallucinate(config_path, overrides, backend, run_id):
 @click.option("--out-dir", "out", required=True, type=DIR)
 def sample(input_path, train_tokens, valid_tokens, test_tokens, rng_seed, out):
     """Sample train/valid(/test) splits from a JSON-lines corpus."""
-    corpus = read_jsonl(input_path)
     spec = SplitSpec(
         train_token_threshold=train_tokens,
         valid_token_threshold=valid_tokens,
@@ -151,7 +150,7 @@ def sample(input_path, train_tokens, valid_tokens, test_tokens, rng_seed, out):
     names = list(split_thresholds(spec))
     with open_atomic(*(out / f"{name}.jsonl" for name in names),
                      reads=[input_path]) as files:
-        splits = make_splits(corpus, spec)
+        splits = make_splits(read_jsonl(input_path), spec)
         for name, fh in zip(names, files):
             write_jsonl(splits[name], fh)
     for name, split in splits.items():
@@ -167,9 +166,8 @@ def sample(input_path, train_tokens, valid_tokens, test_tokens, rng_seed, out):
 @click.option("--out", "model_path", required=True, type=FILE)
 def bpe_train(input_paths, vocab_size, model_path):
     """Train a joint source-target BPE model on training corpora."""
-    corpora = [read_jsonl(p) for p in input_paths]
     with open_atomic(model_path, reads=input_paths) as fh:
-        model = bpe.train_bpe(corpora, vocab_size)
+        model = bpe.train_bpe([read_jsonl(p) for p in input_paths], vocab_size)
         bpe.save_model(model, fh)
     click.echo(
         f"trained {len(model.merges)} merges, "
@@ -186,9 +184,9 @@ def bpe_apply(model_path, input_path, output_path):
 
     A failure leaves no output behind: an existing output file keeps its contents.
     """
-    model = bpe.load_model(model_path)
-    with open_text(input_path) as src, \
-            open_atomic(output_path, reads=[model_path, input_path]) as dst:
+    with open_atomic(output_path, reads=[model_path, input_path]) as dst, \
+            open_text(input_path) as src:
+        model = bpe.load_model(model_path)
         for lineno, line in enumerate(src, 1):
             try:
                 tokens = bpe.encode(model, line.rstrip("\n"))
@@ -214,6 +212,13 @@ def _by_stem(input_paths):
             raise ConfigError(f"inputs {by_stem[stem]} and {path} share a file stem")
         by_stem[stem] = path
     return by_stem
+
+
+def _read_disjoint(paths):
+    """The corpus at each path of paths, a {label: path or None} map, by label;
+    a pair id in two of them is a ConfigError. The id map ends with the reads."""
+    seen = {}
+    return {label: read_jsonl(path, seen) for label, path in paths.items() if path}
 
 
 def _write_analysis(corpora_by_label, ttr_fh, zipf_fh):
@@ -256,16 +261,6 @@ def _write_analysis(corpora_by_label, ttr_fh, zipf_fh):
 def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_valid,
                test_path, out):
     """Train Nat/Synth/Aug baselines, cross-evaluate, and profile diversity."""
-    cfg = load_config(config_path, overrides)
-    corpora = {
-        "nat-train": read_jsonl(nat_train),
-        "syn-train": read_jsonl(syn_train),
-        "nat-valid": read_jsonl(nat_valid),
-        "test": read_jsonl(test_path),
-    }
-    if syn_valid:
-        corpora["syn-valid"] = read_jsonl(syn_valid)
-
     ttr, zipf = out / "ttr.csv", out / "zipf.csv"
     lexicons = [out / f"models/{label.lower()}.lexicon" for label in em.LABELS]
     # all seven replace their targets together; none is written to before
@@ -274,6 +269,10 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
                           test_path))
     with open_atomic(ttr, zipf, out / "results.md", out / "results.json", *lexicons,
                      reads=reads) as (ttr_fh, zipf_fh, md_fh, json_fh, *streams):
+        cfg = load_config(config_path, overrides)
+        corpora = _read_disjoint({"nat-train": nat_train, "syn-train": syn_train,
+                                  "nat-valid": nat_valid, "test": test_path,
+                                  "syn-valid": syn_valid})
         _, matrix = em.run_experiment(
             corpora["nat-train"],
             corpora["syn-train"],
@@ -306,9 +305,9 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
 @click.option("--out-dir", "out", required=True, type=DIR)
 def analyze(input_paths, out):
     """Emit TTR and rank-frequency statistics for one or more corpora."""
-    corpora = {stem: read_jsonl(p) for stem, p in _by_stem(input_paths).items()}
     ttr, zipf = out / "ttr.csv", out / "zipf.csv"
     with open_atomic(ttr, zipf, reads=input_paths) as (ttr_fh, zipf_fh):
+        corpora = {stem: read_jsonl(p) for stem, p in _by_stem(input_paths).items()}
         _write_analysis(corpora, ttr_fh, zipf_fh)
     click.echo(f"wrote {ttr} and {zipf}")
 

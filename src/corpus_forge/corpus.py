@@ -60,11 +60,6 @@ def check_line(text, what: str) -> None:
 class ParallelCorpus:
     pairs: list
 
-    def __post_init__(self):
-        ids = [p.id for p in self.pairs]
-        if len(set(ids)) != len(ids):
-            raise ValueError("pair ids must be unique")
-
     def __len__(self):
         return len(self.pairs)
 
@@ -205,6 +200,8 @@ def open_atomic(*paths, reads=()):
     named = {}  # identity: (name, written)
     for name, written in ([(Path(p), False) for p in reads]
                           + [(n, True) for p in paths for n in (p, _temp(p))]):
+        if "\0" in str(name):  # which no OS call takes
+            raise ConfigError(f"{str(name)!r} cannot name a file: it holds a NUL")
         keys = [os.path.realpath(name)]
         with suppress(OSError):  # a file that exists
             stat = os.stat(name)
@@ -303,11 +300,14 @@ def write_jsonl(corpus: ParallelCorpus, fh) -> None:
         fh.write(_encode_json(record) + "\n")
 
 
-def read_jsonl(path) -> ParallelCorpus:
-    """A corpus from JSON lines; a pair id that repeats is a CorpusFormatError,
-    and a file of no pairs, which no command can work on, is EmptyCorpus."""
+def read_jsonl(path, seen=None) -> ParallelCorpus:
+    """A corpus from JSON lines; a file of no pairs, which no command can
+    work on, is EmptyCorpus. seen maps each pair id read so far to the
+    (path, line) that gave it, and gains this file's ids: an id that repeats
+    in this file is a CorpusFormatError, and one that seen holds from an
+    earlier file a ConfigError naming both places."""
     pairs = []
-    first_line = {}  # pair id -> the line that gave it first
+    seen = {} if seen is None else seen
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -334,12 +334,14 @@ def read_jsonl(path) -> ParallelCorpus:
                 )
             except ValueError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-            if pair.id in first_line:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: pair id {pair.id!r} repeats line "
-                    f"{first_line[pair.id]}"
-                )
-            first_line[pair.id] = lineno
+            if pair.id in seen:
+                first_path, first_line = seen[pair.id]
+                if first_path != path:
+                    raise ConfigError(f"{path}:{lineno}: pair id {pair.id!r} "
+                                      f"repeats {first_path}:{first_line}")
+                raise CorpusFormatError(f"{path}:{lineno}: pair id {pair.id!r} "
+                                        f"repeats line {first_line}")
+            seen[pair.id] = path, lineno
             pairs.append(pair)
     if not pairs:
         raise EmptyCorpus(f"empty corpus: {path}")

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, open_atomic, tokenize
-from .errors import ConfigError, CorpusForgeError, EmptyCorpus
+from .errors import CorpusForgeError, EmptyCorpus
 from .metrics import EvalMatrix, cross_evaluate
 
 NULL_TOKEN = "<null>"
@@ -183,19 +183,10 @@ def run_experiment(
     the caller fits Nat and then Synth: the E-step's cost is additive over
     sentences, so the two sides take about as long. With one CPU, or no
     fork, the caller fits all three. Returns ({label: LexiconModel},
-    EvalMatrix) once every fit has returned. Raises ConfigError when a pair
-    id is in two of the input corpora, and CorpusForgeError when the worker
-    dies.
+    EvalMatrix) once every fit has returned. Raises CorpusForgeError when the
+    worker dies. It checks no pair id: experiment reads the corpora with
+    one read_jsonl id map, which refuses an id in two of them.
     """
-    seen, shared = set(), set()
-    for corpus in filter(None, (nat_train, syn_train, nat_valid, test, syn_valid)):
-        ids = {p.id for p in corpus.pairs}
-        shared |= seen & ids
-        seen |= ids
-    if shared:
-        more = "..." if len(shared) > 5 else ""
-        raise ConfigError(f"input corpora share pair ids: {sorted(shared)[:5]}{more}")
-
     aug_pairs = list(nat_train.pairs) + list(syn_train.pairs)
     aug = ParallelCorpus(aug_pairs)
     eval_sets = {}

@@ -226,13 +226,15 @@ def _checkpoint_errors(path):
 
 def _check_records(records, keys):
     """ValueError unless records is a non-empty list of lines, or of objects
-    with lines at keys, a line being what check_line accepts. No stage writes
-    an empty list, a blank string or a line break."""
+    with lines at keys, a line being what check_line accepts, and no two
+    records hold one line, or one line at keys[0]. No stage writes an empty
+    list, a blank string, a line break or a seed, sentence or id twice."""
     if not isinstance(records, list):
         raise ValueError("expected a JSON list")
     if not records:
         raise ValueError("expected a non-empty JSON list, got []")
-    for record in records:
+    first = {}  # each record's line, or its line at keys[0] -> its number
+    for number, record in enumerate(records, 1):
         if keys and not isinstance(record, dict):
             raise ValueError(f"expected a JSON object, got {record!r}")
         for key in keys or (None,):
@@ -240,6 +242,11 @@ def _check_records(records, keys):
             if not isinstance(value, str):
                 raise ValueError(f"expected strings, got {value!r} in {record!r}")
             check_line(value, repr(record) if key is None else f"{key} in {record!r}")
+        unique = record[keys[0]] if keys else record
+        if unique in first:
+            raise ValueError(f"record {number} repeats {unique!r} of record "
+                             f"{first[unique]}")
+        first[unique] = number
 
 
 def _stage(path: Path, produce, keys=()):
@@ -293,23 +300,22 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
     sentences, resumed = _stage(
         files["checkpoints/sentences.json"],
         lambda: generate_sentences(seeds, plan, templates, gateway, report),
-        keys=("seed", "sentence"),
+        keys=("sentence", "seed"),
     )
     report.sentences_deduplicated = len(sentences)
     if resumed:
         report.sentences_parsed = len(sentences)
 
-    translations_path = files["checkpoints/translations.json"]
     translations, _ = _stage(
-        translations_path,
+        files["checkpoints/translations.json"],
         lambda: translate_sentences(sentences, plan, templates, gateway),
         keys=("id", "src", "tgt", "seed_word"),
     )
-    with _checkpoint_errors(translations_path):
-        pairs = [SentencePair(id=r["id"], source=r["src"], target=r["tgt"],
-                              origin=ORIGIN_SYNTHETIC, seed_word=r["seed_word"])
-                 for r in translations]
-        corpus = ParallelCorpus(pairs)
+    # _check_records has checked each field that SentencePair checks
+    corpus = ParallelCorpus([
+        SentencePair(id=r["id"], source=r["src"], target=r["tgt"],
+                     origin=ORIGIN_SYNTHETIC, seed_word=r["seed_word"])
+        for r in translations])
     report.sentences_translated = len(corpus)
     report.translation_failures = len(sentences) - len(corpus)
 

@@ -215,6 +215,21 @@ def test_open_atomic_refused_is_a_config_error(tmp_path, arrange, where):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("check", [
+    lambda path: check_writable(path),
+    lambda path: check_writable(path.with_name("out.txt"), reads=[path]),
+    lambda path: open_atomic(path).__enter__(),
+], ids=["written", "read", "open_atomic"])
+def test_a_name_holding_a_nul_is_a_config_error(tmp_path, check):
+    """A NUL, which no OS call takes in a file name, is a ConfigError naming
+    the path, raised before anything is created."""
+    path = tmp_path / "new" / "a\0b"
+    with pytest.raises(ConfigError) as info:
+        check(path)
+    assert str(info.value) == f"{str(path)!r} cannot name a file: it holds a NUL"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("where", ["a/out.txt", "a/b/c/out.txt"])
 def test_check_writable_says_what_open_atomic_would(tmp_path, where):
     """Under a file, check_writable raises the ConfigError open_atomic

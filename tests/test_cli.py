@@ -289,6 +289,28 @@ class TestHallucinate:
         assert "transport error: connection refused\n" in result.output
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("where", ["--set", "--config"])
+    def test_run_root_holding_a_nul(self, runner, tmp_path, monkeypatch,
+                                    requests_sent, where):
+        """A NUL, which no file name holds, is a configuration error naming
+        the path, before any request and with nothing created."""
+        monkeypatch.chdir(tmp_path)
+        setting = ["--set", 'paths.run_root="r\\0x"']
+        if where == "--config":
+            Path("run.yaml").write_text('paths:\n  run_root: "r\\0x"\n',
+                                        encoding="utf-8")
+            setting = ["--config", "run.yaml"]
+        before = sorted(tmp_path.iterdir())
+        result = runner.invoke(main, ["hallucinate", "--backend", "mock",
+                                      "--run-id", "r", *setting])
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.endswith(
+            "config error: 'r\\x00x/r/checkpoints/seeds.json' cannot name a file: "
+            "it holds a NUL\n")
+        assert requests_sent == []
+        assert sorted(tmp_path.iterdir()) == before
+
     @pytest.mark.parametrize("run_id", ["", ".", "..", "a/b", "../r1"])
     def test_run_id_that_is_not_one_name(self, runner, tmp_path, requests_sent,
                                          run_id):
@@ -584,8 +606,10 @@ class TestExperiment:
             result = runner.invoke(main, args)
             assert result.exit_code == ConfigError.exit_code, (flag, result.output)
             assert isinstance(result.exception, SystemExit), result.exception
-            assert "Traceback" not in result.output
-            assert "config error: input corpora share pair ids: " in result.output
+            # the copy is read after the file it copies, and names its place
+            first_id = read_jsonl(copy).pairs[0].id
+            assert result.output == (f"config error: {copy}:1: pair id {first_id!r} "
+                                     f"repeats {fixture_paths[shared]}:1\n")
             # refused before anything is written
             assert not out.exists()
 
@@ -1089,6 +1113,18 @@ def _two_line_sentence(records):
     return records
 
 
+def _repeat(key):
+    """A corruption that gives the second record the first one's value at
+    key, or the first record itself when key is None."""
+    def corrupt(records):
+        if key is None:
+            records[1] = records[0]
+        else:
+            records[1][key] = records[0][key]
+        return records
+    return corrupt
+
+
 class TestMalformedCheckpoints:
     """A malformed checkpoint ends in an error naming it: exit 1, no traceback."""
 
@@ -1102,8 +1138,12 @@ class TestMalformedCheckpoints:
         ("sentences.json", _drop_sentence_key, "expected strings, got None"),
         ("translations.json", _empty_source, "must be non-empty"),
         ("sentences.json", _two_line_sentence, "must be single-line"),
+        ("seeds.json", _repeat(None), "record 2 repeats "),
+        ("sentences.json", _repeat("sentence"), "record 2 repeats "),
+        ("translations.json", _repeat("id"), "record 2 repeats 'syn-000000'"),
     ], ids=["not-json", "object", "empty-seeds", "empty-sentences",
-            "non-string-seed", "no-sentence", "empty-source", "two-line-sentence"])
+            "non-string-seed", "no-sentence", "empty-source", "two-line-sentence",
+            "repeated-seed", "repeated-sentence", "repeated-id"])
     def test_resume_from_malformed_checkpoint(self, runner, tmp_path, name,
                                               corrupt, message):
         args = hallucinate_args(tmp_path / "runs")
@@ -1337,11 +1377,13 @@ class TestNoFileIsReadAndWritten:
                         "r/reports/report.json", {"config_path": "config"}),
     }
 
+    # an empty input, which no command can work on, is refused by name too
+    @pytest.mark.parametrize("empty", [False, True], ids=["copy", "empty"])
     @pytest.mark.parametrize("suffix", ["", ".tmp"], ids=["output", "temp-file"])
     @pytest.mark.parametrize("command, param", read_options(),
                              ids=lambda case: getattr(case, "name", case))
     def test_input_in_an_outputs_place(self, runner, tmp_path, fixture_paths,
-                                       command, param, suffix):
+                                       command, param, suffix, empty):
         args, written, sources = self.COMMANDS[command]
         fixtures = dict(fixture_paths, model=tmp_path / "model.in",
                         text=tmp_path / "text.in", config=tmp_path / "run.yaml")
@@ -1353,6 +1395,8 @@ class TestNoFileIsReadAndWritten:
         target = out / (written + suffix)
         target.parent.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(fixtures[sources[param.name]], target)
+        if empty:
+            target.write_bytes(b"")
         files = {name: fixtures[key] for name, key in sources.items()}
         files[param.name] = target
         before = snapshot(tmp_path), sorted(tmp_path.rglob("*"))
@@ -1458,4 +1502,4 @@ class TestErrorHandler:
         assert documented["configuration"] == ConfigError.exit_code == 3
         assert documented["transport"] == TransportError.exit_code == 4
         assert documented["insufficient data"] == InsufficientData.exit_code == 5
-        assert documented["internal error"] == CorpusForgeError.exit_code == 1
+        assert documented["any other toolkit error"] == CorpusForgeError.exit_code == 1

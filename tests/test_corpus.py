@@ -19,7 +19,12 @@ from corpus_forge.corpus import (
     write_jsonl,
     write_plain_pair,
 )
-from corpus_forge.errors import CorpusFormatError, EmptyCorpus, InsufficientData
+from corpus_forge.errors import (
+    ConfigError,
+    CorpusFormatError,
+    EmptyCorpus,
+    InsufficientData,
+)
 
 
 def count_tokens(text):
@@ -185,11 +190,6 @@ class TestSentencePairInvariants:
         with pytest.raises(ValueError):
             SentencePair(id="x", source="a", target="b", seed_word="Eule")
 
-    def test_duplicate_ids_rejected(self):
-        pair = SentencePair(id="x", source="a", target="b")
-        with pytest.raises(ValueError):
-            ParallelCorpus([pair, pair])
-
 
 class TestOnDiskFormats:
     def test_jsonl_lines_are_json_dumps(self, tmp_path):
@@ -224,6 +224,25 @@ class TestOnDiskFormats:
         path.write_text('{"id": "1", "src": "a"}\n', encoding="utf-8")
         with pytest.raises(CorpusFormatError):
             read_jsonl(path)
+
+    def test_jsonl_id_map_spans_files(self, tmp_path):
+        """One id map is one id space: an id of an earlier file is a
+        ConfigError naming both places, a repeat in one file a
+        CorpusFormatError, and the map gains each file's ids."""
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for path, ids in ((first, ["x", "y"]), (second, ["z", "y"])):
+            path.write_text("".join(json.dumps({"id": i, "src": "a", "tgt": "b",
+                                                "origin": "natural"}) + "\n"
+                                    for i in ids), encoding="utf-8")
+        seen = {}
+        read_jsonl(first, seen)
+        assert seen == {"x": (first, 1), "y": (first, 2)}
+        with pytest.raises(ConfigError) as info:
+            read_jsonl(second, seen)
+        assert str(info.value) == f"{second}:2: pair id 'y' repeats {first}:2"
+        with pytest.raises(CorpusFormatError,
+                           match=re.escape(f"{first}:1: pair id 'x' repeats line 1")):
+            read_jsonl(first, {"x": (first, 1)})
 
     @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"],
                              ids=["no-lines", "blank-line", "blank-lines"])

@@ -16,7 +16,7 @@ import reference_em
 from conftest import in_worker, make_corpus, syllable_corpus
 from corpus_forge import em
 from corpus_forge.corpus import open_atomic, tokenize
-from corpus_forge.errors import ConfigError, CorpusForgeError, EmptyCorpus
+from corpus_forge.errors import CorpusForgeError, EmptyCorpus
 from corpus_forge.metrics import corpus_bleu, cross_evaluate
 
 
@@ -278,29 +278,6 @@ class TestRunExperiment:
         twice = train(doubled, 5)
         lines = fx["test"].source_lines()
         assert em.translate(single, lines) == em.translate(twice, lines)
-
-    def test_eval_overlap_rejected(self, experiment_fixture, unread_lexicons):
-        fx = experiment_fixture
-        with pytest.raises(ConfigError, match="share pair ids"):
-            em.run_experiment(
-                fx["nat_train"], fx["syn_train"], fx["nat_train"], fx["test"], 2,
-                lexicons=unread_lexicons,
-            )
-
-    @pytest.mark.parametrize("n_shared, listed", [
-        (3, "['p-0', 'p-1', 'p-2']"),
-        (5, "['p-0', 'p-1', 'p-2', 'p-3', 'p-4']"),
-        (6, "['p-0', 'p-1', 'p-2', 'p-3', 'p-4']..."),
-    ])
-    def test_shared_ids_listed_up_to_five(self, n_shared, listed, unread_lexicons):
-        pair = ("das Haus", "the house")
-        with pytest.raises(ConfigError) as info:
-            em.run_experiment(
-                make_corpus([pair] * 6), make_corpus([pair], prefix="s"),
-                make_corpus([pair], prefix="v"), make_corpus([pair] * n_shared), 2,
-                lexicons=unread_lexicons,
-            )
-        assert str(info.value) == f"input corpora share pair ids: {listed}"
 
 
 def serial_experiment(nat_train, syn_train, nat_valid, test, iterations,
