@@ -273,7 +273,7 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         corpora = _read_disjoint({"nat-train": nat_train, "syn-train": syn_train,
                                   "nat-valid": nat_valid, "test": test_path,
                                   "syn-valid": syn_valid})
-        _, matrix = em.run_experiment(
+        matrix = em.run_experiment(
             corpora["nat-train"],
             corpora["syn-train"],
             corpora["nat-valid"],

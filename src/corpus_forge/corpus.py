@@ -102,16 +102,18 @@ def dedup(items: Iterable, key: Callable) -> list:
     return kept
 
 
-def _take_until(pairs, threshold):
-    """First prefix of pairs whose source tokens reach >= threshold, plus the rest."""
+def _take_until(pairs, threshold, name):
+    """First prefix of pairs whose source tokens reach >= threshold, plus the
+    rest. name is the split drawn, for the message when pairs fall short;
+    None when pairs are the whole corpus, not what earlier splits left."""
     total = 0
     for i, pair in enumerate(pairs):
         total += len(tokenize(pair.source))
         if total >= threshold:
             return pairs[: i + 1], pairs[i + 1 :]
-    raise InsufficientData(
-        f"corpus has {total} source tokens, threshold {threshold} not reachable"
-    )
+    held = (f"{total} source tokens left for {name}" if name
+            else f"corpus has {total} source tokens")
+    raise InsufficientData(f"{held}, threshold {threshold} not reachable")
 
 
 def split_thresholds(spec: SplitSpec):
@@ -130,7 +132,7 @@ def make_splits(corpus: ParallelCorpus, spec: SplitSpec):
     random.Random(spec.rng_seed).shuffle(rest)
     splits = {}
     for name, threshold in split_thresholds(spec).items():
-        split, rest = _take_until(rest, threshold)
+        split, rest = _take_until(rest, threshold, name if splits else None)
         splits[name] = ParallelCorpus(split)
     return splits
 

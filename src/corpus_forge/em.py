@@ -5,15 +5,15 @@ over target words e (plus a reserved null target meaning "emit nothing").
 Training is classic lexical EM: each source token spreads one expected count
 over its sentence's candidates, then each row t(.|f) is renormalized. No row
 reads another, so the trainer fits one source word's row at a time through
-every iteration, and adds each iteration's log-likelihood row by row.
-Each finished row's lexicon-v1 lines go straight to the stream the caller
-gives, and a fitted model keeps of each row only its argmax; decoding is
-positional argmax.
+every iteration. Each finished row's lexicon-v1 lines go straight to the
+stream the caller gives, and a fitted model is its argmax table, each
+source word's most probable target; decoding is positional argmax. The
+iteration count is fixed, so no stopping rule reads a log-likelihood, and
+none is computed; the tests check through the oracle that EM never lowers
+it.
 """
 
-import math
 import os
-from dataclasses import dataclass
 
 from .corpus import ParallelCorpus, open_atomic, tokenize
 from .errors import CorpusForgeError, EmptyCorpus
@@ -23,25 +23,18 @@ NULL_TOKEN = "<null>"
 LABELS = ("Nat", "Synth", "Aug")  # run_experiment's models, in fitting order
 
 
-@dataclass
-class LexiconModel:
-    best: dict  # source word -> the argmax target of its row (render_row)
-    log_likelihoods: list  # one per iteration
-
-
-def fit_rows(corpus, iterations: int, keep) -> list:
+def fit_rows(corpus, iterations: int):
     """Fit t(e|f) on a parallel corpus for a fixed number of EM iterations.
 
     Each row t(.|f) is its own EM problem: a token of f reads and writes
     only row f, and the M-step normalizes each row alone. So the rows are
     fitted one after another in sorted source-word order, each through every
-    iteration, from the tokens of f in corpus order; keep(f, dist) receives
-    each finished row, a {target word: probability} dict in first-seen
-    order. Every float sum is a left-to-right += in a stated order: z in
-    candidate order, each row total in first-seen order, counts and each
-    row's log-likelihood in corpus order, and each iteration's
-    log-likelihood over the rows in sorted source-word order. Returns the
-    log-likelihoods, one per iteration.
+    iteration, from the tokens of f in corpus order; each finished row is
+    yielded as (f, dist), dist a {target word: probability} dict in
+    first-seen order. Every float sum is a left-to-right += in a stated
+    order: z in candidate order, each row total in first-seen order, and
+    counts in corpus order. An empty corpus, or iterations < 1, raises at
+    the first next(), before any row.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
@@ -58,30 +51,24 @@ def fit_rows(corpus, iterations: int, keep) -> list:
             tokens.setdefault(f, []).append(candidates)
     uniform = 1.0 / (len(targets) + 1)  # + the null target
 
-    log = math.log
-    log_likelihoods = [0.0] * iterations
     for f in sorted(tokens):
         ids = {}  # candidate -> its index in the row, in first-seen order
         segments = [[ids.setdefault(e, len(ids)) for e in candidates]
                     for candidates in tokens.pop(f)]
         row = [uniform] * len(ids)
-        for i in range(iterations):
+        for _ in range(iterations):
             counts = [0.0] * len(ids)
-            log_likelihood = 0.0
             for cells in segments:
                 z = 0.0
                 for c in cells:
                     z += row[c]
-                log_likelihood += log(z / len(cells))
                 for c in cells:
                     counts[c] += row[c] / z
-            log_likelihoods[i] += log_likelihood
             total = 0.0
             for n in counts:
                 total += n
             row = [n / total for n in counts]
-        keep(f, dict(zip(ids, row)))
-    return log_likelihoods
+        yield f, dict(zip(ids, row))
 
 
 def render_row(f: str, dist: dict):
@@ -99,28 +86,27 @@ def render_row(f: str, dist: dict):
     return "".join([f"{f}\t{e}\t{dist[e]:.12g}\n" for e in targets]), best
 
 
-def train_em(corpus, iterations: int, out) -> LexiconModel:
+def train_em(corpus, iterations: int, out) -> dict:
     """Fit t(e|f) with fit_rows, writing its lexicon-v1 text to the text
     stream out as the rows are fitted: a one-line header, then
-    f<TAB>e<TAB>prob lines sorted by f, then e. The model keeps of each row
-    its argmax alone."""
+    f<TAB>e<TAB>prob lines sorted by f, then e. Returns the argmax table,
+    {source word: its row's argmax target}, in sorted source-word order."""
     out.write(f"lexicon-v1 iterations={iterations}\n")
     best = {}
-
-    def keep(f, dist):
+    for f, dist in fit_rows(corpus, iterations):
         text, best[f] = render_row(f, dist)
         out.write(text)
+    return best
 
-    return LexiconModel(best, fit_rows(corpus, iterations, keep))
 
-
-def translate(model: LexiconModel, source_lines):
-    """Map each token to its argmax target; drop null emissions, copy OOV through."""
+def translate(best: dict, source_lines):
+    """Map each token to its argmax target in best, train_em's table; drop
+    null emissions, copy OOV through."""
     out = []
     for line in source_lines:
         words = []
         for f in tokenize(line):
-            e = model.best.get(f)
+            e = best.get(f)
             if e is None:
                 words.append(f)  # out-of-vocabulary: copy through
             elif e != NULL_TOKEN:
@@ -131,17 +117,17 @@ def translate(model: LexiconModel, source_lines):
 
 def _fit(label, corpus, iterations, eval_sets, out):
     """Train one model, writing its lexicon to out, and score it on every
-    eval set: returns (LexiconModel, the model's one-row EvalMatrix)."""
-    model = train_em(corpus, iterations, out)
-    row = cross_evaluate({label: lambda lines: translate(model, lines)}, eval_sets)
-    return model, row
+    eval set: returns the model's one-row EvalMatrix. The argmax table is
+    dropped on return."""
+    best = train_em(corpus, iterations, out)
+    return cross_evaluate({label: lambda lines: translate(best, lines)}, eval_sets)
 
 
 def _fit_in_worker(sender, job):
     """Forked worker body: fit Aug into its lexicon file, close the worker's
-    handle on it, and send (LexiconModel, row), or the exception. The worker
-    ends in os._exit, which flushes no Python buffer, so the close is what
-    puts the last rows on disk."""
+    handle on it, and send Aug's one-row EvalMatrix, or the exception. The
+    worker ends in os._exit, which flushes no Python buffer, so the close is
+    what puts the last rows on disk."""
     try:
         with job[-1]:  # the lexicon file
             outcome = _fit("Aug", *job)
@@ -182,10 +168,11 @@ def run_experiment(
     A forked worker fits Aug, writing to its own handle on Aug's file, while
     the caller fits Nat and then Synth: the E-step's cost is additive over
     sentences, so the two sides take about as long. With one CPU, or no
-    fork, the caller fits all three. Returns ({label: LexiconModel},
-    EvalMatrix) once every fit has returned. Raises CorpusForgeError when the
-    worker dies. It checks no pair id: experiment reads the corpora with
-    one read_jsonl id map, which refuses an id in two of them.
+    fork, the caller fits all three. Each argmax table lives only while its
+    model is scored, and the worker sends back only its scores. Returns the
+    EvalMatrix once every fit has returned. Raises CorpusForgeError when the
+    worker dies. It checks no pair id: experiment reads the corpora with one
+    read_jsonl id map, which refuses an id in two of them.
     """
     aug_pairs = list(nat_train.pairs) + list(syn_train.pairs)
     aug = ParallelCorpus(aug_pairs)
@@ -198,7 +185,7 @@ def run_experiment(
             for label, corpus in zip(LABELS, (nat_train, syn_train, aug))}
 
     if not _use_worker():
-        results = {label: _fit(label, *job) for label, job in jobs.items()}
+        rows = [_fit(label, *job) for label, job in jobs.items()]
     else:
         import multiprocessing
 
@@ -209,7 +196,7 @@ def run_experiment(
         worker.start()
         sender.close()  # the worker holds the only sender: EOF means it died
         try:
-            results = {label: _fit(label, *jobs[label]) for label in ("Nat", "Synth")}
+            rows = [_fit(label, *jobs[label]) for label in ("Nat", "Synth")]
             try:
                 outcome = receiver.recv()
             except EOFError:
@@ -224,20 +211,19 @@ def run_experiment(
             worker.join()
         if isinstance(outcome, Exception):
             raise outcome
-        results["Aug"] = outcome
+        rows.append(outcome)
 
-    rows = [row for _, row in results.values()]
-    matrix = EvalMatrix(
+    return EvalMatrix(
         rows=list(jobs),
         columns=list(eval_sets),
         cells={key: v for row in rows for key, v in row.cells.items()},
         failures={key: v for row in rows for key, v in row.failures.items()},
     )
-    return {label: model for label, (model, _) in results.items()}, matrix
 
 
-def save_model(corpus, iterations: int, path) -> LexiconModel:
-    """train_em on corpus, writing its lexicon-v1 text to path, atomically.
+def save_model(corpus, iterations: int, path) -> dict:
+    """train_em on corpus, writing its lexicon-v1 text to path, atomically;
+    returns train_em's argmax table.
 
     No command calls it: the benchmark's tracer patches it by name, so it
     stays until the tracer stops doing so."""

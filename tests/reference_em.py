@@ -2,11 +2,11 @@
 
 Kept as the oracle for the differential tests in test_em.py; the package's
 row-at-a-time trainer and argmax table must reproduce these probabilities,
-log-likelihoods, argmaxes and translations exactly. Its sums, z, each row
-total and each log-likelihood, are explicit left-to-right adds, as the
-package's are: the values builtin sum() gives on Python 3.10 and 3.11, on
-every Python. A log-likelihood adds each source word's terms in corpus
-order, then the words' sums in sorted order.
+argmaxes and translations exactly. Its sums, z and each row total, are
+explicit left-to-right adds, as the package's are: the values builtin sum()
+gives on Python 3.10 and 3.11, on every Python. The package computes no
+log-likelihood; log_likelihood scores any table, the trainer's rows
+included, so the tests can check that EM never lowers it.
 Tokens here are raw ``str.split()`` units, so feed it NFC-normalized text.
 """
 
@@ -21,7 +21,6 @@ from corpus_forge.errors import EmptyCorpus
 @dataclass
 class LexiconModel:
     t: dict  # source word -> {target word: probability}
-    log_likelihoods: list  # one per iteration
 
 
 def _tokenized(corpus):
@@ -42,10 +41,8 @@ def train_em(corpus, iterations: int) -> LexiconModel:
     uniform = 1.0 / (len(target_vocab) + 1)  # +1 for the null target
     t = {f: defaultdict(lambda u=uniform: u) for f in source_vocab}
 
-    log_likelihoods = []
     for _ in range(iterations):
         counts = {f: Counter() for f in source_vocab}
-        word_log_likelihoods = dict.fromkeys(source_vocab, 0.0)
         for src, tgt in bitext:
             candidates = tgt + [NULL_TOKEN]
             for f in src:
@@ -53,7 +50,6 @@ def train_em(corpus, iterations: int) -> LexiconModel:
                 z = 0.0
                 for e in candidates:
                     z += tf[e]
-                word_log_likelihoods[f] += math.log(z / len(candidates))
                 for e in candidates:
                     counts[f][e] += tf[e] / z
         for f, c in counts.items():
@@ -61,15 +57,25 @@ def train_em(corpus, iterations: int) -> LexiconModel:
             for n in c.values():
                 total += n
             t[f] = defaultdict(float, {e: n / total for e, n in c.items()})
-        log_likelihood = 0.0
-        for f in sorted(word_log_likelihoods):
-            log_likelihood += word_log_likelihoods[f]
-        log_likelihoods.append(log_likelihood)
 
-    return LexiconModel(
-        t={f: dict(d) for f, d in t.items()},
-        log_likelihoods=log_likelihoods,
-    )
+    return LexiconModel(t={f: dict(d) for f, d in t.items()})
+
+
+def log_likelihood(corpus, t):
+    """The corpus's data log-likelihood under t, a {f: {e: p}} table with a
+    row for every source word: each source token adds the log of its
+    candidates' mean probability, the null target one of them, in corpus
+    order, left to right."""
+    total = 0.0
+    for src, tgt in _tokenized(corpus):
+        candidates = tgt + [NULL_TOKEN]
+        for f in src:
+            tf = t[f]
+            z = 0.0
+            for e in candidates:
+                z += tf[e]
+            total += math.log(z / len(candidates))
+    return total
 
 
 def best_target(model: LexiconModel, f: str):

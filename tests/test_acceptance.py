@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import reference_em
 from conftest import make_corpus, make_experiment_fixture
 from corpus_forge import bpe, em
 from corpus_forge.corpus import SplitSpec, open_atomic, read_jsonl
@@ -130,21 +131,20 @@ def test_criterion_3_em_suite():
             [("das Haus", "the house"), ("das Buch", "the book"),
              ("ein Buch", "a book")]
         )
-        model = em.train_em(corpus, 10, io.StringIO())
-        assert model.best["Buch"] == "book"
-        for earlier, later in zip(model.log_likelihoods,
-                                  model.log_likelihoods[1:]):
+        best = em.train_em(corpus, 10, io.StringIO())
+        assert best["Buch"] == "book"
+        lls = [reference_em.log_likelihood(corpus, dict(em.fit_rows(corpus, k)))
+               for k in range(1, 11)]
+        for earlier, later in zip(lls, lls[1:]):
             assert later >= earlier - 1e-9
-        rows = {}
-        em.fit_rows(corpus, 10, rows.__setitem__)
-        for dist in rows.values():
+        for _, dist in em.fit_rows(corpus, 10):
             assert abs(sum(dist.values()) - 1.0) <= 1e-9
 
 
 def test_criterion_4_augmentation_improves_translation(unread_lexicons):
     with criterion(4, "Aug >= Nat > Synth on test", 30):
         fx = make_experiment_fixture()
-        _, matrix = em.run_experiment(
+        matrix = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"],
             10, syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
@@ -168,7 +168,7 @@ def mock_synthetic_lines(mock_seed=0):
 def test_criterion_5_overfitting_and_diversity(unread_lexicons):
     with criterion(5, "Synth overfits; synthetic TTR lower", 30):
         fx = make_experiment_fixture()
-        _, matrix = em.run_experiment(
+        matrix = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"],
             10, syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )

@@ -116,7 +116,8 @@ class TestSampleToThreshold:
     def test_insufficient(self):
         with pytest.raises(InsufficientData):
             split_to_threshold(four_token_corpus(2), 100, rng_seed=0)
-        with pytest.raises(InsufficientData):  # train fits, nothing left for valid
+        with pytest.raises(InsufficientData,  # train fits, nothing left for valid
+                           match="^0 source tokens left for valid, threshold 1 "):
             split_to_threshold(four_token_corpus(2), 8, rng_seed=0)
 
     @given(st.integers(1, 96), st.integers(0, 2**32 - 1))
@@ -155,6 +156,18 @@ class TestMakeSplits:
             for j in range(i + 1, len(ids)):
                 assert not ids[i] & ids[j]
         assert sum(len(s) for s in ids) <= len(corpus)
+
+    @pytest.mark.parametrize("thresholds, message", [
+        ((4, 12, None), "8 source tokens left for valid, threshold 12 not reachable"),
+        ((4, 4, 8), "4 source tokens left for test, threshold 8 not reachable"),
+    ])
+    def test_short_split_names_what_is_left_for_it(self, thresholds, message):
+        # 3 pairs x 4 tokens: each earlier split takes one pair
+        train, valid, test = thresholds
+        spec = SplitSpec(train_token_threshold=train, valid_token_threshold=valid,
+                         test_token_threshold=test)
+        with pytest.raises(InsufficientData, match=f"^{message}$"):
+            make_splits(four_token_corpus(3), spec)
 
     def test_test_split_exactly_when_given_a_threshold(self):
         corpus = four_token_corpus(30)

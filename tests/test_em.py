@@ -1,16 +1,16 @@
 import io
 import math
 import os
-import pickle
 import random
 import tempfile
 import threading
 import tracemalloc
 import unicodedata
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference_em
 from conftest import in_worker, make_corpus, syllable_corpus
@@ -31,35 +31,59 @@ def train(corpus, iterations):
     return em.train_em(corpus, iterations, io.StringIO())
 
 
-def fitted_rows(corpus, iterations):
-    """fit_rows's rows, {f: {e: probability}} in the order it fits them, and
-    its log-likelihoods."""
-    rows = {}
-    log_likelihoods = em.fit_rows(corpus, iterations, rows.__setitem__)
-    return rows, log_likelihoods
+def uniform_table(corpus):
+    """The t(e|f) that the first E-step sees: every target word, and the
+    null target, equally likely for every source word."""
+    targets = {e for line in corpus.target_lines() for e in line.split()}
+    targets.add(em.NULL_TOKEN)
+    return {f: dict.fromkeys(targets, 1 / len(targets))
+            for line in corpus.source_lines() for f in line.split()}
+
+
+# Few word types, so words repeat within sentences; one-word sentences give
+# exact ties between a word's only target and the null target.
+SOURCE_WORDS = st.sampled_from(["a", "b", "c", "d"])
+TARGET_WORDS = st.sampled_from(["w", "x", "y", "z"])
+
+
+def sentences(words):
+    return st.lists(words, min_size=1, max_size=5).map(" ".join)
+
+
+def seeded_pairs():
+    """30 sentences of 3 to 6 words over a 12-word one-to-one lexicon."""
+    rng = random.Random(4)
+    vocab = {f"s{i}": f"t{i}" for i in range(12)}
+    pairs = []
+    for _ in range(30):
+        words = rng.sample(sorted(vocab), rng.randint(3, 6))
+        pairs.append((" ".join(words), " ".join(vocab[w] for w in words)))
+    return pairs
 
 
 class TestTrainEm:
     def test_uniform_initialization(self):
-        model = train(toy_corpus(), 1)
-        # the first E-step sees t(e|f) = 1/5 for every candidate (4 target
-        # types plus null), so each of the 6 source tokens adds log(1/5)
-        assert model.log_likelihoods[0] == pytest.approx(6 * math.log(1 / 5))
+        # t(e|f) = 1/5 for every candidate (4 target types plus null), so
+        # each of the 6 source tokens adds log(1/5)
+        corpus = toy_corpus()
+        assert reference_em.log_likelihood(corpus, uniform_table(corpus)) == \
+            pytest.approx(6 * math.log(1 / 5))
 
     def test_buch_learns_book(self):
         model = train(toy_corpus(), 10)
-        assert model.best["Buch"] == "book"
+        assert model["Buch"] == "book"
 
-    def test_log_likelihood_non_decreasing(self):
-        rng = random.Random(4)
-        vocab = {f"s{i}": f"t{i}" for i in range(12)}
-        sentences = []
-        for _ in range(30):
-            words = rng.sample(sorted(vocab), rng.randint(3, 6))
-            sentences.append((" ".join(words), " ".join(vocab[w] for w in words)))
-        model = train(make_corpus(sentences), 10)
-        lls = model.log_likelihoods
-        assert len(lls) == 10
+    @settings(deadline=None)
+    @given(st.lists(st.tuples(sentences(SOURCE_WORDS), sentences(TARGET_WORDS)),
+                    min_size=1, max_size=8))
+    @example(seeded_pairs())
+    def test_log_likelihood_non_decreasing(self, pairs):
+        """The data log-likelihood of fit_rows's rows never falls from the
+        uniform table through 10 iterations."""
+        corpus = make_corpus(pairs)
+        lls = [reference_em.log_likelihood(corpus, uniform_table(corpus))]
+        lls += [reference_em.log_likelihood(corpus, dict(em.fit_rows(corpus, k)))
+                for k in range(1, 11)]
         for earlier, later in zip(lls, lls[1:]):
             assert later >= earlier - 1e-9
 
@@ -71,7 +95,8 @@ class TestTrainEm:
         for iterations in (1, 10):
             tracemalloc.start()
             try:
-                em.fit_rows(corpus, iterations, lambda f, dist: None)
+                for _ in em.fit_rows(corpus, iterations):
+                    pass
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -79,7 +104,7 @@ class TestTrainEm:
         assert peaks[1] - peaks[0] < 8 * n_tokens
 
     def test_distributions_normalized(self):
-        rows, _ = fitted_rows(toy_corpus(), 10)
+        rows = dict(em.fit_rows(toy_corpus(), 10))
         for dist in rows.values():
             assert abs(sum(dist.values()) - 1.0) <= 1e-9
             assert all(p >= 0 for p in dist.values())
@@ -171,18 +196,8 @@ class TestRenderRow:
     ])
     def test_argmax(self, dist, best):
         assert em.render_row("f", dist)[1] == best
-        oracle = reference_em.LexiconModel(t={"f": dist}, log_likelihoods=[])
+        oracle = reference_em.LexiconModel(t={"f": dist})
         assert reference_em.best_target(oracle, "f") == best
-
-
-# Few word types, so words repeat within sentences; one-word sentences give
-# exact ties between a word's only target and the null target.
-SOURCE_WORDS = st.sampled_from(["a", "b", "c", "d"])
-TARGET_WORDS = st.sampled_from(["w", "x", "y", "z"])
-
-
-def sentences(words):
-    return st.lists(words, min_size=1, max_size=5).map(" ".join)
 
 
 def reference_lexicon(model, iterations):
@@ -193,20 +208,18 @@ def reference_lexicon(model, iterations):
 
 
 def assert_matches_reference(corpus, iterations, lines):
-    """fit_rows's rows, and train_em's model, against the oracle's."""
-    rows, log_likelihoods = fitted_rows(corpus, iterations)
+    """fit_rows's rows, and train_em's argmax table, against the oracle's."""
+    rows = dict(em.fit_rows(corpus, iterations))
     expected = reference_em.train_em(corpus, iterations)
     # rows come in sorted order; the oracle's follow a set's
     assert list(rows) == sorted(expected.t)
     for f, dist in expected.t.items():
         assert list(rows[f].items()) == list(dist.items())
-    assert log_likelihoods == expected.log_likelihoods
     written = io.StringIO()
     model = em.train_em(corpus, iterations, written)
-    assert model.log_likelihoods == expected.log_likelihoods
-    assert list(model.best) == list(rows)
+    assert list(model) == list(rows)
     for f in rows:
-        assert model.best[f] == reference_em.best_target(expected, f)
+        assert model[f] == reference_em.best_target(expected, f)
     assert em.translate(model, lines) == reference_em.translate(expected, lines)
     assert written.getvalue() == reference_lexicon(expected, iterations)
 
@@ -247,7 +260,7 @@ class TestMatchesReference:
 class TestRunExperiment:
     def test_directional_findings(self, experiment_fixture, unread_lexicons):
         fx = experiment_fixture
-        models, matrix = em.run_experiment(
+        matrix = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"],
             10, syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
@@ -257,7 +270,7 @@ class TestRunExperiment:
 
     def test_nine_cells(self, experiment_fixture, unread_lexicons):
         fx = experiment_fixture
-        _, matrix = em.run_experiment(
+        matrix = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"],
             3, syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
@@ -283,7 +296,7 @@ class TestRunExperiment:
 def serial_experiment(nat_train, syn_train, nat_valid, test, iterations,
                       syn_valid=None):
     """run_experiment as one process composes it: train and save, translate,
-    score. Returns the models, the matrix and each model's lexicon bytes."""
+    score. Returns the matrix and each model's lexicon bytes."""
     aug = type(nat_train)(list(nat_train.pairs) + list(syn_train.pairs))
     saved = {label: saved_model(corpus, iterations)
              for label, corpus in (("Nat", nat_train), ("Synth", syn_train),
@@ -299,39 +312,36 @@ def serial_experiment(nat_train, syn_train, nat_valid, test, iterations,
          for label, model in models.items()},
         eval_sets,
     )
-    return models, matrix, {label: data for label, (_, data) in saved.items()}
+    return matrix, {label: data for label, (_, data) in saved.items()}
 
 
 def experiment_with_files(corpora, iterations):
     """run_experiment writing each lexicon to a file, as experiment does:
-    its models, its matrix and each file's bytes."""
+    its matrix and each file's bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {label: Path(tmp) / f"{label}.lexicon" for label in em.LABELS}
         with open_atomic(*paths.values()) as files:
-            fits, matrix = em.run_experiment(
+            matrix = em.run_experiment(
                 corpora["nat_train"], corpora["syn_train"], corpora["nat_valid"],
                 corpora["test"], iterations, syn_valid=corpora.get("syn_valid"),
                 lexicons=dict(zip(paths, files)),
             )
-        return fits, matrix, {label: p.read_bytes() for label, p in paths.items()}
+        return matrix, {label: p.read_bytes() for label, p in paths.items()}
 
 
 def assert_matches_serial(corpora, iterations):
     threads = threading.enumerate()
-    fits, matrix, written = experiment_with_files(corpora, iterations)
+    matrix, written = experiment_with_files(corpora, iterations)
     # no pool thread outlives the call, so a later fork sees one thread
     assert threading.enumerate() == threads
-    models, expected, lexicons = serial_experiment(
+    expected, lexicons = serial_experiment(
         corpora["nat_train"], corpora["syn_train"], corpora["nat_valid"],
         corpora["test"], iterations, syn_valid=corpora.get("syn_valid"),
     )
     assert (matrix.rows, matrix.columns) == (expected.rows, expected.columns)
     assert matrix.cells == expected.cells
     assert matrix.failures == expected.failures
-    assert list(fits) == list(models)
-    for label, model in models.items():
-        assert written[label] == lexicons[label]
-        assert fits[label].log_likelihoods == model.log_likelihoods
+    assert written == lexicons
 
 
 class TestParallelExperiment:
@@ -365,7 +375,7 @@ class TestParallelExperiment:
 
         def failing(model, lines):
             # Nat knows only quell*, Synth only neu*, Aug both
-            vocab = ("quell0" in model.best, "neu0" in model.best)
+            vocab = ("quell0" in model, "neu0" in model)
             if vocab == {"Synth": (False, True), "Aug": (True, True)}[label]:
                 raise ValueError(f"no decoding for {label}")
             return translate(model, lines)
@@ -373,7 +383,7 @@ class TestParallelExperiment:
         monkeypatch.setattr(em, "_use_worker", lambda: True)
         monkeypatch.setattr(em, "translate", failing)  # the worker inherits it
         fx = experiment_fixture
-        _, matrix = em.run_experiment(
+        matrix = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"], 3,
             syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
@@ -383,15 +393,16 @@ class TestParallelExperiment:
         }
         assert len(matrix.cells) == 6
 
-    @pytest.mark.parametrize("worker", [True, False])
-    def test_fitted_models_carry_no_lexicon_text(self, experiment_fixture,
-                                                 monkeypatch, worker):
-        # with a worker, Aug's model is the one that came through the pipe
-        monkeypatch.setattr(em, "_use_worker", lambda: worker)
-        fits, _, written = experiment_with_files(experiment_fixture, 5)
-        assert list(fits) == list(em.LABELS)
-        for label, model in fits.items():
-            assert len(pickle.dumps(model)) < len(written[label]) / 3, label
+    def test_worker_sends_only_its_scores(self):
+        # the argmax table stays in the worker; the pipe carries Aug's row
+        corpus = toy_corpus()
+        eval_sets = {"Test": (corpus.source_lines(), corpus.target_lines())}
+        sent = []
+        em._fit_in_worker(SimpleNamespace(send=sent.append),
+                          (corpus, 5, eval_sets, io.StringIO()))
+        best = train(corpus, 5)
+        assert sent == [cross_evaluate(
+            {"Aug": lambda lines: em.translate(best, lines)}, eval_sets)]
 
     def test_one_process_matches_serial(self, experiment_fixture, monkeypatch):
         monkeypatch.setattr(em, "_use_worker", lambda: False)  # one CPU, or no fork
