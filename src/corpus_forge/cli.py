@@ -120,7 +120,8 @@ def hallucinate(config_path, overrides, backend, run_id):
     if run_id is None:
         run_id = f"run-s{cfg.rng_seed}-m{cfg.mock_seed}"
     run_dir = Path(cfg.paths.run_root) / run_id
-    click.echo(f"run directory: {run_dir}")
+    # its repr, as errors name paths: a NUL in it is printed escaped
+    click.echo(f"run directory: {str(run_dir)!r}")
     click.echo(f"seeds: rng_seed={cfg.rng_seed} mock_seed={cfg.mock_seed}")
     splits, _ = run_pipeline(
         cfg.plan, cfg.templates, gateway, cfg.splits, run_dir,

@@ -100,8 +100,9 @@ def train_em(corpus, iterations: int, out) -> dict:
 
 
 def translate(best: dict, source_lines):
-    """Map each token to its argmax target in best, train_em's table; drop
-    null emissions, copy OOV through."""
+    """Each line's output tokens: each token mapped to its argmax target in
+    best, train_em's table, with null emissions dropped and OOV tokens
+    copied through. A line whose every token emits null gives no tokens."""
     out = []
     for line in source_lines:
         words = []
@@ -111,26 +112,26 @@ def translate(best: dict, source_lines):
                 words.append(f)  # out-of-vocabulary: copy through
             elif e != NULL_TOKEN:
                 words.append(e)
-        out.append(" ".join(words))
+        out.append(words)
     return out
 
 
-def _fit(label, corpus, iterations, eval_sets, out):
+def _fit(corpus, iterations, eval_sets, out):
     """Train one model, writing its lexicon to out, and score it on every
-    eval set: returns the model's one-row EvalMatrix. The argmax table is
-    dropped on return."""
+    eval set: returns its row of scores, {eval set: BLEU}. The argmax table
+    is dropped on return."""
     best = train_em(corpus, iterations, out)
-    return cross_evaluate({label: lambda lines: translate(best, lines)}, eval_sets)
+    return cross_evaluate(lambda lines: translate(best, lines), eval_sets)
 
 
 def _fit_in_worker(sender, job):
     """Forked worker body: fit Aug into its lexicon file, close the worker's
-    handle on it, and send Aug's one-row EvalMatrix, or the exception. The
+    handle on it, and send Aug's row of scores, or the exception. The
     worker ends in os._exit, which flushes no Python buffer, so the close is
     what puts the last rows on disk."""
     try:
         with job[-1]:  # the lexicon file
-            outcome = _fit("Aug", *job)
+            outcome = _fit(*job)
     except Exception as exc:  # the caller raises it
         outcome = exc
     sender.send(outcome)
@@ -169,10 +170,13 @@ def run_experiment(
     the caller fits Nat and then Synth: the E-step's cost is additive over
     sentences, so the two sides take about as long. With one CPU, or no
     fork, the caller fits all three. Each argmax table lives only while its
-    model is scored, and the worker sends back only its scores. Returns the
-    EvalMatrix once every fit has returned. Raises CorpusForgeError when the
-    worker dies. It checks no pair id: experiment reads the corpora with one
-    read_jsonl id map, which refuses an id in two of them.
+    model is scored, and the worker sends back only its row of scores.
+    Returns the EvalMatrix, every cell a score, once every fit has returned.
+    An exception in any fit ends the call: raised in the caller, it kills the
+    worker; raised in the worker, the caller raises it. Raises
+    CorpusForgeError when the worker dies. It checks no pair id: experiment
+    reads the corpora with one read_jsonl id map, which refuses an id in two
+    of them.
     """
     aug_pairs = list(nat_train.pairs) + list(syn_train.pairs)
     aug = ParallelCorpus(aug_pairs)
@@ -185,7 +189,7 @@ def run_experiment(
             for label, corpus in zip(LABELS, (nat_train, syn_train, aug))}
 
     if not _use_worker():
-        rows = [_fit(label, *job) for label, job in jobs.items()]
+        rows = [_fit(*job) for job in jobs.values()]
     else:
         import multiprocessing
 
@@ -196,7 +200,7 @@ def run_experiment(
         worker.start()
         sender.close()  # the worker holds the only sender: EOF means it died
         try:
-            rows = [_fit(label, *jobs[label]) for label in ("Nat", "Synth")]
+            rows = [_fit(*jobs[label]) for label in ("Nat", "Synth")]
             try:
                 outcome = receiver.recv()
             except EOFError:
@@ -216,8 +220,8 @@ def run_experiment(
     return EvalMatrix(
         rows=list(jobs),
         columns=list(eval_sets),
-        cells={key: v for row in rows for key, v in row.cells.items()},
-        failures={key: v for row in rows for key, v in row.failures.items()},
+        cells={(label, col): bleu
+               for label, row in zip(jobs, rows) for col, bleu in row.items()},
     )
 
 

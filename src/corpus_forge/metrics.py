@@ -33,7 +33,6 @@ class EvalMatrix:
     rows: list  # model labels
     columns: list  # evaluation-set labels
     cells: dict  # (row, col) -> float, present iff evaluated
-    failures: dict  # (row, col) -> reason for absent cells
 
     def get(self, row, col):
         return self.cells.get((row, col))
@@ -48,10 +47,6 @@ class EvalMatrix:
                 for c in self.columns
                 if (r, c) in self.cells
             ],
-            "failures": [
-                {"model": r, "eval_set": c, "reason": reason}
-                for (r, c), reason in sorted(self.failures.items())
-            ],
         }
 
 
@@ -64,7 +59,9 @@ def corpus_bleu(hypotheses, references) -> BleuReport:
 
     Inputs are pre-tokenized: each segment is a sequence of tokens. One
     reference per hypothesis. Unsmoothed: an order with no clipped match
-    scores 0.
+    scores 0. Hypotheses with no tokens at all score 0, as in sacreBLEU:
+    the brevity penalty exp(1 - r/c) falls to 0 with their length c. No
+    segments at all is EmptyInput.
     """
     if len(hypotheses) != len(references):
         raise LengthMismatch(
@@ -75,8 +72,6 @@ def corpus_bleu(hypotheses, references) -> BleuReport:
 
     hyp_len = sum(len(h) for h in hypotheses)
     ref_len = sum(len(r) for r in references)
-    if hyp_len == 0:
-        raise EmptyInput("hypotheses contain no tokens")
 
     clipped = [0] * MAX_ORDER
     totals = [0] * MAX_ORDER
@@ -94,7 +89,10 @@ def corpus_bleu(hypotheses, references) -> BleuReport:
     # an order with no n-grams at all is vacuously perfect, not a miss
     precisions = [c / n if n else 1.0 for c, n in zip(clipped, totals)]
 
-    bp = 1.0 if hyp_len > ref_len else math.exp(1.0 - ref_len / hyp_len)
+    if hyp_len > ref_len:
+        bp = 1.0
+    else:
+        bp = math.exp(1.0 - ref_len / hyp_len) if hyp_len else 0.0
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
@@ -129,30 +127,18 @@ def frequency_profile(corpus_side) -> FrequencyProfile:
     )
 
 
-def cross_evaluate(models, eval_sets) -> EvalMatrix:
-    """Score every (model, eval set) pairing with corpus BLEU.
+def cross_evaluate(translate, eval_sets) -> dict:
+    """Score one model on every eval set with corpus BLEU: {eval set: BLEU}.
 
-    models: mapping label -> translate(source_lines) -> target_lines.
-    eval_sets: mapping label -> (source_lines, reference_lines).
-    Failed cells are recorded as absent, with a reason.
+    translate: source_lines -> each line's output tokens.
+    eval_sets: mapping label -> (source_lines, reference_lines); the
+    references are split by corpus.tokenize.
     """
-    rows = list(models)
-    columns = list(eval_sets)
-    cells = {}
-    failures = {}
-    for row in rows:
-        for col in columns:
-            src_lines, ref_lines = eval_sets[col]
-            try:
-                out_lines = models[row](src_lines)
-                report = corpus_bleu(
-                    [tokenize(line) for line in out_lines],
-                    [tokenize(line) for line in ref_lines],
-                )
-                cells[(row, col)] = report.bleu
-            except Exception as exc:  # per-cell isolation by contract
-                failures[(row, col)] = f"{type(exc).__name__}: {exc}"
-    return EvalMatrix(rows=rows, columns=columns, cells=cells, failures=failures)
+    return {
+        label: corpus_bleu(translate(src_lines),
+                           [tokenize(line) for line in ref_lines]).bleu
+        for label, (src_lines, ref_lines) in eval_sets.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ def template_pattern(template: str) -> re.Pattern:
     """Regex matching any rendering of a template; {n} captures the count."""
     escaped = re.escape(template)
     escaped = escaped.replace(re.escape("{n}"), r"(?P<n>\d+)")
-    for placeholder in ("{seed}", "{src}", "{tgt}", "{sentence}"):
+    for placeholder in ("{src}", "{tgt}"):
         escaped = escaped.replace(re.escape(placeholder), r".+?")
     return re.compile(escaped, re.DOTALL)
 

@@ -5,7 +5,8 @@ test_gateway_oracle.py. complete_batch is the original Gateway method, one
 ThreadPoolExecutor future per request through pool.map, as a function of
 (backend, max_in_flight, requests_). template_pattern and
 classify_system_text rebuild every stage pattern on every call, with no
-cache.
+cache. One edit since: template_pattern leaves {seed} and {sentence} as
+written, since render fills neither.
 """
 
 import re
@@ -46,7 +47,7 @@ def template_pattern(template: str) -> re.Pattern:
     """Regex matching any rendering of a template; {n} captures the count."""
     escaped = re.escape(template)
     escaped = escaped.replace(re.escape("{n}"), r"(?P<n>\d+)")
-    for placeholder in ("{seed}", "{src}", "{tgt}", "{sentence}"):
+    for placeholder in ("{src}", "{tgt}"):
         escaped = escaped.replace(re.escape(placeholder), r".+?")
     return re.compile(escaped, re.DOTALL)
 

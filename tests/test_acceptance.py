@@ -240,6 +240,6 @@ def test_criterion_7_report_fidelity():
             ("Aug-gl", "Test"): 28.3,
         }
         table4 = render_matrix_markdown(
-            EvalMatrix(rows=rows, columns=cols, cells=cells, failures={})
+            EvalMatrix(rows=rows, columns=cols, cells=cells)
         )
         assert table4.encode() == (GOLDEN / "table4.md").read_bytes()

@@ -308,6 +308,9 @@ class TestHallucinate:
         assert result.output.endswith(
             "config error: 'r\\x00x/r/checkpoints/seeds.json' cannot name a file: "
             "it holds a NUL\n")
+        # stdout names the run directory escaped, with no raw NUL
+        assert result.stdout.startswith("run directory: 'r\\x00x/r'\n")
+        assert "\0" not in result.stdout
         assert requests_sent == []
         assert sorted(tmp_path.iterdir()) == before
 
@@ -721,6 +724,35 @@ class TestExperiment:
         self.assert_empty_input_refused(runner, tmp_path, fixture_paths,
                                         monkeypatch, flag)
 
+    def test_output_with_no_tokens_scores_zero(self, runner, tmp_path):
+        """Four tiny corpora in which the null target wins for x: Nat and Aug
+        drop every word of Nat-val, and those cells read 0.0."""
+        corpora = {
+            "nat_train": [("x", "a"), ("x", "b"), ("x", "c")],
+            "syn_train": [("y z", "v w"), ("y", "v")],
+            "nat_valid": [("x", "a"), ("x x", "b")],
+            "test": [("y z", "v w"), ("x y", "a v")],
+        }
+        paths = {}
+        for name, pairs in corpora.items():
+            paths[name] = tmp_path / f"{name}.jsonl"
+            with open_atomic(paths[name]) as fh:
+                write_jsonl(make_corpus(pairs, prefix=name), fh)
+        out = tmp_path / "results"
+        result = runner.invoke(main, [
+            "experiment", "--nat-train", str(paths["nat_train"]),
+            "--syn-train", str(paths["syn_train"]),
+            "--nat-valid", str(paths["nat_valid"]), "--test", str(paths["test"]),
+            "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "| Nat | 0.0 | 0.0 |\n" in result.output
+        assert "| Aug | 0.0 | 0.0 |\n" in result.output
+        matrix = json.loads((out / "results.json").read_text(encoding="utf-8"))["matrix"]
+        assert set(matrix) == {"rows", "columns", "cells"}
+        assert [(c["model"], c["eval_set"], c["bleu"]) for c in matrix["cells"]] == [
+            (model, eval_set, 0.0) for model in ("Nat", "Synth", "Aug")
+            for eval_set in ("Nat-val", "Test")]
+
     # sha256 of each output, computed with the flat-table trainer that the
     # row-at-a-time trainer replaced; every float sum is a left-to-right
     # add, so one value holds on every Python
@@ -728,7 +760,7 @@ class TestExperiment:
         "models/nat.lexicon": "8b58200006c6a1b4af05dacd4abaa7d15eb20c967e1e40bb2d3a60361d88162b",
         "models/synth.lexicon": "2bcb223a105696ab613ce5a8ca3d08ec281fa720aee927184685398201e2c65d",
         "models/aug.lexicon": "0aa85a4f267cf83c327f8b0239bd343bb1d36d01abc5c5bb2590439cb252f70f",
-        "results.json": "1f98994692650b962fed05d942399bddb2d1e64d150cce61d6693ad7979a8dd1",
+        "results.json": "c66430ae6f7d02921545e0fa6f0b157ea0c65b59029d3ea96741cf268e0b92c9",
         "results.md": "529acf4a56e6c07f2176582e0c6031760283a1713019d6916aefad487c5b142c",
         "ttr.csv": "1581b4150c35651f0b828acc5155458fb699cfdaaa87fec5144fe498e6515999",
         "zipf.csv": "054254ed7a03d9daf616e9176c43643ceffca08415cb55eb5012dd47fca94d04",

@@ -53,6 +53,17 @@ class TestCountTokens:
             return
         assert count_tokens(a + " " + b) == count_tokens(a) + count_tokens(b)
 
+    @given(st.lists(st.one_of(
+        st.text(),
+        st.sampled_from([unicodedata.normalize("NFD", w)
+                         for w in ("Café", "Ängste", "ḉ", "Å")]),
+        st.characters(categories=["Mn", "Mc", "Me"]),  # combining marks
+        st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u2028\u3000"),
+    )).map("".join))
+    def test_tokens_survive_a_join(self, text):
+        # so BLEU may score a decoder's tokens as they are, unjoined
+        assert tokenize(" ".join(tokenize(text))) == tokenize(text)
+
 
 def seed_word_key(text):
     return normalize(text).casefold()

@@ -1,9 +1,12 @@
 import io
 import math
+import multiprocessing
 import os
 import random
+import signal
 import tempfile
 import threading
+import time
 import tracemalloc
 import unicodedata
 from pathlib import Path
@@ -17,7 +20,7 @@ from conftest import in_worker, make_corpus, syllable_corpus
 from corpus_forge import em
 from corpus_forge.corpus import open_atomic, tokenize
 from corpus_forge.errors import CorpusForgeError, EmptyCorpus
-from corpus_forge.metrics import corpus_bleu, cross_evaluate
+from corpus_forge.metrics import EvalMatrix, corpus_bleu, cross_evaluate
 
 
 def toy_corpus():
@@ -128,14 +131,12 @@ class TestTranslate:
         corpus = make_corpus([(line, line) for line in lines])
         model = train(corpus, 10)
         out = em.translate(model, lines)
-        assert out == lines
-        report = corpus_bleu([tokenize(line) for line in out],
-                             [tokenize(line) for line in lines])
-        assert report.bleu == 100.0
+        assert out == [line.split() for line in lines]
+        assert corpus_bleu(out, [tokenize(line) for line in lines]).bleu == 100.0
 
     def test_oov_copied_through(self):
         model = train(toy_corpus(), 5)
-        assert em.translate(model, ["xyz qqq"]) == ["xyz qqq"]
+        assert em.translate(model, ["xyz qqq"]) == [["xyz", "qqq"]]
 
     def test_deterministic(self):
         model = train(toy_corpus(), 5)
@@ -149,12 +150,13 @@ class TestTranslate:
         corpus = make_corpus([(f"{nfc} gut", "coffee good"), (nfc, "coffee"),
                               ("gut", "good")])
         model = train(corpus, 10)
-        assert em.translate(model, [nfd, f"{nfd} gut"]) == ["coffee", "coffee good"]
+        assert em.translate(model, [nfd, f"{nfd} gut"]) == [["coffee"],
+                                                            ["coffee", "good"]]
 
     def test_length_bounded(self):
         model = train(toy_corpus(), 5)
         for line in ["das Buch ein Haus", "das das das"]:
-            assert len(em.translate(model, [line])[0].split()) <= len(line.split())
+            assert len(em.translate(model, [line])[0]) <= len(line.split())
 
 
 class TestSerialization:
@@ -220,7 +222,9 @@ def assert_matches_reference(corpus, iterations, lines):
     assert list(model) == list(rows)
     for f in rows:
         assert model[f] == reference_em.best_target(expected, f)
-    assert em.translate(model, lines) == reference_em.translate(expected, lines)
+    # the oracle joins each line's tokens; tokenize splits them back
+    assert em.translate(model, lines) == [
+        tokenize(line) for line in reference_em.translate(expected, lines)]
     assert written.getvalue() == reference_lexicon(expected, iterations)
 
 
@@ -274,8 +278,7 @@ class TestRunExperiment:
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"],
             3, syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
-        assert len(matrix.cells) + len(matrix.failures) == 9
-        assert not matrix.failures
+        assert len(matrix.cells) == 9
 
     def test_duplicated_training_data_changes_nothing(self, experiment_fixture):
         # duplicating the corpus rescales expected counts uniformly, so the
@@ -307,11 +310,10 @@ def serial_experiment(nat_train, syn_train, nat_valid, test, iterations,
         eval_sets["Synth-val"] = (syn_valid.source_lines(), syn_valid.target_lines())
     eval_sets["Nat-val"] = (nat_valid.source_lines(), nat_valid.target_lines())
     eval_sets["Test"] = (test.source_lines(), test.target_lines())
-    matrix = cross_evaluate(
-        {label: lambda lines, m=model: em.translate(m, lines)
-         for label, model in models.items()},
-        eval_sets,
-    )
+    matrix = EvalMatrix(list(models), list(eval_sets), {
+        (label, col): bleu for label, model in models.items()
+        for col, bleu in cross_evaluate(
+            lambda lines, m=model: em.translate(m, lines), eval_sets).items()})
     return matrix, {label: data for label, (_, data) in saved.items()}
 
 
@@ -340,7 +342,6 @@ def assert_matches_serial(corpora, iterations):
     )
     assert (matrix.rows, matrix.columns) == (expected.rows, expected.columns)
     assert matrix.cells == expected.cells
-    assert matrix.failures == expected.failures
     assert written == lexicons
 
 
@@ -368,9 +369,13 @@ class TestParallelExperiment:
         assert_matches_serial(corpora, iterations)
 
     @pytest.mark.parametrize("label", ["Synth", "Aug"])  # caller, worker
-    def test_failed_decoding_fails_only_its_cells(self, experiment_fixture,
-                                                  monkeypatch, unread_lexicons,
-                                                  label):
+    def test_failed_decoding_ends_the_experiment(self, experiment_fixture,
+                                                 monkeypatch, unread_lexicons,
+                                                 label):
+        """A decode that raises ends run_experiment with its error. Raised in
+        the caller, while the worker still fits Aug, it kills the worker;
+        raised in the worker, it reaches the caller. Either way the worker is
+        reaped and no thread is left."""
         translate = em.translate
 
         def failing(model, lines):
@@ -380,18 +385,32 @@ class TestParallelExperiment:
                 raise ValueError(f"no decoding for {label}")
             return translate(model, lines)
 
+        fork = multiprocessing.get_context("fork")
+        workers = []
+
+        class Recorded(fork.Process):
+            def start(self):
+                workers.append(self)
+                super().start()
+
+        monkeypatch.setattr(type(fork), "Process", Recorded)
         monkeypatch.setattr(em, "_use_worker", lambda: True)
         monkeypatch.setattr(em, "translate", failing)  # the worker inherits it
+        if label == "Synth":  # a worker that fits Aug for longer than the test
+            monkeypatch.setattr(em, "train_em",
+                                in_worker(em.train_em, lambda: time.sleep(60)))
         fx = experiment_fixture
-        matrix = em.run_experiment(
-            fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"], 3,
-            syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
-        )
-        assert matrix.failures == {
-            (label, col): f"ValueError: no decoding for {label}"
-            for col in ("Synth-val", "Nat-val", "Test")
-        }
-        assert len(matrix.cells) == 6
+        threads = threading.enumerate()
+        with pytest.raises(ValueError, match=f"no decoding for {label}"):
+            em.run_experiment(
+                fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"], 3,
+                syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
+            )
+        assert threading.enumerate() == threads
+        [worker] = workers
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(worker.pid, os.WNOHANG)
+        assert worker.exitcode == (-signal.SIGKILL if label == "Synth" else 0)
 
     def test_worker_sends_only_its_scores(self):
         # the argmax table stays in the worker; the pipe carries Aug's row
@@ -401,8 +420,8 @@ class TestParallelExperiment:
         em._fit_in_worker(SimpleNamespace(send=sent.append),
                           (corpus, 5, eval_sets, io.StringIO()))
         best = train(corpus, 5)
-        assert sent == [cross_evaluate(
-            {"Aug": lambda lines: em.translate(best, lines)}, eval_sets)]
+        assert sent == [cross_evaluate(lambda lines: em.translate(best, lines),
+                                       eval_sets)]
 
     def test_one_process_matches_serial(self, experiment_fixture, monkeypatch):
         monkeypatch.setattr(em, "_use_worker", lambda: False)  # one CPU, or no fork

@@ -198,6 +198,20 @@ def test_default_renderings_find_their_stage():
         assert prompts.classify_system_text(templates, text) == (stage, expected_n)
 
 
+def test_unfilled_placeholder_matches_only_itself():
+    """render fills no {seed}, so a template's {seed} is sent as written and
+    matches only itself, not the sentence request that shares its prefix."""
+    templates = PromptTemplateSet.defaults()
+    templates.seed_nouns_system = "Gib mir {seed}"
+    templates.sentences_system = "Gib mir {n} Sätze"
+    text = rendered(templates.sentences_system, 5, "de", "en")
+    assert prompts.classify_system_text(templates, text) == (
+        prompts.STAGE_SENTENCES, 5)
+    assert prompts.classify_system_text(templates, "Gib mir {seed}") == (
+        prompts.STAGE_SEED_NOUNS, None)
+    assert_same_classification(templates, text)
+
+
 template_text = st.lists(
     st.one_of(st.sampled_from(["{n}", "{src}", "{tgt}", "{seed}"]),
               st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)),
