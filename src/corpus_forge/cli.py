@@ -274,7 +274,7 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
         corpora = _read_disjoint({"nat-train": nat_train, "syn-train": syn_train,
                                   "nat-valid": nat_valid, "test": test_path,
                                   "syn-valid": syn_valid})
-        matrix = em.run_experiment(
+        rows = em.run_experiment(
             corpora["nat-train"],
             corpora["syn-train"],
             corpora["nat-valid"],
@@ -284,17 +284,18 @@ def experiment(config_path, overrides, nat_train, syn_train, nat_valid, syn_vali
             lexicons=dict(zip(em.LABELS, streams)),
         )
         _write_analysis(corpora, ttr_fh, zipf_fh)
-        test_scores = [matrix.get(m, "Test") for m in ("Synth", "Nat", "Aug")]
+        columns = list(rows["Nat"])  # every row scores every eval set
+        test_scores = [rows[m]["Test"] for m in ("Synth", "Nat", "Aug")]
         results_md = (
             "# Experiment results\n\n"
             "## Test-set scores\n\n"
             + metrics.render_score_row_markdown(["Synth", "Nat", "Aug"], test_scores)
             + "\n## Cross-method validation\n\n"
-            + metrics.render_matrix_markdown(matrix)
+            + metrics.render_matrix_markdown(rows, columns)
         )
         md_fh.write(results_md)
-        write_json(json_fh,
-                   {"em_iterations": cfg.em.iterations, "matrix": matrix.to_dict()})
+        write_json(json_fh, {"em_iterations": cfg.em.iterations,
+                             "matrix": metrics.matrix_record(rows, columns)})
     click.echo(f"wrote {ttr} and {zipf}")
     click.echo(results_md)
 

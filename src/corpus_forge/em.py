@@ -17,7 +17,7 @@ import os
 
 from .corpus import ParallelCorpus, open_atomic, tokenize
 from .errors import CorpusForgeError, EmptyCorpus
-from .metrics import EvalMatrix, cross_evaluate
+from .metrics import cross_evaluate
 
 NULL_TOKEN = "<null>"
 LABELS = ("Nat", "Synth", "Aug")  # run_experiment's models, in fitting order
@@ -171,7 +171,7 @@ def run_experiment(
     sentences, so the two sides take about as long. With one CPU, or no
     fork, the caller fits all three. Each argmax table lives only while its
     model is scored, and the worker sends back only its row of scores.
-    Returns the EvalMatrix, every cell a score, once every fit has returned.
+    Returns {model: {eval set: BLEU}} in LABELS order once every fit returns.
     An exception in any fit ends the call: raised in the caller, it kills the
     worker; raised in the worker, the caller raises it. Raises
     CorpusForgeError when the worker dies. It checks no pair id: experiment
@@ -189,40 +189,30 @@ def run_experiment(
             for label, corpus in zip(LABELS, (nat_train, syn_train, aug))}
 
     if not _use_worker():
-        rows = [_fit(*job) for job in jobs.values()]
-    else:
-        import multiprocessing
+        return {label: _fit(*job) for label, job in jobs.items()}
+    import multiprocessing
 
-        fork = multiprocessing.get_context("fork")
-        receiver, sender = fork.Pipe(duplex=False)
-        # the worker inherits the corpora instead of receiving them pickled
-        worker = fork.Process(target=_fit_in_worker, args=(sender, jobs["Aug"]))
-        worker.start()
-        sender.close()  # the worker holds the only sender: EOF means it died
+    fork = multiprocessing.get_context("fork")
+    receiver, sender = fork.Pipe(duplex=False)
+    # the worker inherits the corpora instead of receiving them pickled
+    worker = fork.Process(target=_fit_in_worker, args=(sender, jobs["Aug"]))
+    worker.start()
+    sender.close()  # the worker holds the only sender: EOF means it died
+    try:
+        rows = {label: _fit(*jobs[label]) for label in ("Nat", "Synth")}
         try:
-            rows = [_fit(*jobs[label]) for label in ("Nat", "Synth")]
-            try:
-                outcome = receiver.recv()
-            except EOFError:
-                raise CorpusForgeError(
-                    "a worker process died while fitting Aug"
-                ) from None
-        except BaseException:
-            worker.kill()
-            raise
-        finally:
-            receiver.close()
-            worker.join()
-        if isinstance(outcome, Exception):
-            raise outcome
-        rows.append(outcome)
-
-    return EvalMatrix(
-        rows=list(jobs),
-        columns=list(eval_sets),
-        cells={(label, col): bleu
-               for label, row in zip(jobs, rows) for col, bleu in row.items()},
-    )
+            outcome = receiver.recv()
+        except EOFError:
+            raise CorpusForgeError("a worker process died while fitting Aug") from None
+    except BaseException:
+        worker.kill()
+        raise
+    finally:
+        receiver.close()
+        worker.join()
+    if isinstance(outcome, Exception):
+        raise outcome
+    return {**rows, "Aug": outcome}
 
 
 def save_model(corpus, iterations: int, path) -> dict:

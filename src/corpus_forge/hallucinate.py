@@ -44,6 +44,7 @@ from .gateway import ChatMessage, ChatRequest
 log = logging.getLogger(__name__)
 
 _NUMBERED_PREFIX = re.compile(r"^\s*\d+\s*[.):]\s*")
+PAIR_ID = "syn-{:06d}"  # the pair id of sentence i, by its index i
 
 
 @dataclass
@@ -158,7 +159,8 @@ def generate_seed_words(plan, templates, gateway):
 
 def generate_sentences(seeds, plan, templates, gateway, report=None):
     """One request per seed; global sentence dedup. Returns {"seed", "sentence"}
-    records, each sentence kept under the first seed that produced it."""
+    records, each sentence kept under the first seed that produced it, and
+    sets report.sentences_parsed, the count before dedup."""
     system = ChatMessage("system", prompts.render(templates.sentences_system,
                                                   n=plan.sentences_per_seed))
     fewshot = (ChatMessage("assistant", templates.sentences_fewshot)
@@ -179,7 +181,6 @@ def generate_sentences(seeds, plan, templates, gateway, report=None):
                 first_seed[sentence] = seed
     if report is not None:
         report.sentences_parsed = parsed
-        report.sentence_failures = len(seeds) - len(answers)
     if not first_seed:
         raise AllSeedsFailed("no sentences produced by any seed")
     # equal text gives an equal key, so this keeps what deduplicating every
@@ -191,8 +192,8 @@ def generate_sentences(seeds, plan, templates, gateway, report=None):
 
 def translate_sentences(sentences, plan, templates, gateway):
     """One translation call per sentence record; failures dropped with a logged
-    count. Returns {"id", "src", "tgt", "seed_word"} records, ids numbering
-    the sentences."""
+    count. Returns {"id", "src", "tgt", "seed_word"} records, the one of
+    sentence i holding the id PAIR_ID.format(i)."""
     system = ChatMessage("system", prompts.render(templates.translation_system,
                                                   src=plan.source_lang,
                                                   tgt=plan.target_lang))
@@ -203,7 +204,7 @@ def translate_sentences(sentences, plan, templates, gateway):
     for index, response in _answers(gateway, requests, "translation", sources):
         target = " ".join(response.split())
         if target:
-            records.append({"id": f"syn-{index:06d}", "src": sources[index],
+            records.append({"id": PAIR_ID.format(index), "src": sources[index],
                             "tgt": target, "seed_word": sentences[index]["seed"]})
     if len(records) < len(sentences):
         log.info("dropped %d failed translations", len(sentences) - len(records))
@@ -249,6 +250,16 @@ def _check_records(records, keys):
         first[unique] = number
 
 
+def _check_agreement(path, records, agrees):
+    """CorpusFormatError naming path and its first record for which agrees is
+    false, one that the earlier checkpoints could not have produced."""
+    with _checkpoint_errors(path):
+        for number, record in enumerate(records, 1):
+            if not agrees(record):
+                raise ValueError(f"record {number} does not agree with the "
+                                 f"earlier checkpoints: {record!r}")
+
+
 def _stage(path: Path, produce, keys=()):
     """Load a stage's records from its checkpoint, or produce them and write one.
 
@@ -276,7 +287,10 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
     set; when the generated corpus cannot meet the split thresholds, the
     report is written alone and InsufficientData raised. A file of the run
     that could not be written, or that is one of reads, the files the caller
-    read, ends it before the first request.
+    read, ends it before the first request. A resumed checkpoint that
+    disagrees with an earlier one is malformed. The report counts what the
+    checkpoints hold, but sentences_parsed is the count after dedup when
+    sentences.json is resumed.
     """
     # every file the run writes, by its path in the run directory
     files = {name: Path(run_dir) / name for name in [
@@ -286,11 +300,8 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
         "reports/report.json"]}
     check_writable(*files.values(), reads=reads)
 
-    report = PipelineReport(
-        seeds_requested=plan.n_nouns + plan.n_verbs,
-        rng_seed=split_spec.rng_seed,
-        mock_seed=mock_seed,
-    )
+    report = PipelineReport(seeds_requested=plan.n_nouns + plan.n_verbs,
+                            rng_seed=split_spec.rng_seed, mock_seed=mock_seed)
     started = time.monotonic()
 
     seeds, _ = _stage(files["checkpoints/seeds.json"],
@@ -302,15 +313,24 @@ def run_pipeline(plan, templates, gateway, split_spec: SplitSpec, run_dir,
         lambda: generate_sentences(seeds, plan, templates, gateway, report),
         keys=("sentence", "seed"),
     )
-    report.sentences_deduplicated = len(sentences)
     if resumed:
+        known = set(seeds)
+        _check_agreement(files["checkpoints/sentences.json"], sentences,
+                         lambda r: r["seed"] in known)
         report.sentences_parsed = len(sentences)
+    report.sentences_deduplicated = len(sentences)
+    report.sentence_failures = len(seeds) - len({r["seed"] for r in sentences})
 
-    translations, _ = _stage(
+    translations, resumed = _stage(
         files["checkpoints/translations.json"],
         lambda: translate_sentences(sentences, plan, templates, gateway),
         keys=("id", "src", "tgt", "seed_word"),
     )
+    if resumed:
+        origin = {PAIR_ID.format(i): (r["sentence"], r["seed"])
+                  for i, r in enumerate(sentences)}
+        _check_agreement(files["checkpoints/translations.json"], translations,
+                         lambda r: origin.get(r["id"]) == (r["src"], r["seed_word"]))
     # _check_records has checked each field that SentencePair checks
     corpus = ParallelCorpus([
         SentencePair(id=r["id"], source=r["src"], target=r["tgt"],

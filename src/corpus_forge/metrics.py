@@ -1,4 +1,4 @@
-"""Corpus BLEU, cross-evaluation matrices, and lexical diversity profiles."""
+"""Corpus BLEU, cross-evaluation score rows, and lexical diversity profiles."""
 
 import math
 from collections import Counter
@@ -26,28 +26,6 @@ class FrequencyProfile:
     token_count: int
     ttr: float
     rank_frequency: list  # (rank, word, frequency), frequency non-increasing
-
-
-@dataclass
-class EvalMatrix:
-    rows: list  # model labels
-    columns: list  # evaluation-set labels
-    cells: dict  # (row, col) -> float, present iff evaluated
-
-    def get(self, row, col):
-        return self.cells.get((row, col))
-
-    def to_dict(self):
-        return {
-            "rows": self.rows,
-            "columns": self.columns,
-            "cells": [
-                {"model": r, "eval_set": c, "bleu": self.cells[(r, c)]}
-                for r in self.rows
-                for c in self.columns
-                if (r, c) in self.cells
-            ],
-        }
 
 
 def _ngrams(tokens, n):
@@ -159,8 +137,17 @@ def render_score_row_markdown(labels, scores) -> str:
     return _table(labels, [[format_score(s) for s in scores]])
 
 
-def render_matrix_markdown(matrix: EvalMatrix) -> str:
-    return _table(["Model", *matrix.columns], [
-        [row, *(format_score(matrix.get(row, col)) for col in matrix.columns)]
-        for row in matrix.rows
-    ])
+def render_matrix_markdown(rows, columns) -> str:
+    """A line per model of rows, {model: {eval set: BLEU}}: its score on each
+    eval set of columns, or "-" where its row lacks one."""
+    return _table(["Model", *columns], [
+        [model, *(format_score(row.get(c)) for c in columns)]
+        for model, row in rows.items()])
+
+
+def matrix_record(rows, columns) -> dict:
+    """results.json's matrix: the models of rows, the eval sets of columns,
+    and a {"model", "eval_set", "bleu"} cell per score, model by model."""
+    return {"rows": list(rows), "columns": columns,
+            "cells": [{"model": model, "eval_set": c, "bleu": row[c]}
+                      for model, row in rows.items() for c in columns if c in row]}

@@ -1157,8 +1157,23 @@ def _repeat(key):
     return corrupt
 
 
+def _replace(number, key, value):
+    """A corruption that sets record number's value at key to value."""
+    def corrupt(records):
+        records[number - 1][key] = value
+        return records
+    return corrupt
+
+
+def _swap_ids(records):
+    records[0]["id"], records[1]["id"] = records[1]["id"], records[0]["id"]
+    return records
+
+
 class TestMalformedCheckpoints:
     """A malformed checkpoint ends in an error naming it: exit 1, no traceback."""
+
+    DISAGREES = "record {} does not agree with the earlier checkpoints: {{"
 
     @pytest.mark.parametrize("name, corrupt, message", [
         ("seeds.json", lambda records: "not json", "malformed checkpoint: Expecting"),
@@ -1173,9 +1188,18 @@ class TestMalformedCheckpoints:
         ("seeds.json", _repeat(None), "record 2 repeats "),
         ("sentences.json", _repeat("sentence"), "record 2 repeats "),
         ("translations.json", _repeat("id"), "record 2 repeats 'syn-000000'"),
+        # records that the checkpoints before them could not have produced
+        ("sentences.json", _replace(2, "seed", "Fremdwort"), DISAGREES.format(2)),
+        ("translations.json", _replace(2, "seed_word", "Fremdwort"),
+         DISAGREES.format(2)),
+        ("translations.json", _replace(1, "src", "Ein anderer Satz"),
+         DISAGREES.format(1)),
+        ("translations.json", _replace(2, "id", "syn-999999"), DISAGREES.format(2)),
+        ("translations.json", _swap_ids, DISAGREES.format(1)),
     ], ids=["not-json", "object", "empty-seeds", "empty-sentences",
             "non-string-seed", "no-sentence", "empty-source", "two-line-sentence",
-            "repeated-seed", "repeated-sentence", "repeated-id"])
+            "repeated-seed", "repeated-sentence", "repeated-id", "unknown-seed",
+            "other-seed-word", "other-source", "id-of-no-sentence", "swapped-ids"])
     def test_resume_from_malformed_checkpoint(self, runner, tmp_path, name,
                                               corrupt, message):
         args = hallucinate_args(tmp_path / "runs")

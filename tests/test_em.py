@@ -20,7 +20,7 @@ from conftest import in_worker, make_corpus, syllable_corpus
 from corpus_forge import em
 from corpus_forge.corpus import open_atomic, tokenize
 from corpus_forge.errors import CorpusForgeError, EmptyCorpus
-from corpus_forge.metrics import EvalMatrix, corpus_bleu, cross_evaluate
+from corpus_forge.metrics import corpus_bleu, cross_evaluate
 
 
 def toy_corpus():
@@ -264,21 +264,22 @@ class TestMatchesReference:
 class TestRunExperiment:
     def test_directional_findings(self, experiment_fixture, unread_lexicons):
         fx = experiment_fixture
-        matrix = em.run_experiment(
+        rows = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"],
             10, syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
-        assert matrix.get("Aug", "Test") >= matrix.get("Nat", "Test")
-        assert matrix.get("Nat", "Test") > matrix.get("Synth", "Test")
-        assert matrix.get("Synth", "Synth-val") > matrix.get("Synth", "Test")
+        assert rows["Aug"]["Test"] >= rows["Nat"]["Test"]
+        assert rows["Nat"]["Test"] > rows["Synth"]["Test"]
+        assert rows["Synth"]["Synth-val"] > rows["Synth"]["Test"]
 
     def test_nine_cells(self, experiment_fixture, unread_lexicons):
         fx = experiment_fixture
-        matrix = em.run_experiment(
+        rows = em.run_experiment(
             fx["nat_train"], fx["syn_train"], fx["nat_valid"], fx["test"],
             3, syn_valid=fx["syn_valid"], lexicons=unread_lexicons,
         )
-        assert len(matrix.cells) == 9
+        assert [(model, list(row)) for model, row in rows.items()] == [
+            (model, ["Synth-val", "Nat-val", "Test"]) for model in em.LABELS]
 
     def test_duplicated_training_data_changes_nothing(self, experiment_fixture):
         # duplicating the corpus rescales expected counts uniformly, so the
@@ -299,7 +300,7 @@ class TestRunExperiment:
 def serial_experiment(nat_train, syn_train, nat_valid, test, iterations,
                       syn_valid=None):
     """run_experiment as one process composes it: train and save, translate,
-    score. Returns the matrix and each model's lexicon bytes."""
+    score. Returns each model's row of scores and its lexicon bytes."""
     aug = type(nat_train)(list(nat_train.pairs) + list(syn_train.pairs))
     saved = {label: saved_model(corpus, iterations)
              for label, corpus in (("Nat", nat_train), ("Synth", syn_train),
@@ -310,38 +311,38 @@ def serial_experiment(nat_train, syn_train, nat_valid, test, iterations,
         eval_sets["Synth-val"] = (syn_valid.source_lines(), syn_valid.target_lines())
     eval_sets["Nat-val"] = (nat_valid.source_lines(), nat_valid.target_lines())
     eval_sets["Test"] = (test.source_lines(), test.target_lines())
-    matrix = EvalMatrix(list(models), list(eval_sets), {
-        (label, col): bleu for label, model in models.items()
-        for col, bleu in cross_evaluate(
-            lambda lines, m=model: em.translate(m, lines), eval_sets).items()})
-    return matrix, {label: data for label, (_, data) in saved.items()}
+    rows = {label: cross_evaluate(lambda lines, m=model: em.translate(m, lines),
+                                  eval_sets)
+            for label, model in models.items()}
+    return rows, {label: data for label, (_, data) in saved.items()}
 
 
 def experiment_with_files(corpora, iterations):
     """run_experiment writing each lexicon to a file, as experiment does:
-    its matrix and each file's bytes."""
+    its rows of scores and each file's bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {label: Path(tmp) / f"{label}.lexicon" for label in em.LABELS}
         with open_atomic(*paths.values()) as files:
-            matrix = em.run_experiment(
+            rows = em.run_experiment(
                 corpora["nat_train"], corpora["syn_train"], corpora["nat_valid"],
                 corpora["test"], iterations, syn_valid=corpora.get("syn_valid"),
                 lexicons=dict(zip(paths, files)),
             )
-        return matrix, {label: p.read_bytes() for label, p in paths.items()}
+        return rows, {label: p.read_bytes() for label, p in paths.items()}
 
 
 def assert_matches_serial(corpora, iterations):
     threads = threading.enumerate()
-    matrix, written = experiment_with_files(corpora, iterations)
+    rows, written = experiment_with_files(corpora, iterations)
     # no pool thread outlives the call, so a later fork sees one thread
     assert threading.enumerate() == threads
     expected, lexicons = serial_experiment(
         corpora["nat_train"], corpora["syn_train"], corpora["nat_valid"],
         corpora["test"], iterations, syn_valid=corpora.get("syn_valid"),
     )
-    assert (matrix.rows, matrix.columns) == (expected.rows, expected.columns)
-    assert matrix.cells == expected.cells
+    # the same scores, in the same order of models and of eval sets
+    assert ([(model, list(row.items())) for model, row in rows.items()]
+            == [(model, list(row.items())) for model, row in expected.items()])
     assert written == lexicons
 
 

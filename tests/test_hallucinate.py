@@ -120,7 +120,7 @@ class TestGenerateSentences:
                                      report)
         assert records == [{"seed": "s2", "sentence": "Ein Satz."},
                            {"seed": "s2", "sentence": "Noch ein Satz."}]
-        assert (report.sentences_parsed, report.sentence_failures) == (2, 1)
+        assert report.sentences_parsed == 2  # run_pipeline counts failures
 
 
 class TestTranslateSentences:
@@ -293,6 +293,42 @@ class TestRunPipeline:
         report_path = run_dir / "reports" / "report.json"
         first = report_path.read_bytes()
         run_pipeline(small_plan(), templates, Gateway(Exploding()), spec, run_dir,
+                     mock_seed=0)
+        assert report_path.read_bytes() == first
+
+    def test_resumed_run_counts_the_failed_sentence_requests(self, tmp_path):
+        """sentence_failures counts the seeds that sentences.json holds no
+        record of, so a run resumed from it reports the failures of the run
+        that wrote it."""
+        templates = PromptTemplateSet.defaults()
+
+        class FailingSentences:
+            """The mock backend, failing each sentence request of an odd-length seed."""
+
+            def __init__(self):
+                self.backend = MockBackend(templates, mock_seed=0)
+
+            def complete(self, request):
+                stage, _ = prompts.classify_system_text(
+                    templates, request.first_content("system"))
+                if (stage == prompts.STAGE_SENTENCES
+                        and len(request.first_content("user")) % 2):
+                    raise TransportError("simulated sentence failure")
+                return self.backend.complete(request)
+
+        plan = small_plan(n_nouns=10, n_verbs=10, sentences_per_seed=6)
+        spec = SplitSpec(train_token_threshold=20, valid_token_threshold=10,
+                         rng_seed=0)
+        run_dir = tmp_path / "a"
+        _, report = run_pipeline(plan, templates, Gateway(FailingSentences()),
+                                 spec, run_dir, mock_seed=0)
+        seeds = json.loads(
+            (run_dir / "checkpoints" / "seeds.json").read_text(encoding="utf-8"))
+        assert report.sentence_failures == sum(len(s) % 2 for s in seeds) == 5
+        report_path = run_dir / "reports" / "report.json"
+        first = report_path.read_bytes()
+        (run_dir / "checkpoints" / "translations.json").unlink()
+        run_pipeline(plan, templates, Gateway(FailingSentences()), spec, run_dir,
                      mock_seed=0)
         assert report_path.read_bytes() == first
 

@@ -5,20 +5,28 @@ against json.dumps."""
 import json
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_hallucinate
-from corpus_forge.corpus import open_atomic, write_json
-from corpus_forge.errors import AllSeedsFailed, TransportError
-from corpus_forge.gateway import MockBackend
+from corpus_forge import prompts
+from corpus_forge.corpus import SplitSpec, open_atomic, write_json
+from corpus_forge.errors import (
+    AllSeedsFailed,
+    AllTranslationsFailed,
+    InsufficientData,
+    TransportError,
+)
+from corpus_forge.gateway import Gateway, MockBackend
 from corpus_forge.hallucinate import (
     GenerationPlan,
     PipelineReport,
     generate_sentences,
     parse_delimited,
+    run_pipeline,
 )
 from corpus_forge.prompts import PromptTemplateSet
 
@@ -210,7 +218,6 @@ class TestGenerateSentences:
                                       PromptTemplateSet.defaults(), gateway,
                                       report) == expected
         assert report.sentences_parsed == parsed
-        assert report.sentence_failures == len(seeds) - len(answers)
 
     def test_nfd_twin_under_a_later_seed_is_dropped(self):
         outcomes = ["Das Caf\u00e9 ist hier.;Ein Baum",
@@ -220,6 +227,82 @@ class TestGenerateSentences:
                                      ScriptedGateway(outcomes))
         assert records == [{"seed": "a", "sentence": "Das Caf\u00e9 ist hier."},
                            {"seed": "a", "sentence": "Ein Baum"}]
+
+
+class FailingMock:
+    """The mock backend, failing each sentence or translation request whose
+    user text's CRC-32 leaves a remainder mod 4 in that stage's failing
+    set. A request fails alike in every run."""
+
+    def __init__(self, templates, mock_seed, failing):
+        self.backend = MockBackend(templates, mock_seed=mock_seed)
+        self.templates = templates
+        self.failing = failing  # stage -> the remainders whose requests fail
+
+    def complete(self, request):
+        stage, _ = prompts.classify_system_text(
+            self.templates, request.first_content("system"))
+        user = request.first_content("user")
+        if (user is not None
+                and zlib.crc32(user.encode("utf-8")) % 4 in self.failing[stage]):
+            raise TransportError(f"simulated {stage} failure")
+        return self.backend.complete(request)
+
+
+@deeper(100)
+@given(nouns=st.integers(1, 6), verbs=st.integers(1, 6), per_seed=st.integers(1, 6),
+       mock_seed=st.integers(0, 3),
+       sentence_failing=st.frozensets(st.integers(0, 3), max_size=2),
+       translation_failing=st.frozensets(st.integers(0, 3), max_size=2),
+       deleted=st.sampled_from([["translations.json"],
+                                ["sentences.json", "translations.json"]]))
+def test_funnel_adds_up_and_survives_a_resume(nouns, verbs, per_seed, mock_seed,
+                                              sentence_failing, translation_failing,
+                                              deleted):
+    """report.json's counts add up and none is negative, and a run resumed
+    after deleting the later checkpoints writes the same report.
+    sentences_parsed is the one exception: resumed from sentences.json, it
+    counts the sentences after dedup (ROADMAP item 5)."""
+    templates = PromptTemplateSet.defaults()
+    plan = GenerationPlan(n_nouns=nouns, n_verbs=verbs, sentences_per_seed=per_seed)
+    backend = FailingMock(templates, mock_seed, {
+        prompts.STAGE_SENTENCES: sentence_failing,
+        prompts.STAGE_TRANSLATION: translation_failing})
+    spec = SplitSpec(train_token_threshold=10, valid_token_threshold=5)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        checkpoints = run_dir / "checkpoints"
+        load = lambda path: json.loads(path.read_text(encoding="utf-8"))
+
+        def run():
+            try:
+                run_pipeline(plan, templates, Gateway(backend, max_in_flight=2),
+                             spec, run_dir, mock_seed=mock_seed)
+            except InsufficientData:
+                pass  # the report is written all the same
+            return load(run_dir / "reports" / "report.json")
+
+        try:
+            report = run()
+        except (AllSeedsFailed, AllTranslationsFailed):
+            assert not (run_dir / "reports").exists()
+            return
+        sentences = load(checkpoints / "sentences.json")
+        assert report["seeds_parsed"] == (report["sentence_failures"]
+                                          + len({r["seed"] for r in sentences}))
+        assert report["sentences_deduplicated"] == (report["sentences_translated"]
+                                                    + report["translation_failures"])
+        assert all(count >= 0 for count in report.values()
+                   if isinstance(count, int))
+
+        for name in deleted:
+            (checkpoints / name).unlink()
+        resumed = run()
+        if "sentences.json" not in deleted:  # the rerun resumes from it
+            assert resumed.pop("sentences_parsed") == len(sentences)
+            del report["sentences_parsed"]
+        assert resumed == report
 
 
 @deeper(200)

@@ -6,10 +6,10 @@ import pytest
 
 from corpus_forge.errors import EmptyInput, LengthMismatch
 from corpus_forge.metrics import (
-    EvalMatrix,
     corpus_bleu,
     cross_evaluate,
     frequency_profile,
+    matrix_record,
     render_matrix_markdown,
     render_score_row_markdown,
 )
@@ -177,10 +177,16 @@ class TestRendering:
         assert "| 3.5 | 16.4 | 18.9 |" in out
 
     def test_matrix_absent_cells_dash(self):
-        matrix = EvalMatrix(
-            rows=["Aug-de"],
-            columns=["Synth-val", "Nat-val", "Test"],
-            cells={("Aug-de", "Test"): 18.9},
-        )
-        out = render_matrix_markdown(matrix)
+        out = render_matrix_markdown({"Aug-de": {"Test": 18.9}},
+                                     ["Synth-val", "Nat-val", "Test"])
         assert "| Aug-de | - | - | 18.9 |" in out
+
+    def test_matrix_record_holds_each_score_once(self):
+        rows = {"Nat": {"Nat-val": 17.0, "Test": 16.4}, "Aug": {"Test": 18.9}}
+        assert matrix_record(rows, ["Nat-val", "Test"]) == {
+            "rows": ["Nat", "Aug"],
+            "columns": ["Nat-val", "Test"],
+            "cells": [{"model": "Nat", "eval_set": "Nat-val", "bleu": 17.0},
+                      {"model": "Nat", "eval_set": "Test", "bleu": 16.4},
+                      {"model": "Aug", "eval_set": "Test", "bleu": 18.9}],
+        }
