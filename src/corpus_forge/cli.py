@@ -27,7 +27,7 @@ from .corpus import (
     write_plain_pair,
 )
 from .errors import ConfigError, CorpusForgeError, CorpusFormatError
-from .gateway import Gateway, make_backend
+from .gateway import Gateway, HttpBackend, make_backend
 from .hallucinate import run_pipeline
 
 log = logging.getLogger(__name__)
@@ -123,11 +123,15 @@ def hallucinate(config_path, overrides, backend, run_id):
     # its repr, as errors name paths: a NUL in it is printed escaped
     click.echo(f"run directory: {str(run_dir)!r}")
     click.echo(f"seeds: rng_seed={cfg.rng_seed} mock_seed={cfg.mock_seed}")
-    splits, _ = run_pipeline(
-        cfg.plan, cfg.templates, gateway, cfg.splits, run_dir,
-        mock_seed=cfg.mock_seed if cfg.backend == "mock" else None,
-        reads=filter(None, [config_path]),
-    )
+    try:
+        splits, _ = run_pipeline(
+            cfg.plan, cfg.templates, gateway, cfg.splits, run_dir,
+            mock_seed=cfg.mock_seed if cfg.backend == "mock" else None,
+            reads=filter(None, [config_path]),
+        )
+    finally:
+        if isinstance(backend_impl, HttpBackend):  # the mock holds no connections
+            backend_impl.close()
     for name, split in splits.items():
         click.echo(f"{name}: {len(split)} pairs")
 

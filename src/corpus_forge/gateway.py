@@ -4,9 +4,9 @@ Wire shape is the standard chat-completions JSON: POST with
 {"model", "messages", "temperature", "max_tokens"}; the assistant text is
 read from choices[0].message.content.
 
-Only the HTTP backend needs requests (and with it urllib3 and ssl), so it
-is imported where that backend is built and posts: a process that never
-calls an HTTP endpoint never loads it.
+The HTTP backend speaks HTTP/1.1 through the standard library's
+http.client (and with it ssl), imported when its session first posts: a
+process that never calls an HTTP endpoint never loads them.
 """
 
 import logging
@@ -16,8 +16,10 @@ import random
 import threading
 import time
 from dataclasses import dataclass
+from json import dumps, loads
+from types import SimpleNamespace
 
-from . import mockdata, prompts
+from . import __version__, mockdata, prompts
 from .errors import (
     AuthError,
     ConfigError,
@@ -33,6 +35,7 @@ log = logging.getLogger(__name__)
 # worker; the bound matches the default request timeout.
 MAX_RETRY_AFTER_S = 60
 MAX_OUTPUT_TOKENS = 2048  # the max_tokens of every request
+USER_AGENT = f"corpus-forge/{__version__}"
 
 ROLES = ("system", "user", "assistant")
 
@@ -111,13 +114,21 @@ class HttpBackend:
             raise ConfigError(
                 f"environment variable {config.api_key_source} is not set"
             )
-        import requests
-
-        self._session = session or requests.Session()
+        if session is None:
+            session = HttpSession()
+            # a bad endpoint URL or proxy ends a run here, before any request
+            session.route(config.endpoint_url, config.timeout)
+        self._session = session
         self._headers = {
             "Authorization": f"Bearer {api_key}",
             "Content-Type": "application/json",
         }
+
+    def close(self):
+        """Close the idle connections of an HttpSession; any other session
+        (a test's fake, say) is closed by whoever made it."""
+        if isinstance(self._session, HttpSession):
+            self._session.close()
 
     def complete(self, request: ChatRequest) -> str:
         body = {
@@ -145,17 +156,12 @@ class HttpBackend:
         raise last_error
 
     def _post(self, body) -> str:
-        import requests
-
-        try:
-            response = self._session.post(
-                self.config.endpoint_url,
-                json=body,
-                headers=self._headers,
-                timeout=self.config.timeout,
-            )
-        except requests.RequestException as exc:
-            raise TransportError(str(exc)) from exc
+        response = self._session.post(
+            self.config.endpoint_url,
+            json=body,
+            headers=self._headers,
+            timeout=self.config.timeout,
+        )
         if response.status_code in (401, 403):
             raise AuthError(f"authentication rejected ({response.status_code})")
         if response.status_code == 429:
@@ -201,6 +207,173 @@ def _retry_after_seconds(value):
             when = when.replace(tzinfo=datetime.timezone.utc)
         seconds = when.timestamp() - time.time()
     return max(seconds, 0.0) if math.isfinite(seconds) else None
+
+
+class HttpSession:
+    """The default session of an HttpBackend: JSON POSTs over keep-alive
+    HTTP/1.1 connections of the standard library's http.client.
+
+    post() takes the arguments HttpBackend passes to requests.Session.post
+    and answers what it reads of a requests.Response: status_code,
+    headers.get, json() and text. Each post takes an idle connection to
+    its URL, or opens one, and gives it back once the response is read
+    whole, so a Gateway's workers hold at most max_in_flight sockets, which
+    later batches and stages reuse. A connection the server closed while
+    idle is replaced before it carries a request. Redirects are not
+    followed and netrc is not read. A failure to connect, send or read
+    closes the connection and raises TransportError.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._routes = {}  # (url, timeout) -> _Route
+
+    def route(self, url, timeout):
+        """The _Route of posts to url, built at its first use; ConfigError
+        for a URL or proxy that is not http(s)."""
+        with self._lock:
+            route = self._routes.get((url, timeout))
+            if route is None:
+                route = self._routes[url, timeout] = _Route(url, timeout)
+            return route
+
+    def post(self, url, *, json, headers, timeout):
+        import http.client
+
+        route = self.route(url, timeout)
+        body = dumps(json, allow_nan=False).encode()  # as requests sends json=
+        headers = {**headers, **route.headers, "User-Agent": USER_AGENT}
+        conn, reused = self._take(route)
+        try:
+            try:
+                conn.request("POST", route.target, body, headers)
+                response = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # the server closed it after the idle check, without answering
+                conn.close()
+                conn = route.connect()
+                conn.request("POST", route.target, body, headers)
+                response = conn.getresponse()
+            content = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransportError(f"POST {url}: {str(exc) or type(exc).__name__}") from exc
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                route.idle.append(conn)
+        return SimpleNamespace(
+            status_code=response.status, headers=response.headers,
+            json=lambda: loads(content), text=content.decode("utf-8", "replace"))
+
+    def _take(self, route):
+        """(connection, reused): an idle connection of route that the server
+        has not closed, or a new one."""
+        import select
+
+        while True:
+            with self._lock:
+                if not route.idle:
+                    return route.connect(), False
+                conn = route.idle.pop()
+            # an idle socket that reads as ready holds the server's end of
+            # file (or bytes no request asked for): it cannot carry a request
+            if not select.select([conn.sock], [], [], 0)[0]:
+                return conn, True
+            conn.close()
+
+    def close(self):
+        """Close every idle connection."""
+        with self._lock:
+            idle = [conn for route in self._routes.values() for conn in route.idle]
+            for route in self._routes.values():
+                route.idle.clear()
+        for conn in idle:
+            conn.close()
+
+
+class _Route:
+    """How posts to one URL travel: straight to its server, or through the
+    proxy that the environment names for it, as urllib reads it (http_proxy,
+    https_proxy, all_proxy and no_proxy). HTTPS goes through a CONNECT
+    tunnel, HTTP through an absolute-form request target; either verifies
+    TLS against the default trust store."""
+
+    def __init__(self, url, timeout):
+        import http.client
+        import ssl
+
+        parts = _split_url(url, "http.endpoint_url", ("http", "https"))
+        self.idle = []  # connections that no post holds
+        self.target = parts.path or "/"
+        if parts.query:
+            self.target += "?" + parts.query
+        self.headers = {}  # sent besides the caller's
+        self._timeout = timeout
+        self._tunnel = None
+        https = parts.scheme == "https"
+        self._kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._tls = {"context": ssl.create_default_context()} if https else {}
+        self._address = (parts.hostname, parts.port)
+        proxy = _environment_proxy(parts)
+        if proxy is None:
+            return
+        proxy = _split_url(proxy if "://" in proxy else f"http://{proxy}",
+                           "proxy URL", ("http",))
+        auth = {}
+        if proxy.username:
+            import base64
+            from urllib.parse import unquote
+
+            user = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+            token = base64.b64encode(user.encode()).decode("ascii")
+            auth = {"Proxy-Authorization": f"Basic {token}"}
+        if https:
+            self._tunnel = (parts.hostname, parts.port, auth)
+        else:
+            self.target, self.headers = url, auth
+        self._address = (proxy.hostname, proxy.port or 80)
+
+    def connect(self):
+        """A new connection, which opens its socket at its first request."""
+        conn = self._kind(*self._address, timeout=self._timeout, **self._tls)
+        if self._tunnel:
+            conn.set_tunnel(*self._tunnel)
+        return conn
+
+
+def _split_url(url, name, schemes):
+    """url split into its parts; ConfigError naming it unless it has a host
+    and one of schemes."""
+    from urllib.parse import urlsplit
+
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError for a port that is not a number
+    except ValueError as exc:
+        raise ConfigError(f"bad {name} {url!r}: {exc}") from None
+    if parts.scheme not in schemes or not parts.hostname:
+        raise ConfigError(f"{name} must be an {' or '.join(schemes)} URL, got {url!r}")
+    return parts
+
+
+def _environment_proxy(parts):
+    """The proxy URL the environment names for a split URL, or None.
+
+    urllib.request, which reads them, is imported only when some *_proxy
+    variable is set.
+    """
+    if not any(name.lower().endswith("_proxy") for name in os.environ):
+        return None
+    import urllib.request
+
+    if urllib.request.proxy_bypass(parts.netloc):
+        return None
+    proxies = urllib.request.getproxies()
+    return proxies.get(parts.scheme) or proxies.get("all")
 
 
 class MockBackend:

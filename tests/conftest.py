@@ -1,5 +1,9 @@
+import json
 import os
 import random
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 
 import pytest
@@ -198,7 +202,7 @@ def in_worker(train_em, fail, worker=True):
 
 
 class MockSession:
-    """Stands in for the requests.Session of an HttpBackend: answers each post
+    """Stands in for the session of an HttpBackend: answers each post
     as a chat-completions endpoint would, with the mock backend's text, or
     with bad_content in its place where is_bad(stage, request) holds."""
 
@@ -217,3 +221,100 @@ class MockSession:
                    else self.backend.complete(request))
         body = {"choices": [{"message": {"role": "assistant", "content": content}}]}
         return SimpleNamespace(status_code=200, json=lambda: body)
+
+
+class ChatHandler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"  # keep-alive, unless the server closes
+
+    def setup(self):
+        super().setup()
+        # headers and body go out in two writes, which Nagle would hold
+        # for the client's delayed ACK
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.server.opened.append(self.client_address)
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):
+        server = self.server
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        server.received.append((self.requestline, self.headers))
+        server.release.wait(10)
+        try:
+            status, headers, payload = server.replies.pop(0)
+        except IndexError:
+            status, headers = 200, {}
+            payload = server.answers.post(self.path, json=body).json()
+        self._send(status, headers, payload)
+        # no "Connection: close" says so: the client finds out on its own
+        self.close_connection = self.close_connection or server.close_each
+
+    def do_CONNECT(self):
+        self.server.received.append((self.requestline, self.headers))
+        self._send(502, {}, {"error": "no tunnels here"})
+        self.close_connection = True
+
+    def _send(self, status, headers, payload):
+        data = json.dumps(payload).encode()
+        try:
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+        except OSError:  # the client stopped waiting
+            self.close_connection = True
+
+
+class ChatServer(ThreadingHTTPServer):
+    """A chat-completions endpoint on a loopback port: it answers each POST
+    as MockSession does, or with the next of replies, (status, headers,
+    payload), while there are any, and records every request that reaches
+    it and every connection that it accepts."""
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), ChatHandler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}/v1"
+        self.answers = MockSession(None, lambda stage, request: False)
+        self.replies = []
+        self.received = []  # (request line, headers), in arrival order
+        self.opened = []  # the client address of each connection accepted
+        self.close_each = False  # close each connection after its response
+        self.release = threading.Event()  # a POST waits for it to answer
+        self.release.set()
+
+
+@pytest.fixture
+def serve_chat(monkeypatch):
+    """Starts ChatServers, with LLM_API_KEY set and no proxy variable left in
+    the environment, which would take loopback requests elsewhere."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    servers = []
+
+    def serve():
+        server = ChatServer()
+        thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                                  daemon=True)
+        thread.start()
+        servers.append((server, thread))
+        return server
+
+    yield serve
+    for server, thread in servers:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(10)
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def chat_server(serve_chat):
+    return serve_chat()

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from corpus_forge import __version__
 from corpus_forge import gateway as gateway_module
 from corpus_forge.errors import (
     AuthError,
@@ -387,6 +388,136 @@ class TestHttpBackend:
         backend = HttpBackend(config)
         with pytest.raises(TransportError):
             backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
+
+
+@pytest.fixture
+def http_backend(chat_server):
+    """Builds HttpBackends with the default session, posting to chat_server
+    unless told otherwise, and closes them when the test ends."""
+    made = []
+
+    def make(**settings):
+        settings = {"endpoint_url": chat_server.url, "backoff_base": 0.001,
+                    **settings}
+        made.append(HttpBackend(BackendConfig(**settings)))
+        return made[-1]
+
+    yield make
+    for backend in made:
+        backend.close()
+
+
+@pytest.fixture
+def delays(monkeypatch):
+    """The backoff sleeps of the test's requests, which take no time."""
+    slept = []
+    monkeypatch.setattr(gateway_module.time, "sleep", slept.append)
+    return slept
+
+
+class TestDefaultSession:
+    """The standard-library session against a loopback HTTP server."""
+
+    def test_a_netrc_entry_leaves_the_bearer_key(self, chat_server, http_backend,
+                                                 tmp_path, monkeypatch):
+        netrc = tmp_path / ".netrc"
+        netrc.write_text("machine 127.0.0.1 login alice password secret\n",
+                         encoding="utf-8")
+        netrc.chmod(0o600)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("NETRC", raising=False)
+        assert http_backend().complete(seed_request(3))
+        [(line, headers)] = chat_server.received
+        assert line == "POST /v1 HTTP/1.1"
+        assert headers["Authorization"] == "Bearer sk-test"
+        assert headers["User-Agent"] == f"corpus-forge/{__version__}"
+
+    def test_a_batch_holds_one_connection_per_slot(self, chat_server,
+                                                   http_backend):
+        gateway = Gateway(http_backend(), max_in_flight=2)
+        expected = [MockBackend().complete(seed_request(n)) for n in range(3, 23)]
+        for _ in range(2):  # the second batch reuses the first's connections
+            results = gateway.complete_batch([seed_request(n) for n in range(3, 23)])
+            assert [answer for _, answer in results] == expected
+        assert len(chat_server.received) == 40
+        assert len(chat_server.opened) <= 2
+
+    @pytest.mark.parametrize("idle_check", [True, False],
+                             ids=["closed-while-idle", "closed-after-the-check"])
+    def test_a_connection_the_server_closed_is_replaced_without_a_retry(
+            self, chat_server, http_backend, delays, monkeypatch, idle_check):
+        chat_server.close_each = True
+        if not idle_check:  # every idle connection looks open
+            monkeypatch.setattr("select.select", lambda r, w, x, t: ([], [], []))
+        backend = http_backend(max_retries=3)
+        for n in range(3, 13):
+            assert backend.complete(seed_request(n)) == MockBackend().complete(
+                seed_request(n))
+        assert len(chat_server.received) == len(chat_server.opened) == 10
+        assert delays == []
+
+    @pytest.mark.parametrize("status, headers, delay", [
+        (429, {"Retry-After": "0.25"}, 0.25),
+        (503, {}, 0.001),
+    ], ids=["429", "503"])
+    def test_a_retried_status(self, chat_server, http_backend, delays,
+                              status, headers, delay):
+        chat_server.replies.append((status, headers, {"error": "later"}))
+        assert http_backend().complete(seed_request(3))
+        assert len(chat_server.received) == 2
+        assert len(chat_server.opened) == 1
+        assert delays == [delay]
+
+    def test_a_read_timeout_is_a_transport_error(self, chat_server, http_backend):
+        chat_server.release.clear()  # the server never answers
+        backend = http_backend(max_retries=0, timeout=0.2)
+        with pytest.raises(TransportError, match="timed out"):
+            backend.complete(seed_request(3))
+
+    @pytest.mark.parametrize("url, proxy", [
+        ("ftp://example.org/v1", None),
+        ("example.org/v1", None),
+        ("http://example.org:port/v1", None),
+        ("http://example.org/v1", "socks5://127.0.0.1:1080"),
+        ("http://example.org/v1", "127.0.0.1:port"),
+    ])
+    def test_a_url_that_is_not_http_is_a_config_error(
+            self, chat_server, http_backend, monkeypatch, url, proxy):
+        if proxy:
+            monkeypatch.setenv("http_proxy", proxy)
+        with pytest.raises(ConfigError, match="http.endpoint_url|proxy URL"):
+            http_backend(endpoint_url=url)  # before any request
+        assert chat_server.received == []
+
+    def test_http_goes_through_the_proxy_unless_no_proxy_names_the_host(
+            self, serve_chat, chat_server, http_backend, monkeypatch):
+        proxy = serve_chat()
+        proxy_url = proxy.url.replace("://", "://alice:s%40cret@").removesuffix("/v1")
+        monkeypatch.setenv("http_proxy", proxy_url)
+        # the proxy answers itself: chat.invalid is never looked up
+        assert http_backend(endpoint_url="http://chat.invalid:8080/v1?x=1").complete(
+            seed_request(3))
+        [(line, headers)] = proxy.received
+        assert line == "POST http://chat.invalid:8080/v1?x=1 HTTP/1.1"
+        assert headers["Host"] == "chat.invalid:8080"
+        assert headers["Proxy-Authorization"] == "Basic YWxpY2U6c0BjcmV0"
+        monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+        assert http_backend().complete(seed_request(3))
+        assert len(proxy.received) == 1
+        [(line, headers)] = chat_server.received
+        assert line == "POST /v1 HTTP/1.1"
+        assert "Proxy-Authorization" not in headers
+
+    def test_https_goes_through_a_connect_tunnel(self, serve_chat, http_backend,
+                                                 monkeypatch):
+        proxy = serve_chat()
+        monkeypatch.setenv("https_proxy", proxy.url.removesuffix("/v1"))
+        backend = http_backend(endpoint_url="https://chat.invalid/v1",
+                               max_retries=0)
+        with pytest.raises(TransportError, match="Tunnel connection failed: 502"):
+            backend.complete(seed_request(3))
+        [(line, headers)] = proxy.received
+        assert line == "CONNECT chat.invalid:443 HTTP/1.0"
 
 
 class TestMakeBackend:

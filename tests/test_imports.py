@@ -14,14 +14,19 @@ from pathlib import Path
 from conftest import make_experiment_fixture
 from corpus_forge import bpe
 from corpus_forge.corpus import open_atomic, write_jsonl
+from corpus_forge.gateway import ChatMessage, ChatRequest, MockBackend
+from corpus_forge.prompts import PromptTemplateSet, render
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # loaded only by the commands that need them: the HTTP stack by --backend
 # http, yaml by --config and --set, OpenSSL hashing by the mock backend's
 # seed lists, multiprocessing by experiment
-BUDGET = ("requests", "urllib3", "ssl", "yaml", "_hashlib", "email.utils",
-          "multiprocessing")
+BUDGET = ("requests", "urllib3", "http.client", "ssl", "yaml", "_hashlib",
+          "email.utils", "multiprocessing")
+# the HTTP stack: requests and urllib3, which no command loads, and
+# http.client and ssl, which only --backend http loads
+HTTP_STACK = {"requests", "urllib3", "http.client", "ssl"}
 
 CHILD = """
 import json, sys
@@ -33,15 +38,20 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def modules_added(commands, cwd):
-    """Names of the modules importing corpus_forge.cli and running commands adds."""
+def run_child(code, args, cwd):
+    """The last line that code, run by a fresh interpreter with args, prints."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        [sys.executable, "-c", code, *args],
         cwd=cwd, env=env, capture_output=True, encoding="utf-8", timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    return result.stdout.splitlines()[-1]
+
+
+def modules_added(commands, cwd):
+    """Names of the modules importing corpus_forge.cli and running commands adds."""
+    return set(json.loads(run_child(CHILD, [json.dumps(commands)], cwd)))
 
 
 def test_importing_the_cli_loads_none_of_the_budget(tmp_path):
@@ -66,7 +76,7 @@ def test_offline_commands_load_neither_requests_nor_yaml(tmp_path):
     ], tmp_path)
     assert (tmp_path / "splits" / "train.jsonl").exists()
     assert (tmp_path / "out.txt").exists()
-    assert sorted(added & {"requests", "yaml"}) == []
+    assert sorted(added & (HTTP_STACK | {"yaml"})) == []
 
 
 def test_a_configured_mock_run_loads_yaml_but_not_requests(tmp_path):
@@ -82,4 +92,34 @@ def test_a_configured_mock_run_loads_yaml_but_not_requests(tmp_path):
     ], tmp_path)
     assert (tmp_path / "runs" / "r1" / "corpora" / "train.jsonl").exists()
     assert "yaml" in added
-    assert "requests" not in added
+    assert sorted(added & HTTP_STACK) == []
+
+
+def test_an_http_run_loads_neither_requests_nor_urllib3(tmp_path, chat_server):
+    added = modules_added([
+        ["hallucinate", "--backend", "http", "--run-id", "r1",
+         "--set", f"http.endpoint_url={chat_server.url}",
+         "--set", "plan.n_nouns=5", "--set", "plan.n_verbs=5",
+         "--set", "plan.sentences_per_seed=4",
+         "--set", "splits.train_token_threshold=60",
+         "--set", "splits.valid_token_threshold=20"],
+    ], tmp_path)
+    assert (tmp_path / "runs" / "r1" / "corpora" / "train.jsonl").exists()
+    assert len(chat_server.received) == 52
+    assert "http.client" in added
+    assert sorted(added & {"requests", "urllib3"}) == []
+
+
+def test_a_request_completes_without_requests_installed(tmp_path, chat_server):
+    code = """
+import sys
+sys.modules["requests"] = None  # so that importing it raises ImportError
+from corpus_forge.gateway import BackendConfig, ChatMessage, ChatRequest, HttpBackend
+backend = HttpBackend(BackendConfig(endpoint_url=sys.argv[1]))
+print(backend.complete(ChatRequest((ChatMessage("system", sys.argv[2]),))))
+backend.close()
+"""
+    system = render(PromptTemplateSet.defaults().seed_nouns_system, n=3)
+    answer = run_child(code, [chat_server.url, system], tmp_path)
+    assert answer == MockBackend().complete(
+        ChatRequest((ChatMessage("system", system),)))
