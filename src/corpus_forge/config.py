@@ -1,12 +1,14 @@
 """Run configuration: one YAML file plus dotted --set overrides.
 
-A setting's type is the annotation of its dataclass field, and its lower
-bound, if it has one, is in BOUNDS; _settings checks both for every setting.
+A setting's type is the annotation of its dataclass field, its lower
+bound, if it has one, is in BOUNDS, and its upper bound in CEILINGS;
+_settings checks all three for every setting.
 Secrets never live in the config file; the API key is read from the
 environment variable named by http.api_key_source. yaml is imported only
 when there is a file or an override to parse.
 """
 
+import threading
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +37,11 @@ BOUNDS = {
     "templates.seed_verbs_system": (">", ""),
     "templates.sentences_system": (">", ""),
     "templates.translation_system": (">", ""),
+}
+# a socket timeout or a sleep longer than TIMEOUT_MAX is an OverflowError
+CEILINGS = {
+    "http.backoff_base": threading.TIMEOUT_MAX,
+    "http.timeout": threading.TIMEOUT_MAX,
 }
 
 
@@ -89,8 +96,8 @@ def _settings(cls, name, section, **fixed):
     """cls(**section, **fixed), once each key of section is a checked setting.
 
     An absent (None) section is empty. A key must name a field of cls that
-    fixed does not set, and its value must have the field's type and meet
-    its bound in BOUNDS.
+    fixed does not set, and its value must have the field's type, meet its
+    bound in BOUNDS and not exceed its ceiling in CEILINGS.
     """
     if section is None:
         section = {}
@@ -107,7 +114,21 @@ def _settings(cls, name, section, **fixed):
                 continue
             kind = typing.get_args(kind)[0]
         check_value(dotted, value, kind, BOUNDS.get(dotted))
+        if dotted in CEILINGS and value > CEILINGS[dotted]:
+            raise ValueError(f"{dotted} must be <= {CEILINGS[dotted]}")
     return cls(**section, **fixed)
+
+
+def _parse_yaml(text, what):
+    """text parsed as YAML; ConfigError "<what> is not valid YAML: ..." for
+    text the parser refuses: bad syntax, an integer past Python's digit
+    limit (ValueError) or nesting deeper than it goes (RecursionError)."""
+    import yaml
+
+    try:
+        return yaml.safe_load(text)
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} is not valid YAML: {exc}") from exc
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
@@ -125,31 +146,22 @@ def apply_overrides(raw: dict, overrides) -> dict:
             target = target[part]
             if not isinstance(target, dict):
                 raise ConfigError(f"cannot override through scalar at {part!r}")
-        import yaml
-
-        try:
-            target[parts[-1]] = yaml.safe_load(value)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"override {key} is not valid YAML: {exc}") from exc
+        target[parts[-1]] = _parse_yaml(value, f"override {key}")
     return raw
 
 
 def load_config(path=None, overrides=()) -> RunConfig:
     raw = {}
     if path is not None:
-        import yaml
-
         try:
             with _refused("read", path):
                 try:
                     text = Path(path).read_text(encoding="utf-8")
                 except FileNotFoundError as exc:
                     raise ConfigError(f"config file not found: {path}") from exc
-            raw = yaml.safe_load(text)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config file is not UTF-8: {path}: {exc.reason}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config file is not valid YAML: {exc}") from exc
+        raw = _parse_yaml(text, "config file")
         if raw is None:  # an empty or comment-only file
             raw = {}
         elif not isinstance(raw, dict):

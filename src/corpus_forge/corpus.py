@@ -317,7 +317,9 @@ def read_jsonl(path, seen=None) -> ParallelCorpus:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            # ValueError: bad JSON, or an integer past Python's digit limit;
+            # RecursionError: nesting deeper than the parser goes
+            except (ValueError, RecursionError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: bad JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")

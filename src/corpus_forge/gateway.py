@@ -5,8 +5,9 @@ Wire shape is the standard chat-completions JSON: POST with
 read from choices[0].message.content.
 
 The HTTP backend speaks HTTP/1.1 through the standard library's
-http.client (and with it ssl), imported when its session first posts: a
-process that never calls an HTTP endpoint never loads them.
+http.client (and with it ssl), imported when the backend builds its
+session, which serves the one endpoint URL it is built for: a process that
+never builds an HTTP backend never loads them.
 """
 
 import logging
@@ -114,11 +115,9 @@ class HttpBackend:
             raise ConfigError(
                 f"environment variable {config.api_key_source} is not set"
             )
-        if session is None:
-            session = HttpSession()
-            # a bad endpoint URL or proxy ends a run here, before any request
-            session.route(config.endpoint_url, config.timeout)
-        self._session = session
+        # a bad endpoint URL or proxy ends a run here, before any request
+        self._session = (HttpSession(config.endpoint_url, config.timeout)
+                         if session is None else session)
         self._headers = {
             "Authorization": f"Bearer {api_key}",
             "Content-Type": "application/json",
@@ -177,7 +176,8 @@ class HttpBackend:
             )
         try:
             content = response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        # RecursionError: a body nested deeper than the JSON parser goes
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError) as exc:
             raise ProtocolError(f"malformed response body: {exc}") from exc
         if not isinstance(content, str):
             raise ProtocolError(
@@ -210,108 +210,37 @@ def _retry_after_seconds(value):
 
 
 class HttpSession:
-    """The default session of an HttpBackend: JSON POSTs over keep-alive
-    HTTP/1.1 connections of the standard library's http.client.
+    """The default session of an HttpBackend: JSON POSTs to the one URL it is
+    built for, over keep-alive HTTP/1.1 connections of http.client.
 
     post() takes the arguments HttpBackend passes to requests.Session.post
     and answers what it reads of a requests.Response: status_code,
-    headers.get, json() and text. Each post takes an idle connection to
-    its URL, or opens one, and gives it back once the response is read
-    whole, so a Gateway's workers hold at most max_in_flight sockets, which
-    later batches and stages reuse. A connection the server closed while
-    idle is replaced before it carries a request. Redirects are not
-    followed and netrc is not read. A failure to connect, send or read
-    closes the connection and raises TransportError.
+    headers.get, json() and text. Each post takes an idle connection, or
+    opens one, and gives it back once the response is read whole, so a
+    Gateway's workers hold at most max_in_flight sockets, which later
+    batches and stages reuse. A connection the server closed while idle is
+    replaced before it carries a request. Redirects are not followed and
+    netrc is not read. A failure to connect, send or read closes the
+    connection and raises TransportError.
+
+    Posts go straight to the URL's server, or through the proxy that the
+    environment names for it, as urllib reads it (http_proxy, https_proxy,
+    all_proxy and no_proxy): HTTPS through a CONNECT tunnel, HTTP through an
+    absolute-form request target. TLS is verified against the default trust
+    store. A URL or proxy that is not http(s) is a ConfigError.
     """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._routes = {}  # (url, timeout) -> _Route
-
-    def route(self, url, timeout):
-        """The _Route of posts to url, built at its first use; ConfigError
-        for a URL or proxy that is not http(s)."""
-        with self._lock:
-            route = self._routes.get((url, timeout))
-            if route is None:
-                route = self._routes[url, timeout] = _Route(url, timeout)
-            return route
-
-    def post(self, url, *, json, headers, timeout):
-        import http.client
-
-        route = self.route(url, timeout)
-        body = dumps(json, allow_nan=False).encode()  # as requests sends json=
-        headers = {**headers, **route.headers, "User-Agent": USER_AGENT}
-        conn, reused = self._take(route)
-        try:
-            try:
-                conn.request("POST", route.target, body, headers)
-                response = conn.getresponse()
-            except ConnectionError:
-                if not reused:
-                    raise
-                # the server closed it after the idle check, without answering
-                conn.close()
-                conn = route.connect()
-                conn.request("POST", route.target, body, headers)
-                response = conn.getresponse()
-            content = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            conn.close()
-            raise TransportError(f"POST {url}: {str(exc) or type(exc).__name__}") from exc
-        if response.will_close:
-            conn.close()
-        else:
-            with self._lock:
-                route.idle.append(conn)
-        return SimpleNamespace(
-            status_code=response.status, headers=response.headers,
-            json=lambda: loads(content), text=content.decode("utf-8", "replace"))
-
-    def _take(self, route):
-        """(connection, reused): an idle connection of route that the server
-        has not closed, or a new one."""
-        import select
-
-        while True:
-            with self._lock:
-                if not route.idle:
-                    return route.connect(), False
-                conn = route.idle.pop()
-            # an idle socket that reads as ready holds the server's end of
-            # file (or bytes no request asked for): it cannot carry a request
-            if not select.select([conn.sock], [], [], 0)[0]:
-                return conn, True
-            conn.close()
-
-    def close(self):
-        """Close every idle connection."""
-        with self._lock:
-            idle = [conn for route in self._routes.values() for conn in route.idle]
-            for route in self._routes.values():
-                route.idle.clear()
-        for conn in idle:
-            conn.close()
-
-
-class _Route:
-    """How posts to one URL travel: straight to its server, or through the
-    proxy that the environment names for it, as urllib reads it (http_proxy,
-    https_proxy, all_proxy and no_proxy). HTTPS goes through a CONNECT
-    tunnel, HTTP through an absolute-form request target; either verifies
-    TLS against the default trust store."""
 
     def __init__(self, url, timeout):
         import http.client
         import ssl
 
         parts = _split_url(url, "http.endpoint_url", ("http", "https"))
-        self.idle = []  # connections that no post holds
-        self.target = parts.path or "/"
+        self._lock = threading.Lock()
+        self._idle = []  # connections that no post holds
+        self._target = parts.path or "/"
         if parts.query:
-            self.target += "?" + parts.query
-        self.headers = {}  # sent besides the caller's
+            self._target += "?" + parts.query
+        self._headers = {}  # sent besides the caller's
         self._timeout = timeout
         self._tunnel = None
         https = parts.scheme == "https"
@@ -334,15 +263,70 @@ class _Route:
         if https:
             self._tunnel = (parts.hostname, parts.port, auth)
         else:
-            self.target, self.headers = url, auth
+            self._target, self._headers = url, auth
         self._address = (proxy.hostname, proxy.port or 80)
 
-    def connect(self):
+    def post(self, url, *, json, headers, timeout):
+        """POST json; url and timeout are those the session was built with."""
+        import http.client
+
+        body = dumps(json, allow_nan=False).encode()  # as requests sends json=
+        headers = {**headers, **self._headers, "User-Agent": USER_AGENT}
+        conn, reused = self._take()
+        try:
+            try:
+                conn.request("POST", self._target, body, headers)
+                response = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # the server closed it after the idle check, without answering
+                conn.close()
+                conn = self._connect()
+                conn.request("POST", self._target, body, headers)
+                response = conn.getresponse()
+            content = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
+            raise TransportError(f"POST {url}: {str(exc) or type(exc).__name__}") from exc
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return SimpleNamespace(
+            status_code=response.status, headers=response.headers,
+            json=lambda: loads(content), text=content.decode("utf-8", "replace"))
+
+    def _connect(self):
         """A new connection, which opens its socket at its first request."""
         conn = self._kind(*self._address, timeout=self._timeout, **self._tls)
         if self._tunnel:
             conn.set_tunnel(*self._tunnel)
         return conn
+
+    def _take(self):
+        """(connection, reused): an idle connection that the server has not
+        closed, or a new one."""
+        import select
+
+        while True:
+            with self._lock:
+                if not self._idle:
+                    return self._connect(), False
+                conn = self._idle.pop()
+            # an idle socket that reads as ready holds the server's end of
+            # file (or bytes no request asked for): it cannot carry a request
+            if not select.select([conn.sock], [], [], 0)[0]:
+                return conn, True
+            conn.close()
+
+    def close(self):
+        """Close every idle connection."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
 
 def _split_url(url, name, schemes):

@@ -218,10 +218,11 @@ def translate_sentences(sentences, plan, templates, gateway):
 
 @contextmanager
 def _checkpoint_errors(path):
-    """Turn a ValueError raised in the block into CorpusFormatError naming path."""
+    """Turn a ValueError raised in the block, or the RecursionError of JSON
+    nested too deep to parse, into CorpusFormatError naming path."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CorpusFormatError(f"{path}: malformed checkpoint: {exc}") from None
 
 

@@ -148,7 +148,7 @@ class TestHallucinate:
         assert not run_root.exists()
 
     # Every setting with a value of the wrong type and, where the setting has
-    # a lower bound, a value below it. Listed by hand, so that a setting
+    # a lower bound, a value below it, or a ceiling, a value above it. Listed by hand, so that a setting
     # whose check goes missing fails here.
     @pytest.mark.parametrize("setting", [
         "backend=5",
@@ -159,7 +159,9 @@ class TestHallucinate:
         "http.max_in_flight=2.5", "http.max_in_flight=0",
         "http.max_retries=true", "http.max_retries=-1",
         "http.backoff_base=slow", "http.backoff_base=-1",
+        "http.backoff_base=1.0e+10",  # time.sleep refuses it: OverflowError
         "http.timeout=slow", "http.timeout=0",
+        "http.timeout=1.0e+10",  # so does a socket timeout
         "plan.n_nouns=2.5", "plan.n_nouns=0",
         "plan.n_verbs=true", "plan.n_verbs=0",
         "plan.sentences_per_seed='4'", "plan.sentences_per_seed=0",
@@ -213,6 +215,23 @@ class TestHallucinate:
     def test_config_file_not_valid_yaml(self, runner, tmp_path):
         config = tmp_path / "run.yaml"
         config.write_text("em: [\n", encoding="utf-8")
+        run_root = tmp_path / "runs"
+        result = runner.invoke(main, hallucinate_args(
+            run_root, extra=["--config", str(config)]))
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert "config error: config file is not valid YAML" in result.output
+        assert not run_root.exists()
+
+    # YAML that the parser refuses with an error other than yaml.YAMLError
+    @pytest.mark.parametrize("text", [
+        pytest.param("mock_seed: " + "[" * 100_000, id="nested-too-deep"),
+        pytest.param("mock_seed: " + "1" * 5000, id="past-the-digit-limit"),
+    ])
+    def test_config_file_the_parser_refuses(self, runner, tmp_path, text):
+        config = tmp_path / "run.yaml"
+        config.write_text(text + "\n", encoding="utf-8")
         run_root = tmp_path / "runs"
         result = runner.invoke(main, hallucinate_args(
             run_root, extra=["--config", str(config)]))
@@ -569,6 +588,11 @@ class TestExperiment:
         ("em.iterations=true", "em.iterations must be an integer, got True"),
         ("em.iterations='3'", "em.iterations must be an integer, got '3'"),
         ("em.iterations=[", "config error: override em.iterations is not valid YAML"),
+        pytest.param("em.iterations=" + "[" * 100_000,
+                     "config error: override em.iterations is not valid YAML",
+                     id="nested-too-deep"),
+        pytest.param("a=" + "1" * 5000, "config error: override a is not valid YAML",
+                     id="past-the-digit-limit"),
     ])
     def test_malformed_config_is_a_config_error(self, runner, tmp_path,
                                                 fixture_paths, setting, message):
@@ -946,6 +970,11 @@ class TestMalformedInputs:
         "[1, 2]",
         '{"id": "1", "src": 5, "tgt": "b", "origin": "natural"}',
         '{"id": "1", "src": "a", "tgt": null, "origin": "natural"}',
+        # refused by json.loads with RecursionError, and with a ValueError
+        # that is not a JSONDecodeError
+        pytest.param("[" * 100_000, id="nested-too-deep"),
+        pytest.param('{"id": ' + "1" * 5000 + ', "src": "a", "tgt": "b", '
+                     '"origin": "natural"}', id="past-the-digit-limit"),
     ])
     def test_jsonl_line_of_wrong_shape(self, runner, tmp_path, bad_line):
         path = tmp_path / "bad.jsonl"
@@ -1177,6 +1206,8 @@ class TestMalformedCheckpoints:
 
     @pytest.mark.parametrize("name, corrupt, message", [
         ("seeds.json", lambda records: "not json", "malformed checkpoint: Expecting"),
+        ("seeds.json", lambda records: "[" * 100_000,
+         "malformed checkpoint: maximum recursion depth exceeded"),
         ("seeds.json", lambda records: {"a": 1}, "expected a JSON list"),
         ("seeds.json", lambda records: [], "expected a non-empty JSON list, got []"),
         ("sentences.json", lambda records: [],
@@ -1196,7 +1227,7 @@ class TestMalformedCheckpoints:
          DISAGREES.format(1)),
         ("translations.json", _replace(2, "id", "syn-999999"), DISAGREES.format(2)),
         ("translations.json", _swap_ids, DISAGREES.format(1)),
-    ], ids=["not-json", "object", "empty-seeds", "empty-sentences",
+    ], ids=["not-json", "nested-too-deep", "object", "empty-seeds", "empty-sentences",
             "non-string-seed", "no-sentence", "empty-source", "two-line-sentence",
             "repeated-seed", "repeated-sentence", "repeated-id", "unknown-seed",
             "other-seed-word", "other-source", "id-of-no-sentence", "swapped-ids"])

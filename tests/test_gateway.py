@@ -366,6 +366,15 @@ class TestHttpBackend:
         with pytest.raises(ProtocolError):
             backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
 
+    def test_body_nested_too_deep_is_protocol_error(self, api_key_env):
+        # json.loads refuses it with RecursionError, not a ValueError
+        deep = FakeResponse(200)
+        deep.json = lambda: json.loads("[" * 200_000)
+        backend, session = self.make([deep, ok_response()])
+        with pytest.raises(ProtocolError, match="malformed response body"):
+            backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
+        assert len(session.requests) == 1
+
     @pytest.mark.parametrize("content", [None, 5, ["a"]],
                              ids=["null", "number", "list"])
     def test_content_that_is_not_a_string_is_protocol_error(self, api_key_env,
