@@ -32,8 +32,9 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
-# A 429 that asks for a longer wait fails the request instead of parking a
-# worker; the bound matches the default request timeout.
+# The longest backoff wait: a 429 that asks for a longer one fails the
+# request instead of parking a worker; the bound matches the default request
+# timeout.
 MAX_RETRY_AFTER_S = 60
 MAX_OUTPUT_TOKENS = 2048  # the max_tokens of every request
 USER_AGENT = f"corpus-forge/{__version__}"
@@ -139,9 +140,14 @@ class HttpBackend:
             "max_tokens": MAX_OUTPUT_TOKENS,
         }
         last_error = None
+        # the nth retry waits backoff_base * 2 ** (n - 1) s, at most
+        # MAX_RETRY_AFTER_S: doubled wait by wait from the capped one, it
+        # never grows past a float, nor past what time.sleep takes
+        backoff = self.config.backoff_base
         for attempt in range(self.config.max_retries + 1):
             if attempt:
-                delay = self.config.backoff_base * (2 ** (attempt - 1))
+                delay = min(backoff, MAX_RETRY_AFTER_S)
+                backoff = delay * 2
                 if isinstance(last_error, RateLimited) and last_error.retry_after:
                     if last_error.retry_after > MAX_RETRY_AFTER_S:
                         raise last_error
@@ -429,15 +435,20 @@ class Gateway:
         self.backend = backend
         self.max_in_flight = max_in_flight
 
-    def complete_batch(self, requests_):
+    def complete_batch(self, requests_, parse=None):
         """Run requests with at most max_in_flight outstanding.
 
         Returns [(index, result_or_exception), ...] in input order; per-item
-        failures do not abort the batch. min(max_in_flight, len(requests_))
-        worker threads each take the next index from one shared iterator,
-        so the per-request cost is one call, whatever the batch size. An
-        exception that is not an Exception (SystemExit, say) stops its
-        worker and is raised here once every worker is done.
+        failures do not abort the batch. A result is parse(answer), or the
+        answer itself when parse is None: the worker that received an answer
+        parses it before it takes the next request, so the batch holds
+        parsed answers and never more than max_in_flight raw ones.
+        min(max_in_flight, len(requests_)) worker threads each take the next
+        index from one shared iterator, so the per-request cost is one call,
+        whatever the batch size. Only an Exception that the backend raises
+        is a failed request: an exception that parse raises, or one that is
+        not an Exception (SystemExit, say), stops its worker and is raised
+        here once every worker is done.
         """
         requests_ = list(requests_)
         results = [None] * len(requests_)
@@ -451,9 +462,13 @@ class Gateway:
             try:
                 for i in indices:
                     try:
-                        results[i] = (i, complete(requests_[i]))
+                        outcome = complete(requests_[i])
                     except Exception as exc:
-                        results[i] = (i, exc)
+                        outcome = exc
+                    else:
+                        if parse is not None:
+                            outcome = parse(outcome)  # drops the raw answer
+                    results[i] = (i, outcome)
             except BaseException as exc:
                 escaped.append(exc)
 

@@ -4,7 +4,9 @@ Each stage returns the JSON records that it checkpoints under the run
 directory, so an interrupted run resumes without repeating paid API calls.
 Responses are parsed defensively: when the expected delimiter yields fewer
 than two items the parser falls back to line breaks, and numbered-list
-prefixes are stripped.
+prefixes are stripped. Each gateway worker parses the answer it receives
+before it takes the next request, so a stage holds parsed answers and never
+more than max_in_flight raw ones.
 """
 
 import json
@@ -124,10 +126,11 @@ def _request(plan, temperature, system, user=None, assistant=None):
     return ChatRequest(messages, plan.model_name, temperature)
 
 
-def _answers(gateway, requests, what, subjects):
-    """(index, response) of each request that succeeded; each failure is logged."""
+def _answers(gateway, requests, what, subjects, parse):
+    """(index, parse(response)) of each request that succeeded; each failure
+    is logged."""
     answers = []
-    for index, outcome in gateway.complete_batch(requests):
+    for index, outcome in gateway.complete_batch(requests, parse):
         if isinstance(outcome, Exception):
             log.warning("%s failed for %r: %s", what, subjects[index], outcome)
         else:
@@ -146,15 +149,24 @@ def generate_seed_words(plan, templates, gateway):
                          (prompts.STAGE_SEED_VERBS, plan.n_verbs))
     ]
     seeds = []
-    for _, outcome in gateway.complete_batch(requests):
+    # parse_delimited is looked up at each call, where a tracer may wrap it
+    for _, outcome in gateway.complete_batch(
+            requests, lambda text: parse_delimited(text, ",")):
         if isinstance(outcome, Exception):
             raise outcome
-        seeds.extend(parse_delimited(outcome, ","))
+        seeds.extend(outcome)
     # chat models vary the capitalization of one lemma
     deduped = dedup(seeds, key=lambda seed: normalize(seed).casefold())
     if not deduped:
         raise EmptyResponse("seed generation parsed to zero seeds")
     return deduped
+
+
+def _distinct_sentences(text):
+    """(the number of sentences parsed from a response, its distinct ones in
+    the order they first appear)."""
+    sentences = parse_delimited(text, ";")
+    return len(sentences), list(dict.fromkeys(sentences))
 
 
 def generate_sentences(seeds, plan, templates, gateway, report=None):
@@ -165,17 +177,18 @@ def generate_sentences(seeds, plan, templates, gateway, report=None):
                                                   n=plan.sentences_per_seed))
     fewshot = (ChatMessage("assistant", templates.sentences_fewshot)
                if templates.sentences_fewshot else None)
-    requests = [_request(plan, plan.generation_temperature, system, seed, fewshot)
-                for seed in seeds]
-    answers = _answers(gateway, requests, "sentence generation", seeds)
+    answers = _answers(
+        gateway,
+        [_request(plan, plan.generation_temperature, system, seed, fewshot)
+         for seed in seeds],
+        "sentence generation", seeds, _distinct_sentences)
     # each distinct sentence once, under the first seed that produced it: the
     # mock, like the chat models it stands in for, repeats itself heavily
     first_seed = {}
     parsed = 0
-    for index, response in answers:
+    for index, (count, sentences) in answers:
         seed = seeds[index]
-        sentences = parse_delimited(response, ";")
-        parsed += len(sentences)
+        parsed += count
         for sentence in sentences:
             if sentence not in first_seed:
                 first_seed[sentence] = seed
@@ -198,11 +211,14 @@ def translate_sentences(sentences, plan, templates, gateway):
                                                   src=plan.source_lang,
                                                   tgt=plan.target_lang))
     sources = [record["sentence"] for record in sentences]
-    requests = [_request(plan, plan.translation_temperature, system, source)
-                for source in sources]
+    # the requests go once the batch returns, before the records are built
+    answers = _answers(
+        gateway,
+        [_request(plan, plan.translation_temperature, system, source)
+         for source in sources],
+        "translation", sources, lambda text: " ".join(text.split()))
     records = []
-    for index, response in _answers(gateway, requests, "translation", sources):
-        target = " ".join(response.split())
+    for index, target in answers:
         if target:
             records.append({"id": PAIR_ID.format(index), "src": sources[index],
                             "tgt": target, "seed_word": sentences[index]["seed"]})

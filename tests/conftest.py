@@ -17,6 +17,13 @@ from corpus_forge.gateway import ChatMessage, ChatRequest, MockBackend
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
+def deeper(max_examples):
+    """settings for at least max_examples, or the active profile's count when
+    it asks for more, as --hypothesis-profile=ci does."""
+    return settings(deadline=None,
+                    max_examples=max(max_examples, settings.default.max_examples))
+
+
 def make_corpus(sentences, prefix="p"):
     pairs = [
         SentencePair(id=f"{prefix}-{i}", source=s, target=t)

@@ -361,6 +361,29 @@ class TestHttpBackend:
         assert len(session.requests) == 2
         assert delays == [gateway_module.MAX_RETRY_AFTER_S]
 
+    def test_backoff_wait_is_capped(self, api_key_env, monkeypatch):
+        """A backoff_base at the settings' ceiling waits the cap each time,
+        not a time.sleep that refuses the wait, or a power past a float."""
+        delays = []
+        monkeypatch.setattr(gateway_module.time, "sleep", delays.append)
+
+        class Down:
+            def post(self, url, json=None, headers=None, timeout=None):
+                raise TransportError("down")
+
+        config = BackendConfig(max_retries=2, backoff_base=9223372036.0)
+        backend = HttpBackend(config, session=Down())
+        with pytest.raises(TransportError):
+            backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
+        assert delays == [60, 60]
+        backend = HttpBackend(BackendConfig(max_retries=1100, backoff_base=0.5),
+                              session=Down())
+        delays.clear()
+        with pytest.raises(TransportError):
+            backend.complete(ChatRequest(messages=(ChatMessage("user", "u"),)))
+        assert delays[:9] == [0.5, 1, 2, 4, 8, 16, 32, 60, 60]
+        assert len(delays) == 1100 and set(delays[7:]) == {60}
+
     def test_malformed_body_is_protocol_error(self, api_key_env):
         backend, _ = self.make([FakeResponse(200, {"unexpected": True})])
         with pytest.raises(ProtocolError):

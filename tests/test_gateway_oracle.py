@@ -4,14 +4,17 @@ original code kept in reference_gateway.py."""
 import sys
 import threading
 import time
+import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import reference_gateway
+from conftest import deeper
 from corpus_forge import prompts
 from corpus_forge.errors import TransportError
-from corpus_forge.gateway import Gateway
+from corpus_forge.gateway import Gateway, MockBackend
+from corpus_forge.hallucinate import GenerationPlan, generate_sentences
 from corpus_forge.prompts import PromptTemplateSet
 
 
@@ -43,7 +46,7 @@ scripted_request = st.one_of(
 )
 
 
-@settings(deadline=None, max_examples=150)
+@deeper(150)
 @given(requests_=st.lists(scripted_request, max_size=40),
        max_in_flight=st.integers(1, 8))
 def test_batch_results_match_reference(requests_, max_in_flight):
@@ -51,6 +54,47 @@ def test_batch_results_match_reference(requests_, max_in_flight):
     got = Gateway(backend, max_in_flight).complete_batch(requests_)
     expected = reference_gateway.complete_batch(backend, max_in_flight, requests_)
     assert comparable(got) == comparable(expected)
+
+
+def reversed_with_length(text):
+    return text[::-1], len(text)
+
+
+@deeper(150)
+@given(requests_=st.lists(scripted_request, max_size=40),
+       max_in_flight=st.integers(1, 8))
+def test_parsed_batch_matches_reference(requests_, max_in_flight):
+    """Each answer through parse, each failure as the backend raised it."""
+    backend = ScriptedBackend()
+    got = Gateway(backend, max_in_flight).complete_batch(requests_,
+                                                         reversed_with_length)
+    expected = [
+        (i, outcome if isinstance(outcome, Exception)
+         else reversed_with_length(outcome))
+        for i, outcome in reference_gateway.complete_batch(backend, max_in_flight,
+                                                           requests_)
+    ]
+    assert comparable(got) == comparable(expected)
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2, 8])
+def test_a_parse_that_raises_is_raised_not_counted(max_in_flight):
+    """A parser's bug is no failed request: the batch raises it."""
+    bug = ValueError("parser bug")
+    parsed = []
+
+    def parse(text):
+        parsed.append(text)
+        if text == "bad":
+            raise bug
+        return text
+
+    requests_ = [("ok", "a"), (TransportError, "down"), ("ok", "bad"),
+                 ("ok", "b")] * 3
+    with pytest.raises(ValueError) as caught:
+        Gateway(ScriptedBackend(), max_in_flight).complete_batch(requests_, parse)
+    assert caught.value is bug
+    assert set(parsed) <= {"a", "b", "bad"}  # never a backend's exception
 
 
 class BlockingBackend:
@@ -78,7 +122,7 @@ class BlockingBackend:
         return request
 
 
-@settings(deadline=None, max_examples=40)
+@deeper(40)
 @given(n=st.integers(1, 40), max_in_flight=st.integers(1, 8))
 def test_peak_concurrency_is_the_in_flight_bound(n, max_in_flight):
     backend = BlockingBackend(target=min(max_in_flight, n))
@@ -115,6 +159,48 @@ def test_stress_every_index_taken_once():
     assert not runner.is_alive()
     assert sorted(called) == sorted(list(range(n)) * rounds)
     assert outcomes == [[(i, i) for i in range(n)]] * rounds
+
+
+class Answer(str):
+    """A raw answer, which a weakref.finalize can watch die."""
+
+
+class WatchedMock:
+    """The mock backend, answering with Answers; counts those alive and
+    their peak."""
+
+    def __init__(self):
+        self.backend = MockBackend()
+        self.alive = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        answer = Answer(self.backend.complete(request))
+        with self._lock:
+            self.alive += 1
+            self.peak = max(self.peak, self.alive)
+        weakref.finalize(answer, self._died)
+        return answer
+
+    def _died(self):
+        with self._lock:
+            self.alive -= 1
+
+
+@deeper(30)
+@given(n_seeds=st.integers(1, 30), max_in_flight=st.integers(1, 8))
+def test_sentence_stage_holds_no_more_raw_answers_than_in_flight(n_seeds,
+                                                                  max_in_flight):
+    """Each worker parses its answer before it takes the next request."""
+    backend = WatchedMock()
+    records = generate_sentences([f"Wort{i}" for i in range(n_seeds)],
+                                 GenerationPlan(sentences_per_seed=12),
+                                 PromptTemplateSet.defaults(),
+                                 Gateway(backend, max_in_flight))
+    assert records
+    assert backend.peak <= min(max_in_flight, n_seeds)
+    assert backend.alive == 0
 
 
 def test_base_exception_propagates_like_reference():
@@ -179,7 +265,7 @@ def assert_same_classification(templates, text):
             == outcome(reference_gateway.classify_system_text, templates, text))
 
 
-@settings(deadline=None, max_examples=200)
+@deeper(200)
 @given(stage=st.sampled_from(STAGES), n=st.integers(0, 10**6),
        src=placeholder_value, tgt=placeholder_value, mutate=near_miss)
 def test_default_templates_classify_like_reference(stage, n, src, tgt, mutate):
@@ -219,7 +305,7 @@ template_text = st.lists(
 ).map("".join).filter(lambda t: t.strip())
 
 
-@settings(deadline=None, max_examples=150)
+@deeper(150)
 @given(edited=st.sampled_from(STAGES), new_text=template_text,
        n=st.integers(0, 999), src=placeholder_value, tgt=placeholder_value,
        mutate=near_miss)

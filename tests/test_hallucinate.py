@@ -40,13 +40,16 @@ def small_plan(**kwargs):
 
 
 class ScriptedGateway:
-    """Returns canned responses per call, for parser-focused tests."""
+    """Returns canned responses per call, for parser-focused tests, each
+    one that is not an exception through parse, as Gateway does."""
 
     def __init__(self, responses):
         self.responses = list(responses)
 
-    def complete_batch(self, requests):
-        return [(i, self.responses.pop(0)) for i, _ in enumerate(requests)]
+    def complete_batch(self, requests, parse):
+        outcomes = [self.responses.pop(0) for _ in requests]
+        return [(i, o if isinstance(o, Exception) else parse(o))
+                for i, o in enumerate(outcomes)]
 
 
 class TestParsing:
@@ -220,7 +223,7 @@ class TestRunPipeline:
         run_dir, _, _ = run_once(tmp_path, "a")
 
         class Exploding:
-            def complete_batch(self, requests):
+            def complete_batch(self, requests, parse):
                 raise AssertionError("resumed run must not call the backend")
 
         templates = PromptTemplateSet.defaults()

@@ -9,9 +9,10 @@ import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 import reference_hallucinate
+from conftest import deeper
 from corpus_forge import prompts
 from corpus_forge.corpus import SplitSpec, open_atomic, write_json
 from corpus_forge.errors import (
@@ -29,13 +30,6 @@ from corpus_forge.hallucinate import (
     run_pipeline,
 )
 from corpus_forge.prompts import PromptTemplateSet
-
-
-def deeper(max_examples):
-    """settings for at least max_examples, or the active profile's count when
-    it asks for more, as --hypothesis-profile=ci does."""
-    return settings(deadline=None,
-                    max_examples=max(max_examples, settings.default.max_examples))
 
 
 # Unicode whitespace that str.split() and \s both take (no-break space, line
@@ -161,13 +155,15 @@ class TestParseDelimited:
 
 
 class ScriptedGateway:
-    """Answers request i with outcomes[i]: a response, or an exception."""
+    """Answers request i with outcomes[i]: a response, which it puts through
+    parse as Gateway does, or an exception."""
 
     def __init__(self, outcomes):
         self.outcomes = outcomes
 
-    def complete_batch(self, requests):
-        return list(enumerate(self.outcomes[:len(requests)]))
+    def complete_batch(self, requests, parse):
+        return [(i, o if isinstance(o, Exception) else parse(o))
+                for i, o in enumerate(self.outcomes[:len(requests)])]
 
 
 SENTENCES = ["Der Hund ist gut.", "Das Caf\u00e9 ist hier.", "Das Cafe\u0301 ist hier.",
