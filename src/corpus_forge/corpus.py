@@ -197,6 +197,12 @@ def open_atomic(*paths, reads=()):
     without an error, and only after every one of them is closed. On an
     error, a KeyboardInterrupt included, every temp file opened and every
     directory created here is deleted, so each path keeps what it held.
+
+    A replaced path survives a crash of the process, since os.replace
+    swaps whole files. No fsync is made, of a file or of its directory, so
+    after a power loss a replaced file may come back empty or short; a
+    resumed hallucinate then refuses such a checkpoint as malformed (exit
+    1), and its stage's requests are paid for again.
     """
     paths = [Path(p) for p in paths]
     named = {}  # identity: (name, written)

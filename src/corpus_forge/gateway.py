@@ -116,6 +116,11 @@ class HttpBackend:
             raise ConfigError(
                 f"environment variable {config.api_key_source} is not set"
             )
+        # a key http.client cannot send, read from a CRLF file say, ends the
+        # run here, not in a traceback that would print the key
+        if not _visible_ascii(api_key):
+            raise ConfigError(f"environment variable {config.api_key_source} "
+                              "must hold only printable ASCII and no space")
         # a bad endpoint URL or proxy ends a run here, before any request
         self._session = (HttpSession(config.endpoint_url, config.timeout)
                          if session is None else session)
@@ -233,7 +238,8 @@ class HttpSession:
     environment names for it, as urllib reads it (http_proxy, https_proxy,
     all_proxy and no_proxy): HTTPS through a CONNECT tunnel, HTTP through an
     absolute-form request target. TLS is verified against the default trust
-    store. A URL or proxy that is not http(s) is a ConfigError.
+    store. A URL or proxy that is not http(s), or holds anything but
+    printable ASCII other than the space, is a ConfigError.
     """
 
     def __init__(self, url, timeout):
@@ -335,11 +341,22 @@ class HttpSession:
             conn.close()
 
 
+def _visible_ascii(text):
+    """Whether text holds only printable ASCII characters other than the
+    space, as a URL and a bearer token are written."""
+    return text.isascii() and text.isprintable() and " " not in text
+
+
 def _split_url(url, name, schemes):
-    """url split into its parts; ConfigError naming it unless it has a host
-    and one of schemes."""
+    """url split into its parts; ConfigError naming it unless it is written
+    in printable ASCII without a space, as http.client sends a request line,
+    and has a host and one of schemes."""
     from urllib.parse import urlsplit
 
+    # checked before urlsplit, which would drop a tab or line break unsaid
+    if not _visible_ascii(url):
+        raise ConfigError(
+            f"{name} must hold only printable ASCII and no space, got {url!r}")
     try:
         parts = urlsplit(url)
         parts.port  # raises ValueError for a port that is not a number

@@ -2,8 +2,11 @@ import json
 import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -15,6 +18,17 @@ from corpus_forge.gateway import ChatMessage, ChatRequest, MockBackend
 
 # a deeper search than the default, selected with --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=1000, deadline=None)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_child(args, cwd):
+    """A fresh interpreter run with args in cwd, with the package's source
+    on its path: its CompletedProcess, stdout and stderr read as UTF-8."""
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, encoding="utf-8", timeout=120,
+    )
 
 
 def deeper(max_examples):
@@ -296,13 +310,18 @@ class ChatServer(ThreadingHTTPServer):
 
 
 @pytest.fixture
-def serve_chat(monkeypatch):
-    """Starts ChatServers, with LLM_API_KEY set and no proxy variable left in
-    the environment, which would take loopback requests elsewhere."""
+def loopback_env(monkeypatch):
+    """LLM_API_KEY set, and no proxy variable left in the environment, which
+    would take loopback requests elsewhere."""
     for name in list(os.environ):
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
     monkeypatch.setenv("LLM_API_KEY", "sk-test")
+
+
+@pytest.fixture
+def serve_chat(loopback_env):
+    """Starts ChatServers, in the environment of loopback_env."""
     servers = []
 
     def serve():

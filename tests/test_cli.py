@@ -1,9 +1,11 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import os
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import click
@@ -201,11 +203,23 @@ class TestHallucinate:
         "plan.nouns=3",
         "iterations=3",  # em.iterations
         "bakend=http",
+        "htpp={timeout: 1}",  # a section of its own
     ])
-    def test_unknown_settings_are_config_errors(self, runner, tmp_path, setting):
+    @pytest.mark.parametrize("where", ["--set", "--config"])
+    def test_unknown_settings_are_config_errors(self, runner, tmp_path, setting,
+                                                where):
         run_root = tmp_path / "runs"
+        extra = ["--set", setting]
+        if where == "--config":  # the setting as YAML, a mapping per dot
+            key, value = setting.split("=")
+            *sections, name = key.split(".")
+            config = tmp_path / "run.yaml"
+            config.write_text("".join(
+                f"{'  ' * depth}{part}:\n" for depth, part in enumerate(sections))
+                + f"{'  ' * len(sections)}{name}: {value}\n", encoding="utf-8")
+            extra = ["--config", str(config)]
         result = runner.invoke(main, hallucinate_args(
-            run_root, extra=ALL_TEMPLATES + ["--set", setting]))
+            run_root, extra=ALL_TEMPLATES + extra))
         assert result.exit_code == ConfigError.exit_code, result.output
         key = setting.split("=")[0]
         message = f"config error: invalid configuration: unknown setting {key}\n"
@@ -225,20 +239,25 @@ class TestHallucinate:
         assert not run_root.exists()
 
     # YAML that the parser refuses with an error other than yaml.YAMLError
-    @pytest.mark.parametrize("text", [
-        pytest.param("mock_seed: " + "[" * 100_000, id="nested-too-deep"),
-        pytest.param("mock_seed: " + "1" * 5000, id="past-the-digit-limit"),
+    @pytest.mark.parametrize("value", [
+        pytest.param("[" * 100_000, id="nested-too-deep"),
+        pytest.param("1" * 5000, id="past-the-digit-limit"),
     ])
-    def test_config_file_the_parser_refuses(self, runner, tmp_path, text):
-        config = tmp_path / "run.yaml"
-        config.write_text(text + "\n", encoding="utf-8")
+    @pytest.mark.parametrize("where", ["--config", "--set"])
+    def test_yaml_the_parser_refuses(self, runner, tmp_path, where, value):
+        extra = ["--set", f"mock_seed={value}"]
+        message = "config error: override mock_seed is not valid YAML"
+        if where == "--config":
+            config = tmp_path / "run.yaml"
+            config.write_text(f"mock_seed: {value}\n", encoding="utf-8")
+            extra = ["--config", str(config)]
+            message = "config error: config file is not valid YAML"
         run_root = tmp_path / "runs"
-        result = runner.invoke(main, hallucinate_args(
-            run_root, extra=["--config", str(config)]))
+        result = runner.invoke(main, hallucinate_args(run_root, extra=extra))
         assert result.exit_code == ConfigError.exit_code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
         assert "Traceback" not in result.output
-        assert "config error: config file is not valid YAML" in result.output
+        assert message in result.output
         assert not run_root.exists()
 
     def test_file_named_checkpoints_is_a_config_error(self, runner, tmp_path,
@@ -380,6 +399,38 @@ class TestHallucinate:
                 f"{content!r}\n") in result.output
         assert snapshot(tmp_path / "runs") == {}
 
+    KEY = "environment variable LLM_API_KEY "
+    URL = "http.endpoint_url "
+
+    @pytest.mark.parametrize("key, url, named", [
+        ("secret-key\r", None, KEY),  # read from a CRLF file
+        ("secret\nkey", None, KEY),
+        ("secret-€", None, KEY),
+        ("secret-key", "http://127.0.0.1:9/v€", URL),
+        ("secret-key", "http://127.0.0.1:9/v1?q=€", URL),
+        ("secret-key", "http://a\0b:9/v1", URL),
+        ("secret-key", "http://127.0.0.1:9/v 1", URL),
+        ("secret-key", "http://127.0.0.1:9/v1\n", URL),
+    ], ids=["key-cr", "key-lf", "key-non-ascii", "path-non-ascii",
+            "query-non-ascii", "host-nul", "path-space", "url-lf"])
+    def test_what_http_cannot_send_is_a_config_error(self, runner, tmp_path,
+                                                     monkeypatch, key, url, named):
+        """A key or endpoint URL that no request could carry ends the run
+        before its first request, naming where it came from and never
+        printing the key."""
+        monkeypatch.setenv("LLM_API_KEY", key)
+        # a JSON string is a YAML one, with the escapes that it needs
+        setting = ["--set", f"http.endpoint_url={json.dumps(url)}"] if url else []
+        run_root = tmp_path / "runs"
+        result = runner.invoke(main, hallucinate_args(run_root, extra=[
+            "--backend", "http", "--set", "http.max_retries=0", *setting]))
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert "Traceback" not in result.output
+        assert result.output.startswith(f"config error: {named}"), result.output
+        assert "secret" not in result.output
+        assert not run_root.exists()
+
     def test_insufficient_data_exit_code(self, runner, tmp_path):
         args = hallucinate_args(
             tmp_path / "runs",
@@ -457,6 +508,22 @@ class TestSample:
         assert result.output == "error: second split failed\n"
         assert written == [str(out / "train.jsonl.tmp")]
         assert snapshot(out) == {"train.jsonl": b"earlier split\n"}
+
+    def test_later_split_the_corpus_cannot_fill(self, runner, tmp_path):
+        """A split that the corpus cannot fill is named with what is left for
+        it, and no split is written: train takes 252 of the sample's 290
+        tokens."""
+        out = tmp_path / "short"
+        result = runner.invoke(main, [
+            "sample", "--input", str(Path(__file__).parent / "data" /
+                                     "natural_sample.jsonl"),
+            "--train-tokens", "250", "--valid-tokens", "100", "--out-dir", str(out),
+        ])
+        assert result.exit_code == InsufficientData.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == ("insufficient data: 38 source tokens left for "
+                                 "valid, threshold 100 not reachable\n")
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("flag, value", [
@@ -806,6 +873,47 @@ class TestExperiment:
                    for name in self.PINNED}
         assert digests == self.PINNED
 
+    # sha256 of each output on the benchmark's generated inputs at a tenth
+    # of the paper's scale; as for PINNED, one value holds on every Python
+    TENTH_SCALE_PINNED = {
+        "ttr.csv": "8330bec38bd25c84509151e220675b82bf3b841fbec73efbdb576c7a8bf0131c",
+        "zipf.csv": "03170b17c04d88db40ce8ba2039481ff39470933b0992403513f307bfef02cae",
+        "results.md": "dfebd7248d3ded12ece1b602e13aa6f5ebcc02aeac9397bc3a3a75787e16052d",
+        "results.json": "efb8a5697b1d03882e019e9c96baa34972c8785311fb7387e929459ddd50169c",
+        "models/nat.lexicon": "e492c7ff87653fc1ab42242e70cd53265e8ef9404bb8524045d8840632341d37",
+        "models/synth.lexicon": "ec8fb185d5595c444eccd9508fd520681597a847c41d9c0138639cf5b24e8c08",
+        "models/aug.lexicon": "56b4305811a76cd358e041badf743e9277888881659eb6cc28fc0838951ef07c",
+    }
+
+    def test_outputs_at_a_tenth_of_the_papers_scale(self, runner, tmp_path,
+                                                    monkeypatch):
+        """Pins experiment, with its default settings, on seeded inputs from
+        the benchmark's generators: 9,000 natural train pairs, 1,000 valid,
+        1,000 test and 2,000 synthetic seed words (12,000 pairs)."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", Path(__file__).resolve().parent.parent
+            / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ as it is
+        spec.loader.exec_module(inputs)
+        words = inputs.lexicon(7, 30000)
+        for name, rows in (
+                ("nat-train", inputs.natural_rows(words, 7, 9000, "nt")),
+                ("nat-valid", inputs.natural_rows(words, 7, 1000, "nv")),
+                ("test", inputs.natural_rows(words, 7, 1000, "te")),
+                ("syn-train", inputs.synthetic_rows(words, 7, 2000, "sy"))):
+            inputs.write_jsonl(rows, tmp_path / f"{name}.jsonl")
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "experiment", "--nat-train", str(tmp_path / "nat-train.jsonl"),
+            "--syn-train", str(tmp_path / "syn-train.jsonl"),
+            "--nat-valid", str(tmp_path / "nat-valid.jsonl"),
+            "--test", str(tmp_path / "test.jsonl"), "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.TENTH_SCALE_PINNED}
+        assert digests == self.TENTH_SCALE_PINNED
+
 
 class TestExport:
     def test_aligned_files_and_metadata(self, runner, tmp_path, fixture_paths):
@@ -864,6 +972,23 @@ class TestExport:
         assert result.output == (
             f"config error: two outputs would be written to {out / repeated}\n")
         assert not out.exists()
+
+    def test_input_named_as_a_pair_output_refused(self, runner, tmp_path,
+                                                   fixture_paths):
+        """--src jsonl names own/s.jsonl, the input itself, as an output."""
+        own = tmp_path / "own"
+        own.mkdir()
+        corpus = own / "s.jsonl"
+        shutil.copyfile(fixture_paths["nat_train"], corpus)
+        result = runner.invoke(main, [
+            "export", "--input", str(corpus), "--src", "jsonl", "--tgt", "en",
+            "--out-dir", str(own),
+        ])
+        assert result.exit_code == ConfigError.exit_code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"config error: input {corpus} would be written\n"
+        assert corpus.read_bytes() == fixture_paths["nat_train"].read_bytes()
+        assert list(own.iterdir()) == [corpus]
 
     @pytest.mark.parametrize("bad, exit_code", [
         ('{"id": "a", "src": "x", "tgt": "u", "origin": "natural"}\n' * 2, 1),
@@ -976,14 +1101,19 @@ class TestMalformedInputs:
         pytest.param('{"id": ' + "1" * 5000 + ', "src": "a", "tgt": "b", '
                      '"origin": "natural"}', id="past-the-digit-limit"),
     ])
-    def test_jsonl_line_of_wrong_shape(self, runner, tmp_path, bad_line):
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["sample", "--train-tokens", "1", "--valid-tokens", "1"]],
+        ids=["analyze", "sample"])
+    def test_jsonl_line_of_wrong_shape(self, runner, tmp_path, bad_line, command):
         path = tmp_path / "bad.jsonl"
         good = '{"id": "0", "src": "a", "tgt": "b", "origin": "natural"}'
         path.write_text(f"{good}\n{bad_line}\n", encoding="utf-8")
+        out = tmp_path / "out"
         result = runner.invoke(main, [
-            "analyze", "--input", str(path), "--out-dir", str(tmp_path / "out"),
+            *command, "--input", str(path), "--out-dir", str(out),
         ])
         self.assert_clean_failure(result, f"{path}:2:")
+        assert not out.exists()
 
     @pytest.mark.parametrize("fields", [
         '"id": null, "origin": "natural"',

@@ -6,18 +6,12 @@ installation preloads at start-up (through .pth files) do not count.
 """
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
-from conftest import make_experiment_fixture
+from conftest import make_experiment_fixture, run_child
 from corpus_forge import bpe
 from corpus_forge.corpus import open_atomic, write_jsonl
 from corpus_forge.gateway import ChatMessage, ChatRequest, MockBackend
 from corpus_forge.prompts import PromptTemplateSet, render
-
-ROOT = Path(__file__).resolve().parent.parent
 
 # loaded only by the commands that need them: the HTTP stack by --backend
 # http, yaml by --config and --set, OpenSSL hashing by the mock backend's
@@ -38,20 +32,16 @@ print(json.dumps(sorted(set(sys.modules) - before)))
 """
 
 
-def run_child(code, args, cwd):
+def last_line(code, args, cwd):
     """The last line that code, run by a fresh interpreter with args, prints."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    result = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        cwd=cwd, env=env, capture_output=True, encoding="utf-8", timeout=120,
-    )
+    result = run_child(["-c", code, *args], cwd)
     assert result.returncode == 0, result.stderr
     return result.stdout.splitlines()[-1]
 
 
 def modules_added(commands, cwd):
     """Names of the modules importing corpus_forge.cli and running commands adds."""
-    return set(json.loads(run_child(CHILD, [json.dumps(commands)], cwd)))
+    return set(json.loads(last_line(CHILD, [json.dumps(commands)], cwd)))
 
 
 def test_importing_the_cli_loads_none_of_the_budget(tmp_path):
@@ -120,6 +110,6 @@ print(backend.complete(ChatRequest((ChatMessage("system", sys.argv[2]),))))
 backend.close()
 """
     system = render(PromptTemplateSet.defaults().seed_nouns_system, n=3)
-    answer = run_child(code, [chat_server.url, system], tmp_path)
+    answer = last_line(code, [chat_server.url, system], tmp_path)
     assert answer == MockBackend().complete(
         ChatRequest((ChatMessage("system", system),)))
